@@ -90,14 +90,13 @@ func main() {
 	budget := flag.Int("budget", 0, "shared verification worker slots across all sessions (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 1024, "maximum number of live sessions")
 	watchBuffer := flag.Int("watch-buffer", 16, "per-watcher report buffer before drops")
-	watchReplay := flag.Int("watch-replay", 0, "per-session events retained for binary watch resume (0 = 64, negative = off)")
+	replayEvents := flag.Int("watch-replay", 0, "per-session events retained for binary watch resume (0 = 64, negative = off)")
 	workers := flag.Int("workers", 0, "per-verification worker bound (0 = GOMAXPROCS)")
 	shard := flag.Int("shard", 0, "nodes a worker claims per handoff (0 = engine default)")
 	seq := flag.Bool("seq", false, "force single-goroutine verification per session")
 	dataDir := flag.String("data-dir", "", "data directory for WALs and snapshots (empty = no persistence)")
 	fsyncFlag := flag.String("fsync", "always", "WAL fsync policy: always (acked batches survive power loss) or never (survive crashes only)")
 	snapshotEvery := flag.Int("snapshot-every", 32, "logged batches between automatic per-session snapshots")
-	budgetPatience := flag.Duration("budget-patience", 0, "how long a verification sweep waits for one extra budget slot (0 = never wait)")
 	traceRing := flag.Int("trace-ring", 256, "retained traces on /debug/traces (negative = tracing off)")
 	traceSample := flag.Int("trace-sample", 1, "keep every Nth trace (slow traces are always kept)")
 	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "batch duration above which a trace is always retained")
@@ -138,7 +137,7 @@ func main() {
 		MaxSessions:      *maxSessions,
 		BudgetSlots:      *budget,
 		WatchBuffer:      *watchBuffer,
-		ReplayEvents:     *watchReplay,
+		ReplayEvents:     *replayEvents,
 		DataDir:          *dataDir,
 		Fsync:            policy,
 		SnapshotEvery:    *snapshotEvery,
@@ -155,10 +154,9 @@ func main() {
 		EvictLRU:         *evictLRU,
 		AdaptiveRepair:   *adaptiveRepair,
 		Engine: planarcert.EngineConfig{
-			Sequential:     *seq,
-			Workers:        *workers,
-			ShardSize:      *shard,
-			BudgetPatience: *budgetPatience,
+			Sequential: *seq,
+			Workers:    *workers,
+			ShardSize:  *shard,
 		},
 	})
 

@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"time"
-
-	"github.com/planarcert/planarcert/internal/qos"
-)
+import "github.com/planarcert/planarcert/internal/qos"
 
 // Budget is a shared, bounded pool of verification-worker slots. Many
 // engines — one per live server session, for example — can draw their
@@ -72,16 +68,8 @@ func (b *Budget) InUse() int { return b.s.InUse() }
 // available and no fair-queue waiter is pending; it never blocks.
 func (b *Budget) tryAcquire() bool { return b.anon.TryAcquire() }
 
-// release returns a slot taken by tryAcquire or acquireWait.
+// release returns a slot taken by tryAcquire.
 func (b *Budget) release() { b.anon.Release() }
-
-// acquireWait blocks up to d for a slot, abandoning the wait early if
-// stop closes first (the sweep it would join has no shards left, so a
-// late worker would have nothing to do). It reports whether a slot was
-// acquired; on false the caller holds nothing.
-func (b *Budget) acquireWait(d time.Duration, stop <-chan struct{}) bool {
-	return b.anon.AcquireWait(d, stop)
-}
 
 // Limit makes the engine draw its extra parallel workers from the
 // shared budget: worker 0 of each RunPLS always runs, workers 1..k-1
@@ -106,21 +94,4 @@ func Limit(b *Budget) Option {
 // class weight assigns. A nil claimant leaves the engine unlimited.
 func LimitClaimant(c *qos.Claimant) Option {
 	return func(e *Engine) { e.claim = c }
-}
-
-// BudgetPatience lets a sweep wait up to d for one extra slot when the
-// shared budget is exhausted at spawn time, instead of giving the slot
-// up immediately. The wait runs on a side goroutine — worker 0 makes
-// progress throughout, so the sweep is never delayed by more than its
-// own remaining work — and is abandoned as soon as the sweep runs out
-// of shards. The time actually spent waiting is what the budget-wait
-// tracing span (see WithSpan) and the planarcertd budget-wait histogram
-// measure. The default of 0 preserves the historical never-wait
-// semantics; d <= 0 is ignored.
-func BudgetPatience(d time.Duration) Option {
-	return func(e *Engine) {
-		if d > 0 {
-			e.patience = d
-		}
-	}
 }

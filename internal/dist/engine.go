@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/graph"
@@ -65,7 +64,6 @@ type Engine struct {
 	shardSize int
 	failFast  bool
 	claim     *qos.Claimant
-	patience  time.Duration
 	span      *obs.Span
 	scratch   *ScratchPool
 }
@@ -274,9 +272,7 @@ func (e *Engine) verifyParallel(lay *layout, verify func(View) error, sweep *obs
 // execution instead of stalling it; every extra worker needs a free
 // budget slot at spawn time (see Limit). The acquisition outcome is
 // recorded on sweep's budget-wait child span as wanted/granted/denied
-// slot counts; with BudgetPatience, a single late joiner waits
-// (bounded, on the side) for the next released slot and the span's
-// duration measures that wait.
+// slot counts, and the span's duration measures the acquisition.
 func (e *Engine) fanOut(nshards int, sweep *obs.Span, verifyShard func(s int, sc *Scratch) bool) {
 	workers := e.workers
 	if workers > nshards {
@@ -286,14 +282,7 @@ func (e *Engine) fanOut(nshards int, sweep *obs.Span, verifyShard func(s int, sc
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	// done closes once the sweep has no shards left to hand out —
-	// worker 0 runs unconditionally, so some worker always reaches
-	// exhaustion (or the fail-fast stop) and a patient late joiner is
-	// never stranded waiting for work that cannot arrive.
-	done := make(chan struct{})
-	var doneOnce sync.Once
 	loop := func() {
-		defer doneOnce.Do(func() { close(done) })
 		sc := pool.get()
 		defer pool.put(sc)
 		for {
@@ -326,30 +315,8 @@ func (e *Engine) fanOut(nshards int, sweep *obs.Span, verifyShard func(s int, sc
 		wanted = 0
 	}
 	granted := 0
-	patient := false
 	for w := 1; w < workers; w++ {
 		if e.claim != nil && !e.claim.TryAcquire() {
-			if e.patience > 0 {
-				patient = true
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ok := e.claim.AcquireWait(e.patience, done)
-					late := 0
-					if ok {
-						late = 1
-					}
-					bw.SetInt("wanted", int64(wanted))
-					bw.SetInt("granted", int64(granted+late))
-					bw.SetInt("denied", int64(wanted-granted-late))
-					bw.End()
-					if !ok {
-						return
-					}
-					defer e.claim.Release()
-					loop()
-				}()
-			}
 			break
 		}
 		budgeted := e.claim != nil
@@ -363,12 +330,10 @@ func (e *Engine) fanOut(nshards int, sweep *obs.Span, verifyShard func(s int, sc
 			loop()
 		}()
 	}
-	if !patient {
-		bw.SetInt("wanted", int64(wanted))
-		bw.SetInt("granted", int64(granted))
-		bw.SetInt("denied", int64(wanted-granted))
-		bw.End()
-	}
+	bw.SetInt("wanted", int64(wanted))
+	bw.SetInt("granted", int64(granted))
+	bw.SetInt("denied", int64(wanted-granted))
+	bw.End()
 	wg.Wait()
 }
 

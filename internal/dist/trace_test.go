@@ -3,7 +3,6 @@ package dist
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/gen"
@@ -128,83 +127,5 @@ func TestWithSpanOutcomeParity(t *testing.T) {
 	root.End()
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("tracing changed the outcome:\nplain  %+v\ntraced %+v", plain, traced)
-	}
-}
-
-// TestBudgetPatienceJoinsLate holds the only budget slot, releases it
-// shortly after the sweep starts, and checks that a patient engine
-// picks the slot up (recorded on the budget-wait span) while an
-// impatient one is denied immediately.
-func TestBudgetPatienceJoinsLate(t *testing.T) {
-	b := NewBudget(1)
-	if !b.tryAcquire() {
-		t.Fatal("fresh budget refused a slot")
-	}
-	release := make(chan struct{})
-	go func() {
-		<-release
-		time.Sleep(5 * time.Millisecond)
-		b.release()
-	}()
-
-	tr := obs.New(obs.Config{Ring: 4})
-	root := tr.Start("patient", obs.SpanBatch)
-	g := gen.Grid(40, 40)
-	e := NewEngine(g, Parallel(2), ShardSize(4), Limit(b), BudgetPatience(2*time.Second), WithSpan(root))
-	close(release)
-	out := e.RunPLS(map[graph.ID]bits.Certificate{}, func(v View) error {
-		time.Sleep(20 * time.Microsecond) // keep shards outstanding past the release
-		return nil
-	})
-	root.End()
-	if out.N != g.N() {
-		t.Fatalf("patient run covered %d/%d nodes", out.N, g.N())
-	}
-	if b.InUse() != 0 {
-		t.Fatalf("patient run leaked %d slots", b.InUse())
-	}
-	bw := sweepOf(t, root).Children()[0]
-	if bw.Name() != obs.SpanBudgetWait {
-		t.Fatalf("first sweep child = %q, want budget-wait", bw.Name())
-	}
-	granted, _ := bw.IntAttr("granted")
-	denied, _ := bw.IntAttr("denied")
-	if granted+denied != 1 {
-		t.Fatalf("granted %d + denied %d != wanted 1", granted, denied)
-	}
-	// The slot came back 5ms in; a 2s patience must have caught it
-	// unless the whole sweep finished first (then the wait was
-	// abandoned via done — also fine, but on a 1600-node grid with a
-	// sleeping verifier the sweep outlives 5ms).
-	if granted != 1 {
-		t.Fatalf("patient sweep was denied the late slot (granted=%d)", granted)
-	}
-}
-
-// TestBudgetPatienceBounded pins that patience on a permanently
-// exhausted budget delays the sweep by at most roughly the patience,
-// not forever, and leaves foreign slot accounting untouched.
-func TestBudgetPatienceBounded(t *testing.T) {
-	b := NewBudget(1)
-	if !b.tryAcquire() {
-		t.Fatal("fresh budget refused a slot")
-	}
-	defer b.release()
-
-	g := gen.Grid(10, 10)
-	e := NewEngine(g, Parallel(4), ShardSize(8), Limit(b), BudgetPatience(50*time.Millisecond))
-	start := time.Now()
-	out := e.RunPLS(map[graph.ID]bits.Certificate{}, func(v View) error { return nil })
-	elapsed := time.Since(start)
-	if out.N != g.N() {
-		t.Fatalf("starved run covered %d/%d nodes", out.N, g.N())
-	}
-	// The sweep itself finishes in microseconds, closing done and
-	// cancelling the wait; even the worst case is one patience.
-	if elapsed > time.Second {
-		t.Fatalf("starved patient run took %v", elapsed)
-	}
-	if b.InUse() != 1 {
-		t.Fatalf("run disturbed foreign slot accounting: in use %d, want 1", b.InUse())
 	}
 }

@@ -13,34 +13,18 @@ import (
 	"github.com/planarcert/planarcert/internal/pls"
 )
 
-// Op identifies one kind of topology update.
-type Op uint8
+// Op identifies one kind of topology update (see graph.Op).
+type Op = graph.Op
 
 // Supported update operations.
 const (
-	AddEdge Op = iota
-	RemoveEdge
-	AddNode
+	AddEdge    = graph.OpAddEdge
+	RemoveEdge = graph.OpRemoveEdge
+	AddNode    = graph.OpAddNode
 )
 
-// String names the operation for logs and error messages.
-func (o Op) String() string {
-	switch o {
-	case AddEdge:
-		return "+edge"
-	case RemoveEdge:
-		return "-edge"
-	case AddNode:
-		return "+node"
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
-
 // Update is one entry of the update log. AddNode uses only A.
-type Update struct {
-	Op   Op
-	A, B graph.ID
-}
+type Update = graph.Update
 
 // Mode labels how a batch was absorbed.
 type Mode string

@@ -20,9 +20,8 @@ var verifyBuckets = []float64{
 }
 
 // waitBuckets are the budget-wait histogram bounds, in seconds. Budget
-// acquisition is non-blocking by default (waits of ~microseconds) and
-// bounded by the configured patience otherwise, so the range sits well
-// below verifyBuckets'.
+// acquisition never blocks (waits of ~microseconds), so the range sits
+// well below verifyBuckets'.
 var waitBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1,
 }
@@ -170,7 +169,7 @@ type metrics struct {
 	wireFrames       atomic.Uint64 // binary frames written (acks, hellos, events)
 	watchAcks        atomic.Uint64 // watch subscription ACKs applied
 	watchNacks       atomic.Uint64 // watch subscription NACKs applied
-	watchReplayed    atomic.Uint64 // events replayed to resuming watchers
+	watchReplayed    atomic.Uint64 // events replayed to attaching watchers
 	unsupportedMedia atomic.Uint64 // POSTs rejected 415 for an unknown Content-Type
 
 	// Durability layer (zero on a non-durable server).
@@ -308,7 +307,7 @@ func (m *metrics) write(w io.Writer, live liveStats) {
 	counter("planarcertd_wire_frames_written_total", "Binary frames written (acks, hellos, events).", m.wireFrames.Load())
 	counter("planarcertd_watch_acks_total", "Watch subscription ACKs applied.", m.watchAcks.Load())
 	counter("planarcertd_watch_nacks_total", "Watch subscription NACKs applied.", m.watchNacks.Load())
-	counter("planarcertd_watch_replayed_total", "Events replayed to watchers resuming a subscription.", m.watchReplayed.Load())
+	counter("planarcertd_watch_replayed_total", "Events replayed to attaching watch streams (?replay=last or a subscription resume).", m.watchReplayed.Load())
 	counter("planarcertd_unsupported_media_total", "POST requests rejected with 415 for an unknown Content-Type.", m.unsupportedMedia.Load())
 
 	fmt.Fprintf(w, "# HELP planarcertd_qos_grants_total Scheduler grants by pool (exec admission vs worker budget) and QoS class.\n")

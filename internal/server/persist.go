@@ -111,11 +111,7 @@ func (s *Server) recoverSession(dir string) error {
 	// (empty tail) restores on the verification sweep alone.
 	applied, tailCorrupt := 0, false
 	for _, b := range rec.Tail {
-		updates, err := sessionUpdates(b.Updates)
-		if err == nil {
-			_, err = ps.Apply(updates)
-		}
-		if err != nil {
+		if _, err := ps.Apply(wal.ToGraph(b.Updates)); err != nil {
 			// A logged batch was valid when acked, so this only happens if
 			// corruption slipped past the CRCs; keep the prefix that
 			// applied cleanly.
@@ -168,43 +164,6 @@ func networkOf(snap *wal.Snapshot) (*planarcert.Network, error) {
 		}
 	}
 	return net, nil
-}
-
-// sessionUpdates converts one WAL batch back to session updates.
-func sessionUpdates(in []wal.Update) ([]planarcert.Update, error) {
-	out := make([]planarcert.Update, len(in))
-	for i, u := range in {
-		a, b := planarcert.NodeID(u.A), planarcert.NodeID(u.B)
-		switch u.Op {
-		case wal.OpAddNode:
-			out[i] = planarcert.NodeAdd(a)
-		case wal.OpAddEdge:
-			out[i] = planarcert.EdgeAdd(a, b)
-		case wal.OpRemoveEdge:
-			out[i] = planarcert.EdgeRemove(a, b)
-		default:
-			return nil, fmt.Errorf("server: unknown logged op %d", u.Op)
-		}
-	}
-	return out, nil
-}
-
-// walUpdates converts an absorbed batch to its WAL record form.
-func walUpdates(in []planarcert.Update) []wal.Update {
-	out := make([]wal.Update, len(in))
-	for i, u := range in {
-		var op wal.Op
-		switch u.Op {
-		case planarcert.OpAddEdge:
-			op = wal.OpAddEdge
-		case planarcert.OpRemoveEdge:
-			op = wal.OpRemoveEdge
-		case planarcert.OpAddNode:
-			op = wal.OpAddNode
-		}
-		out[i] = wal.Update{Op: op, A: int64(u.A), B: int64(u.B)}
-	}
-	return out
 }
 
 // walNodes lists a network's node identifiers in sorted order, so

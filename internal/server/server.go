@@ -966,13 +966,14 @@ func (s *Server) handleSessionGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWatch streams one SessionReport per flushed batch until the
-// client disconnects or the session is deleted. The default stream is
-// chunked NDJSON; ?format=binary switches to the frame protocol with a
-// version-acknowledged subscription (hello frame, then one event frame
-// per batch; resume with ?sub=, acknowledge on .../watch/ack). With
-// ?replay=last the current last report is emitted first, so a watcher
-// always has a starting state. Each report is marshaled once per format
-// and the bytes fanned out to every watcher.
+// client disconnects or the session is deleted. Both formats follow the
+// same subscription (see session.subscribe): the default stream is
+// chunked NDJSON; ?format=binary switches to the frame protocol, whose
+// stream opens with a hello frame naming a version-acknowledged
+// subscription (resume with ?sub=, acknowledge on .../watch/ack). With
+// ?replay=last a fresh stream starts with the current last report, so a
+// watcher always has a starting state. Each report is marshaled once
+// per format and the bytes fanned out to every watcher.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ms := s.lookup(r.PathValue("name"))
 	if ms == nil {
@@ -984,57 +985,75 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by transport")
 		return
 	}
-	switch r.URL.Query().Get("format") {
+	q := r.URL.Query()
+	contentType, binary := "application/x-ndjson", false
+	switch q.Get("format") {
 	case "", "json", "ndjson":
-		// NDJSON below.
 	case "binary":
-		s.handleWatchBinary(w, r, ms, flusher)
-		return
+		contentType, binary = wire.ContentType, true
 	default:
-		writeError(w, http.StatusBadRequest, "format must be json or binary, got %q", r.URL.Query().Get("format"))
+		writeError(w, http.StatusBadRequest, "format must be json or binary, got %q", q.Get("format"))
 		return
 	}
-	var (
-		id   uint64
-		ch   <-chan *watchEvent
-		last *planarcert.SessionReport
-		ok2  bool
-	)
-	if r.URL.Query().Get("replay") == "last" {
-		id, ch, last, ok2 = ms.watchReplay()
-	} else {
-		id, ch, ok2 = ms.watch()
+	var sub uint64
+	if v := q.Get("sub"); binary && v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil || n == 0 {
+			writeError(w, http.StatusBadRequest, "bad subscription %q", v)
+			return
+		}
+		sub = n
 	}
-	if !ok2 {
+	st, ok := ms.subscribe(binary, sub, q.Get("replay") == "last")
+	if !ok {
 		writeError(w, http.StatusGone, "session %q is closed", ms.name)
 		return
 	}
-	defer ms.unwatch(id)
+	defer ms.unwatch(st.id)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush() // ship the headers so clients unblock before the first report
-
-	if last != nil {
-		if _, err := w.Write(encodeEventJSON(last)); err != nil {
+	send := func(b []byte) bool {
+		if _, err := w.Write(b); err != nil {
+			return false
+		}
+		if binary {
+			s.met.wireFrames.Add(1)
+		}
+		return true
+	}
+	if binary {
+		hello, err := wire.EncodeHello(st.hello)
+		if err != nil || !send(hello) {
 			return
 		}
-		flusher.Flush()
 	}
+	flusher.Flush() // ship the headers so clients unblock before the first event
+	for _, b := range st.replay {
+		if !send(b) {
+			return
+		}
+		s.met.watchReplayed.Add(1)
+	}
+	flusher.Flush()
 
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, open := <-ch:
+		case ev, open := <-st.ch:
 			if !open {
 				return // session deleted
 			}
-			// ev.json is always set here: broadcast encodes it under
-			// watchMu whenever a JSON watcher is registered, and this
-			// watcher registered before the event was fanned out.
-			if _, err := w.Write(ev.json); err != nil {
+			// broadcast encoded ev for this watcher's format under
+			// watchMu before sending it (and dropped it instead when the
+			// encode failed).
+			b := ev.json
+			if binary {
+				b = ev.bin
+			}
+			if !send(b) {
 				return
 			}
 			flusher.Flush()

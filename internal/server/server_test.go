@@ -230,6 +230,8 @@ func TestEndToEnd(t *testing.T) {
 		"planarcertd_batch_seconds_count",
 		"planarcertd_watch_events_total",
 		"planarcertd_updates_total 3",
+		// The ?replay=last line of the NDJSON watch is a replayed event.
+		"planarcertd_watch_replayed_total 1",
 	} {
 		if !strings.Contains(string(met), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, met)

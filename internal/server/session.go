@@ -76,7 +76,8 @@ type session struct {
 	// lastVersion is the version of the newest broadcast event (the
 	// session generation — strictly increasing across broadcasts); ring
 	// retains the last ringCap events for replay-after-reconnect; subs
-	// tracks each binary subscription's last ACKed version.
+	// tracks each binary subscription's last ACKed version (NDJSON
+	// streams carry no subscription).
 	lastVersion uint64
 	ring        []*watchEvent
 	ringCap     int
@@ -92,8 +93,8 @@ type session struct {
 // watchEvent is one broadcast report, marshaled ONCE per format and
 // fanned out as bytes to every watcher (the per-watcher re-marshal this
 // replaces was the watch path's dominant cost at high fan-out). json
-// and bin are filled lazily: only the formats with a live watcher (or,
-// for bin, a later replay) pay for encoding.
+// and bin are filled lazily by encoded: only the formats with a live
+// watcher (or a later replay) pay for encoding.
 type watchEvent struct {
 	version uint64
 	rep     *planarcert.SessionReport
@@ -184,9 +185,9 @@ func (o persistOpts) options() []planarcert.SessionOption {
 	return opts
 }
 
-// queue appends updates to the session's log without flushing. The
-// updates were already converted from wire form, so Queue cannot fail
-// (it only rejects unknown ops).
+// queue appends updates to the session's log without flushing. Both
+// transports only yield in-range ops, so Queue cannot fail (it only
+// rejects unknown ops).
 func (ms *session) queue(updates []planarcert.Update) (pending int) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -213,7 +214,7 @@ func (ms *session) persistBatchLocked(updates []planarcert.Update) error {
 		return nil
 	}
 	if !ms.logDirty && len(updates) > 0 {
-		if err := ms.store.AppendBatch(ms.store.NextSeq(), walUpdates(updates)); err == nil {
+		if err := ms.store.AppendBatch(ms.store.NextSeq(), wal.FromGraph(updates)); err == nil {
 			if ms.met != nil {
 				ms.met.walAppends.Add(1)
 			}
@@ -413,105 +414,77 @@ func (ms *session) status() *SessionStatus {
 	return st
 }
 
-// watch registers a new JSON watcher and returns its id and channel.
-// The channel is closed when the session is deleted. ok is false if the
-// session is already closed.
-func (ms *session) watch() (id uint64, ch <-chan *watchEvent, ok bool) {
-	ms.watchMu.Lock()
-	defer ms.watchMu.Unlock()
-	w, ok := ms.registerLocked(false)
-	if !ok {
-		return 0, nil, false
-	}
-	return ms.nextWatch, w.ch, true
+// stream is one attached watch stream: the watcher id (for unwatch),
+// what handleWatch writes on attach — the hello of a binary stream, then
+// the replayed events already encoded for the stream's format — and the
+// channel of live events.
+type stream struct {
+	id     uint64
+	hello  wire.Hello
+	replay [][]byte
+	ch     <-chan *watchEvent
 }
 
-// registerLocked adds a watcher under watchMu.
-func (ms *session) registerLocked(binary bool) (*watcher, bool) {
+// subscribe attaches a watch stream in one ms.mu critical section:
+// broadcasts also run under ms.mu, so no flush can slip between the
+// replay snapshot and the registration — a replayed event is never
+// duplicated on (or reordered against) the channel.
+//
+// A binary stream is a version-acknowledged subscription: sub == 0
+// mints a fresh one; otherwise the stream resumes sub, replaying the
+// ring events after its last ACKed version. When the ring no longer
+// covers the gap (or sub is unknown or evicted), hello.Reset tells the
+// client to re-sync full state and only the latest event is replayed.
+// An NDJSON stream has no subscription and ignores sub. On a fresh
+// stream of either format, replayLast replays the latest report first,
+// so a watcher always has a starting state. ok is false once the
+// session is closed.
+func (ms *session) subscribe(binary bool, sub uint64, replayLast bool) (st stream, ok bool) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	ms.watchMu.Lock()
+	defer ms.watchMu.Unlock()
 	if ms.closed {
-		return nil, false
+		return stream{}, false
 	}
 	w := &watcher{ch: make(chan *watchEvent, ms.watchBuf), binary: binary}
 	ms.nextWatch++
 	ms.watchers[ms.nextWatch] = w
-	return w, true
-}
+	st = stream{id: ms.nextWatch, ch: w.ch}
 
-// watchReplay snapshots the last report and registers a watcher in one
-// ms.mu critical section: broadcasts also run under ms.mu, so no flush
-// can slip between the snapshot and the registration — the replayed
-// report is never duplicated on (or reordered against) the channel.
-func (ms *session) watchReplay() (id uint64, ch <-chan *watchEvent, last *planarcert.SessionReport, ok bool) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	last = ms.s.Last()
-	id, ch, ok = ms.watch()
-	return id, ch, last, ok
-}
-
-// watchBinary attaches a binary watch stream as a version-acknowledged
-// subscription. sub == 0 mints a fresh subscription; otherwise the
-// stream resumes the existing one, replaying the ring events after its
-// last ACKed version. When the ring no longer covers the gap (or the
-// subscription is unknown/evicted), hello.Reset tells the client to
-// re-sync full state and only the latest event is replayed. replayLast
-// forces the latest event into the replay of a fresh subscription
-// (?replay=last parity with the JSON stream). replayed events have
-// their binary encoding materialized before they are returned.
-func (ms *session) watchBinary(sub uint64, replayLast bool) (id uint64, hello wire.Hello, replay []*watchEvent, ch <-chan *watchEvent, ok bool) {
-	// ms.mu before watchMu (the broadcast ordering): holding it across
-	// the registration keeps the baseline snapshot and the channel
-	// gap-free, exactly like watchReplay on the JSON path.
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	last := ms.s.Last()
-	ms.watchMu.Lock()
-	defer ms.watchMu.Unlock()
-	w, ok := ms.registerLocked(true)
-	if !ok {
-		return 0, wire.Hello{}, nil, nil, false
+	var replay []*watchEvent
+	fresh := true
+	if binary {
+		st.hello, replay, fresh = ms.resumeLocked(sub)
 	}
-	id = ms.nextWatch
-
-	requested := sub
-	acked := ms.lastVersion
-	known := false
-	if requested != 0 {
-		if sa := ms.subs[requested]; sa != nil {
-			acked, known = sa.acked, true
-		}
-	}
-	if !known {
-		// Fresh subscription (or an evicted one the server no longer
-		// remembers): mint a new identity cursored at the current version.
-		sub = ms.mintSubLocked()
-	}
-	hello = wire.Hello{Subscription: sub, Version: ms.lastVersion, ResumeFrom: acked}
-
-	switch {
-	case known && acked < ms.lastVersion:
-		replay, hello.Reset = ms.ringAfterLocked(acked)
-	case !known && requested != 0:
-		// A resume the server cannot honor: the client must re-sync full
-		// state; hand it the latest event as its new baseline.
-		hello.Reset = true
-		if ev := ms.ringLatestLocked(); ev != nil {
-			replay = []*watchEvent{ev}
-		}
-	case !known && replayLast:
-		if ev := ms.ringLatestLocked(); ev != nil {
-			replay = []*watchEvent{ev}
-		}
-	}
-	if len(replay) == 0 && (hello.Reset || (!known && replayLast)) && last != nil {
-		// Nothing retained (fresh session, or replay disabled): fall back
-		// to the session's own last report as the baseline event.
-		replay = []*watchEvent{{version: ms.lastVersion, rep: last}}
+	if len(replay) == 0 && (st.hello.Reset || (fresh && replayLast)) {
+		// Nothing retained to replay: the session's own last report is
+		// the baseline event.
+		replay = []*watchEvent{{version: ms.lastVersion, rep: ms.s.Last()}}
 	}
 	for _, ev := range replay {
-		ms.ensureBinLocked(ev)
+		if b := ev.encoded(binary); b != nil { // nil: the encode failed, skip the event
+			st.replay = append(st.replay, b)
+		}
 	}
-	return id, hello, replay, w.ch, true
+	return st, true
+}
+
+// resumeLocked resolves a binary stream's subscription: a tracked sub
+// resumes from its last ACKed version (replaying the ring events after
+// it), anything else mints a fresh subscription — with Reset when the
+// client asked to resume one the server no longer remembers.
+func (ms *session) resumeLocked(sub uint64) (hello wire.Hello, replay []*watchEvent, fresh bool) {
+	sa := ms.subs[sub]
+	if sa == nil {
+		hello = wire.Hello{Subscription: ms.mintSubLocked(), Version: ms.lastVersion, ResumeFrom: ms.lastVersion, Reset: sub != 0}
+		return hello, nil, true
+	}
+	hello = wire.Hello{Subscription: sub, Version: ms.lastVersion, ResumeFrom: sa.acked}
+	if sa.acked < ms.lastVersion {
+		replay, hello.Reset = ms.ringAfterLocked(sa.acked)
+	}
+	return hello, replay, false
 }
 
 // mintSubLocked allocates a new subscription id, evicting the oldest
@@ -611,14 +584,21 @@ func encodeEventJSON(rep *planarcert.SessionReport) []byte {
 	return buf.Bytes()
 }
 
-// ensureBinLocked materializes ev's binary frame encoding (nil on an
-// encode failure; the watch loop skips such events for binary
-// watchers).
-func (ms *session) ensureBinLocked(ev *watchEvent) {
-	if ev.bin != nil {
-		return
+// encoded returns ev's bytes in one stream format, marshaling them on
+// first use, so a report is encoded at most once per format however many
+// watchers receive it. The caller holds watchMu. nil means the encode
+// failed.
+func (ev *watchEvent) encoded(binary bool) []byte {
+	if binary {
+		if ev.bin == nil {
+			ev.bin, _ = planarcert.EncodeEventFrame(ev.version, ev.rep)
+		}
+		return ev.bin
 	}
-	ev.bin, _ = planarcert.EncodeEventFrame(ev.version, ev.rep)
+	if ev.json == nil {
+		ev.json = encodeEventJSON(ev.rep)
+	}
+	return ev.json
 }
 
 // broadcast fans one report out to every watcher without blocking: a
@@ -640,22 +620,8 @@ func (ms *session) broadcast(rep *planarcert.SessionReport) (delivered, dropped 
 			ms.ring = append(ms.ring, ev)
 		}
 	}
-	var needJSON, needBin bool
 	for _, w := range ms.watchers {
-		if w.binary {
-			needBin = true
-		} else {
-			needJSON = true
-		}
-	}
-	if needJSON {
-		ev.json = encodeEventJSON(rep)
-	}
-	if needBin {
-		ms.ensureBinLocked(ev)
-	}
-	for _, w := range ms.watchers {
-		if w.binary && ev.bin == nil {
+		if ev.encoded(w.binary) == nil {
 			dropped++
 			continue
 		}

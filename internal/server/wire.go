@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -36,13 +35,12 @@ func (s *Server) rejectMediaType(w http.ResponseWriter, r *http.Request) {
 }
 
 // wireScratch is the pooled per-request arena of the binary updates
-// path: the body buffer, the frame decode scratch, and the converted
-// planarcert.Update slab are all reused, so a steady-state binary batch
-// costs O(1) allocations end to end.
+// path: the body buffer and the frame decode scratch (whose update slab
+// the session consumes directly) are both reused, so a steady-state
+// binary batch costs O(1) allocations end to end.
 type wireScratch struct {
 	body []byte
 	ws   *wire.Scratch
-	ups  []planarcert.Update
 }
 
 var wireScratchPool = sync.Pool{New: func() interface{} {
@@ -111,28 +109,14 @@ func (s *Server) handleUpdatesBinary(w http.ResponseWriter, r *http.Request, ms 
 			"body must be a single update-batch frame (got kind %s, %d trailing bytes)", kind, len(sc.body)-n)
 		return
 	}
-	mode, wups, err := wire.DecodeUpdateBatch(payload, sc.ws)
+	mode, updates, err := wire.DecodeUpdateBatch(payload, sc.ws)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad frame: %v", err)
 		return
 	}
-	if len(wups) > s.cfg.MaxBatchUpdates {
+	if len(updates) > s.cfg.MaxBatchUpdates {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d updates", s.cfg.MaxBatchUpdates)
 		return
-	}
-	if cap(sc.ups) < len(wups) {
-		sc.ups = make([]planarcert.Update, len(wups))
-	}
-	updates := sc.ups[:len(wups)]
-	for i, u := range wups {
-		switch u.Op {
-		case wire.OpAddEdge:
-			updates[i] = planarcert.EdgeAdd(planarcert.NodeID(u.A), planarcert.NodeID(u.B))
-		case wire.OpRemoveEdge:
-			updates[i] = planarcert.EdgeRemove(planarcert.NodeID(u.A), planarcert.NodeID(u.B))
-		case wire.OpAddNode:
-			updates[i] = planarcert.NodeAdd(planarcert.NodeID(u.A))
-		}
 	}
 	s.met.wireBatches.Add(1)
 
@@ -161,70 +145,6 @@ func (s *Server) handleUpdatesBinary(w http.ResponseWriter, r *http.Request, ms 
 	sp.End()
 	s.recordBatch(sp, ms, rep, elapsed)
 	s.writeAckFrame(w, http.StatusOK, &planarcert.WireBatchAck{Queued: len(updates), Elapsed: elapsed, Report: rep})
-}
-
-// handleWatchBinary is the ?format=binary branch of handleWatch: a
-// hello frame naming the version-acknowledged subscription, replayed
-// event frames for the gap since the subscription's last ACKed version
-// (?sub= resumes one), then one event frame per flushed batch.
-func (s *Server) handleWatchBinary(w http.ResponseWriter, r *http.Request, ms *session, flusher http.Flusher) {
-	var sub uint64
-	if q := r.URL.Query().Get("sub"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil || v == 0 {
-			writeError(w, http.StatusBadRequest, "bad subscription %q", q)
-			return
-		}
-		sub = v
-	}
-	id, hello, replay, ch, ok := ms.watchBinary(sub, r.URL.Query().Get("replay") == "last")
-	if !ok {
-		writeError(w, http.StatusGone, "session %q is closed", ms.name)
-		return
-	}
-	defer ms.unwatch(id)
-
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	helloFrame, err := wire.EncodeHello(hello)
-	if err != nil {
-		return
-	}
-	if _, err := w.Write(helloFrame); err != nil {
-		return
-	}
-	s.met.wireFrames.Add(1)
-	for _, ev := range replay {
-		if ev.bin == nil {
-			continue // encode failure; the client resyncs via Reset
-		}
-		if _, err := w.Write(ev.bin); err != nil {
-			return
-		}
-		s.met.wireFrames.Add(1)
-		s.met.watchReplayed.Add(1)
-	}
-	flusher.Flush()
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-ch:
-			if !open {
-				return // session deleted
-			}
-			// ev.bin is always set here: broadcast materializes it under
-			// watchMu before fanning out to binary watchers (and drops the
-			// event for them when encoding fails).
-			if _, err := w.Write(ev.bin); err != nil {
-				return
-			}
-			s.met.wireFrames.Add(1)
-			flusher.Flush()
-		}
-	}
 }
 
 // handleWatchAck advances (ack) or rewinds (nack) a binary watch

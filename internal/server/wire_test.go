@@ -449,8 +449,9 @@ func TestBroadcastSingleMarshal(t *testing.T) {
 	ms := newTestSession(t, "fanout")
 	defer ms.close()
 
-	_, ch1, ok1 := ms.watch()
-	_, ch2, ok2 := ms.watch()
+	st1, ok1 := ms.subscribe(false, 0, false)
+	st2, ok2 := ms.subscribe(false, 0, false)
+	ch1, ch2 := st1.ch, st2.ch
 	if !ok1 || !ok2 {
 		t.Fatal("watch failed")
 	}
@@ -470,11 +471,12 @@ func TestBroadcastSingleMarshal(t *testing.T) {
 	}
 
 	// With a binary watcher attached, one event carries both encodings.
-	id3, _, _, ch3, ok := ms.watchBinary(0, false)
+	st3, ok := ms.subscribe(true, 0, false)
 	if !ok {
-		t.Fatal("watchBinary failed")
+		t.Fatal("binary subscribe failed")
 	}
-	defer ms.unwatch(id3)
+	defer ms.unwatch(st3.id)
+	ch3 := st3.ch
 	ms.broadcast(rep)
 	ev1, ev3 := <-ch1, <-ch3
 	<-ch2

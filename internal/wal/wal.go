@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+
+	"github.com/planarcert/planarcert/internal/graph"
 )
 
 // Op identifies one kind of logged topology update. The numeric values
@@ -29,6 +31,26 @@ type Update struct {
 	Op Op
 	// A and B are node identifiers; OpAddNode uses only A.
 	A, B int64
+}
+
+// FromGraph converts in-memory updates to their logged form. The
+// frozen logged codes are the graph.Op values plus one.
+func FromGraph(ups []graph.Update) []Update {
+	out := make([]Update, len(ups))
+	for i, u := range ups {
+		out[i] = Update{Op: Op(u.Op) + 1, A: int64(u.A), B: int64(u.B)}
+	}
+	return out
+}
+
+// ToGraph converts logged updates back to their in-memory form (the
+// inverse of FromGraph on every op a decoded record can carry).
+func ToGraph(ups []Update) []graph.Update {
+	out := make([]graph.Update, len(ups))
+	for i, u := range ups {
+		out[i] = graph.Update{Op: graph.Op(u.Op - 1), A: graph.ID(u.A), B: graph.ID(u.B)}
+	}
+	return out
 }
 
 // Batch is one WAL record: an update batch tagged with its strictly

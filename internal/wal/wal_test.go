@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/planarcert/planarcert/internal/graph"
 )
 
 // goldenBatches is the fixture behind the frozen-format tests.
@@ -273,5 +275,27 @@ func TestErrCorruptWrapped(t *testing.T) {
 	}
 	if _, err := decodePayload([]byte{1, 2}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short payload error %v does not wrap ErrCorrupt", err)
+	}
+}
+
+// TestGraphOpCodes pins the mapping between the in-memory graph.Op
+// values and the frozen logged codes, in both directions.
+func TestGraphOpCodes(t *testing.T) {
+	in := []graph.Update{
+		{Op: graph.OpAddEdge, A: 1, B: -2},
+		{Op: graph.OpRemoveEdge, A: 3, B: 4},
+		{Op: graph.OpAddNode, A: 5},
+	}
+	want := []Update{
+		{Op: OpAddEdge, A: 1, B: -2},
+		{Op: OpRemoveEdge, A: 3, B: 4},
+		{Op: OpAddNode, A: 5},
+	}
+	got := FromGraph(in)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromGraph = %+v, want %+v", got, want)
+	}
+	if back := ToGraph(got); !reflect.DeepEqual(back, in) {
+		t.Fatalf("ToGraph = %+v, want %+v", back, in)
 	}
 }

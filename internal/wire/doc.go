@@ -32,7 +32,7 @@
 // # Zero-copy decode
 //
 // DecodeUpdateBatch parses into a pooled Scratch slab (the transport
-// extension of the dist.Scratch discipline): the returned []Update
+// extension of the dist.Scratch discipline): the returned []graph.Update
 // aliases the scratch and a steady-state batch decode performs no
 // allocations at all. ParseFrame and Reader.Next alias the input buffer
 // rather than copying payloads.

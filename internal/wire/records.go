@@ -6,18 +6,7 @@ import (
 	"sync"
 
 	"github.com/planarcert/planarcert/internal/bits"
-)
-
-// Op is a topology update operation. The numeric values are the frozen
-// 2-bit on-the-wire codes (they intentionally differ from wal.Op, which
-// froze 1-based codes for its own format).
-type Op byte
-
-// Update operations.
-const (
-	OpAddEdge    Op = 0
-	OpRemoveEdge Op = 1
-	OpAddNode    Op = 2
+	"github.com/planarcert/planarcert/internal/graph"
 )
 
 // BatchMode says what the server should do with an update batch. The
@@ -30,14 +19,6 @@ const (
 	ModeApply BatchMode = 0
 	ModeQueue BatchMode = 1
 )
-
-// Update is one topology update in neutral wire types (the package
-// cannot import the root planarcert types — the root imports it).
-// AddNode uses only A.
-type Update struct {
-	Op   Op
-	A, B int64
-}
 
 // BatchAck is the response to an update-batch frame.
 type BatchAck struct {
@@ -165,8 +146,9 @@ func readString(r *bits.Reader, limit int) (string, error) {
 	return string(buf), nil
 }
 
-// EncodeUpdateBatch encodes one update batch as a complete frame.
-func EncodeUpdateBatch(mode BatchMode, ups []Update) ([]byte, error) {
+// EncodeUpdateBatch encodes one update batch as a complete frame. Each
+// op is written as its graph.Op value, which is the frozen 2-bit code.
+func EncodeUpdateBatch(mode BatchMode, ups []graph.Update) ([]byte, error) {
 	if mode > ModeQueue {
 		return nil, fmt.Errorf("wire: bad batch mode %d", mode)
 	}
@@ -178,17 +160,17 @@ func EncodeUpdateBatch(mode BatchMode, ups []Update) ([]byte, error) {
 			return err
 		}
 		for _, u := range ups {
-			if u.Op > OpAddNode {
+			if !u.Op.Valid() {
 				return fmt.Errorf("wire: bad op %d", u.Op)
 			}
 			if err := w.WriteUint(uint64(u.Op), 2); err != nil {
 				return err
 			}
-			if err := w.WriteVarInt(u.A); err != nil {
+			if err := w.WriteVarInt(int64(u.A)); err != nil {
 				return err
 			}
-			if u.Op != OpAddNode {
-				if err := w.WriteVarInt(u.B); err != nil {
+			if u.Op != graph.OpAddNode {
+				if err := w.WriteVarInt(int64(u.B)); err != nil {
 					return err
 				}
 			}
@@ -203,7 +185,7 @@ func EncodeUpdateBatch(mode BatchMode, ups []Update) ([]byte, error) {
 // batch has been consumed.
 type Scratch struct {
 	r   bits.Reader
-	ups []Update
+	ups []graph.Update
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
@@ -218,7 +200,7 @@ func (s *Scratch) Release() { scratchPool.Put(s) }
 // DecodeUpdateBatch decodes an update-batch payload into s. The
 // returned slice aliases s and is invalidated by the next decode or
 // Release. A nil scratch allocates fresh (convenient for tests).
-func DecodeUpdateBatch(payload []byte, s *Scratch) (BatchMode, []Update, error) {
+func DecodeUpdateBatch(payload []byte, s *Scratch) (BatchMode, []graph.Update, error) {
 	if s == nil {
 		s = new(Scratch)
 	}
@@ -240,7 +222,7 @@ func DecodeUpdateBatch(payload []byte, s *Scratch) (BatchMode, []Update, error) 
 		return 0, nil, fmt.Errorf("%w: update count %d exceeds payload", ErrBadPayload, count)
 	}
 	if cap(s.ups) < int(count) {
-		s.ups = make([]Update, count)
+		s.ups = make([]graph.Update, count)
 	}
 	ups := s.ups[:count]
 	for i := range ups {
@@ -248,19 +230,23 @@ func DecodeUpdateBatch(payload []byte, s *Scratch) (BatchMode, []Update, error) 
 		if err != nil {
 			return 0, nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
-		if Op(op) > OpAddNode {
+		u := graph.Update{Op: graph.Op(op)}
+		if !u.Op.Valid() {
 			return 0, nil, fmt.Errorf("%w: op %d", ErrBadPayload, op)
 		}
-		ups[i].Op = Op(op)
-		if ups[i].A, err = s.r.ReadVarInt(); err != nil {
+		a, err := s.r.ReadVarInt()
+		if err != nil {
 			return 0, nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
-		ups[i].B = 0
-		if Op(op) != OpAddNode {
-			if ups[i].B, err = s.r.ReadVarInt(); err != nil {
+		u.A = graph.ID(a)
+		if u.Op != graph.OpAddNode {
+			b, err := s.r.ReadVarInt()
+			if err != nil {
 				return 0, nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 			}
+			u.B = graph.ID(b)
 		}
+		ups[i] = u
 	}
 	return BatchMode(m), ups, nil
 }

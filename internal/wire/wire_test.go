@@ -8,6 +8,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/planarcert/planarcert/internal/graph"
 )
 
 // goldenReport exercises every report field, including the optional
@@ -48,10 +50,10 @@ var goldenFrames = []struct {
 	{
 		name: "update_batch",
 		encode: func() ([]byte, error) {
-			return EncodeUpdateBatch(ModeQueue, []Update{
-				{Op: OpAddEdge, A: 1, B: 2},
-				{Op: OpRemoveEdge, A: 3, B: -4},
-				{Op: OpAddNode, A: 5},
+			return EncodeUpdateBatch(ModeQueue, []graph.Update{
+				{Op: graph.OpAddEdge, A: 1, B: 2},
+				{Op: graph.OpRemoveEdge, A: 3, B: -4},
+				{Op: graph.OpAddNode, A: 5},
 			})
 		},
 		want: "504357460101080000008a83b2a042c0a0e21e0fc250",
@@ -279,12 +281,12 @@ func TestParseFrameErrors(t *testing.T) {
 }
 
 func TestUpdateBatchRoundTrip(t *testing.T) {
-	ups := []Update{
-		{Op: OpAddNode, A: 0},
-		{Op: OpAddNode, A: -1},
-		{Op: OpAddEdge, A: 1, B: -2},
-		{Op: OpRemoveEdge, A: 1 << 40, B: -(1 << 40)},
-		{Op: OpAddEdge, A: (1 << 61) - 1, B: -(1 << 61)},
+	ups := []graph.Update{
+		{Op: graph.OpAddNode, A: 0},
+		{Op: graph.OpAddNode, A: -1},
+		{Op: graph.OpAddEdge, A: 1, B: -2},
+		{Op: graph.OpRemoveEdge, A: 1 << 40, B: -(1 << 40)},
+		{Op: graph.OpAddEdge, A: (1 << 61) - 1, B: -(1 << 61)},
 	}
 	for _, mode := range []BatchMode{ModeApply, ModeQueue} {
 		frame, err := EncodeUpdateBatch(mode, ups)
@@ -318,10 +320,10 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 func TestUpdateBatchRange(t *testing.T) {
 	// WriteVarInt covers |v| < 1<<62; out-of-range values must be a clean
 	// encode error, not silent truncation.
-	if _, err := EncodeUpdateBatch(ModeApply, []Update{{Op: OpAddNode, A: 1 << 62}}); err == nil {
+	if _, err := EncodeUpdateBatch(ModeApply, []graph.Update{{Op: graph.OpAddNode, A: 1 << 62}}); err == nil {
 		t.Fatal("encoded out-of-range node id")
 	}
-	if _, err := EncodeUpdateBatch(ModeApply, []Update{{Op: 3, A: 1}}); err == nil {
+	if _, err := EncodeUpdateBatch(ModeApply, []graph.Update{{Op: 3, A: 1}}); err == nil {
 		t.Fatal("encoded invalid op")
 	}
 	if _, err := EncodeUpdateBatch(BatchMode(2), nil); err == nil {
@@ -469,9 +471,9 @@ func TestReaderStream(t *testing.T) {
 }
 
 func TestDecodeUpdateBatchAllocs(t *testing.T) {
-	ups := make([]Update, 256)
+	ups := make([]graph.Update, 256)
 	for i := range ups {
-		ups[i] = Update{Op: Op(i % 3), A: int64(i), B: int64(-i)}
+		ups[i] = graph.Update{Op: graph.Op(i % 3), A: graph.ID(i), B: graph.ID(-i)}
 	}
 	frame, err := EncodeUpdateBatch(ModeApply, ups)
 	if err != nil {
@@ -499,9 +501,9 @@ func TestDecodeUpdateBatchAllocs(t *testing.T) {
 }
 
 func BenchmarkDecodeUpdateBatch(b *testing.B) {
-	ups := make([]Update, 1024)
+	ups := make([]graph.Update, 1024)
 	for i := range ups {
-		ups[i] = Update{Op: Op(i % 3), A: int64(i * 3), B: int64(-i * 7)}
+		ups[i] = graph.Update{Op: graph.Op(i % 3), A: graph.ID(i * 3), B: graph.ID(-i * 7)}
 	}
 	frame, err := EncodeUpdateBatch(ModeQueue, ups)
 	if err != nil {
@@ -524,9 +526,9 @@ func BenchmarkDecodeUpdateBatch(b *testing.B) {
 }
 
 func BenchmarkEncodeUpdateBatch(b *testing.B) {
-	ups := make([]Update, 1024)
+	ups := make([]graph.Update, 1024)
 	for i := range ups {
-		ups[i] = Update{Op: Op(i % 3), A: int64(i * 3), B: int64(-i * 7)}
+		ups[i] = graph.Update{Op: graph.Op(i % 3), A: graph.ID(i * 3), B: graph.ID(-i * 7)}
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

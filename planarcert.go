@@ -39,7 +39,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/core"
@@ -349,13 +348,6 @@ type EngineConfig struct {
 	// fair share across claimants instead of first-come-first-served.
 	// Takes precedence over Budget.
 	Claimant *BudgetClaimant
-	// BudgetPatience, when positive, lets a sweep that finds the shared
-	// Budget exhausted wait up to this long (on a side goroutine, so
-	// the sweep itself keeps making progress) for one released slot
-	// instead of giving it up immediately. The wait is measured on the
-	// budget-wait tracing span and in planarcertd's budget-wait
-	// histogram. Zero — the default — never waits.
-	BudgetPatience time.Duration
 	// Span, when non-nil, attaches this engine's tracing output (sweep,
 	// round, and budget-wait child spans) to the given parent span. Use
 	// it for one-shot VerifyWith calls; sessions trace per batch via
@@ -463,9 +455,6 @@ func (c EngineConfig) options() []dist.Option {
 		opts = append(opts, dist.LimitClaimant(c.Claimant.c))
 	case c.Budget != nil:
 		opts = append(opts, dist.Limit(c.Budget.b))
-	}
-	if c.BudgetPatience > 0 {
-		opts = append(opts, dist.BudgetPatience(c.BudgetPatience))
 	}
 	if c.Span != nil {
 		opts = append(opts, dist.WithSpan(c.Span))

@@ -5,24 +5,23 @@ import (
 
 	"github.com/planarcert/planarcert/internal/core"
 	"github.com/planarcert/planarcert/internal/dynamic"
+	"github.com/planarcert/planarcert/internal/graph"
 	"github.com/planarcert/planarcert/internal/pls"
 )
 
-// UpdateOp identifies one kind of live topology update.
-type UpdateOp int
+// UpdateOp identifies one kind of live topology update. Its values are
+// the frozen op codes of the binary wire format.
+type UpdateOp = graph.Op
 
 // Supported update operations.
 const (
-	OpAddEdge UpdateOp = iota
-	OpRemoveEdge
-	OpAddNode
+	OpAddEdge    = graph.OpAddEdge
+	OpRemoveEdge = graph.OpRemoveEdge
+	OpAddNode    = graph.OpAddNode
 )
 
 // Update is one entry of a Session's update log. OpAddNode uses only A.
-type Update struct {
-	Op   UpdateOp
-	A, B NodeID
-}
+type Update = graph.Update
 
 // EdgeAdd returns an edge-insertion update.
 func EdgeAdd(a, b NodeID) Update { return Update{Op: OpAddEdge, A: a, B: b} }
@@ -33,17 +32,12 @@ func EdgeRemove(a, b NodeID) Update { return Update{Op: OpRemoveEdge, A: a, B: b
 // NodeAdd returns a node-addition update.
 func NodeAdd(id NodeID) Update { return Update{Op: OpAddNode, A: id} }
 
-func (u Update) internal() (dynamic.Update, error) {
-	switch u.Op {
-	case OpAddEdge:
-		return dynamic.Update{Op: dynamic.AddEdge, A: u.A, B: u.B}, nil
-	case OpRemoveEdge:
-		return dynamic.Update{Op: dynamic.RemoveEdge, A: u.A, B: u.B}, nil
-	case OpAddNode:
-		return dynamic.Update{Op: dynamic.AddNode, A: u.A}, nil
-	default:
-		return dynamic.Update{}, fmt.Errorf("planarcert: unknown update op %d", u.Op)
+// checkOp rejects an out-of-range update op.
+func checkOp(op UpdateOp) error {
+	if !op.Valid() {
+		return fmt.Errorf("planarcert: unknown update op %d", op)
 	}
+	return nil
 }
 
 // SessionReport describes how one update batch was absorbed. The JSON
@@ -279,20 +273,14 @@ func (s *Session) Fingerprint() (hi, lo uint64) { return s.d.Fingerprint() }
 // or node, self-loop) is rejected and discarded without touching the
 // network.
 func (s *Session) Apply(updates []Update) (*SessionReport, error) {
-	// Convert the whole batch before queueing any of it, so a bad update
+	// Check the whole batch before queueing any of it, so a bad update
 	// cannot leave a partial prefix in the log.
-	converted := make([]dynamic.Update, len(updates))
-	for i, u := range updates {
-		iu, err := u.internal()
-		if err != nil {
+	for _, u := range updates {
+		if err := checkOp(u.Op); err != nil {
 			return nil, err
 		}
-		converted[i] = iu
 	}
-	for _, iu := range converted {
-		s.d.Queue(iu)
-	}
-	rep, err := s.d.Flush()
+	rep, err := s.d.Apply(updates)
 	if err != nil {
 		return nil, err
 	}
@@ -302,11 +290,10 @@ func (s *Session) Apply(updates []Update) (*SessionReport, error) {
 // Queue appends an update to the log without applying it; the next
 // Apply or Flush absorbs the whole log as one batch.
 func (s *Session) Queue(u Update) error {
-	iu, err := u.internal()
-	if err != nil {
+	if err := checkOp(u.Op); err != nil {
 		return err
 	}
-	s.d.Queue(iu)
+	s.d.Queue(u)
 	return nil
 }
 

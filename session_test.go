@@ -210,6 +210,55 @@ func TestSessionQueueFlushPublic(t *testing.T) {
 	}
 }
 
+// TestUnknownUpdateOpRejected pins that an out-of-range op never
+// reaches the update log or the wire: Queue rejects it, Apply rejects
+// the whole batch while leaving the previously queued log and the
+// network untouched, and EncodeUpdatesFrame refuses to emit it.
+func TestUnknownUpdateOpRejected(t *testing.T) {
+	net := planarcert.NewNetwork()
+	for id := planarcert.NodeID(0); id < 4; id++ {
+		if err := net.AddNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]planarcert.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
+		if err := net.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, op := range []planarcert.UpdateOp{3, 255} {
+		s, err := planarcert.NewSession(net, planarcert.SchemePlanarity, planarcert.EngineConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := planarcert.Update{Op: op, A: 0, B: 2}
+		if err := s.Queue(bad); err == nil {
+			t.Fatalf("op %d: Queue accepted an unknown op", op)
+		}
+		if err := s.Queue(planarcert.EdgeAdd(0, 2)); err != nil {
+			t.Fatal(err)
+		}
+		gen, m := s.Generation(), s.M()
+		if _, err := s.Apply([]planarcert.Update{planarcert.EdgeAdd(1, 3), bad}); err == nil {
+			t.Fatalf("op %d: Apply accepted an unknown op", op)
+		}
+		if s.Generation() != gen || s.M() != m {
+			t.Fatalf("op %d: rejected Apply touched the network (gen %d->%d, m %d->%d)", op, gen, s.Generation(), m, s.M())
+		}
+		// The chord queued before the rejected Apply is still the whole log.
+		rep, err := s.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Updates != 1 || s.M() != m+1 || !rep.Accepted {
+			t.Fatalf("op %d: queued log not intact after rejected Apply: %+v (m=%d)", op, rep, s.M())
+		}
+		if _, err := planarcert.EncodeUpdatesFrame("apply", []planarcert.Update{bad}); err == nil {
+			t.Fatalf("op %d: EncodeUpdatesFrame accepted an unknown op", op)
+		}
+	}
+}
+
 // TestSessionSnapshotRestore round-trips a session through its
 // restorable snapshot: the restored session adopts the certificates via
 // the self-validating full sweep and keeps absorbing batches.

@@ -86,32 +86,6 @@ func wireBatchMode(mode string) (wire.BatchMode, error) {
 	return 0, fmt.Errorf("planarcert: batch mode must be apply or queue, got %q", mode)
 }
 
-// wireOp maps an UpdateOp onto the frozen 2-bit frame code.
-func wireOp(op UpdateOp) (wire.Op, error) {
-	switch op {
-	case OpAddEdge:
-		return wire.OpAddEdge, nil
-	case OpRemoveEdge:
-		return wire.OpRemoveEdge, nil
-	case OpAddNode:
-		return wire.OpAddNode, nil
-	}
-	return 0, fmt.Errorf("planarcert: unknown update op %d", op)
-}
-
-// unwireOp maps a frame op code back to an UpdateOp.
-func unwireOp(op wire.Op) (UpdateOp, error) {
-	switch op {
-	case wire.OpAddEdge:
-		return OpAddEdge, nil
-	case wire.OpRemoveEdge:
-		return OpRemoveEdge, nil
-	case wire.OpAddNode:
-		return OpAddNode, nil
-	}
-	return 0, fmt.Errorf("planarcert: unknown wire op %d", op)
-}
-
 // EncodeUpdatesFrame encodes one update batch as a binary frame, the
 // body of a POST .../updates request with Content-Type WireContentType.
 // mode is "apply", "queue" or "" (= apply) and overrides the ?mode=
@@ -121,18 +95,7 @@ func EncodeUpdatesFrame(mode string, updates []Update) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ups := make([]wire.Update, len(updates))
-	for i, u := range updates {
-		op, err := wireOp(u.Op)
-		if err != nil {
-			return nil, err
-		}
-		ups[i] = wire.Update{Op: op, A: int64(u.A), B: int64(u.B)}
-		if op == wire.OpAddNode {
-			ups[i].B = 0
-		}
-	}
-	return wire.EncodeUpdateBatch(m, ups)
+	return wire.EncodeUpdateBatch(m, updates)
 }
 
 // DecodeUpdatesFrame decodes an update-batch frame produced by
@@ -147,23 +110,14 @@ func DecodeUpdatesFrame(frame []byte) (mode string, updates []Update, err error)
 	if kind != wire.KindUpdateBatch || n != len(frame) {
 		return "", nil, fmt.Errorf("planarcert: not a single update-batch frame (kind %s, %d trailing bytes)", kind, len(frame)-n)
 	}
-	m, ups, err := wire.DecodeUpdateBatch(payload, nil)
+	m, updates, err := wire.DecodeUpdateBatch(payload, nil)
 	if err != nil {
 		return "", nil, err
 	}
-	mode = "apply"
 	if m == wire.ModeQueue {
-		mode = "queue"
+		return "queue", updates, nil
 	}
-	updates = make([]Update, len(ups))
-	for i, u := range ups {
-		op, err := unwireOp(u.Op)
-		if err != nil {
-			return "", nil, err
-		}
-		updates[i] = Update{Op: op, A: NodeID(u.A), B: NodeID(u.B)}
-	}
-	return mode, updates, nil
+	return "apply", updates, nil
 }
 
 // EncodeBatchAckFrame encodes an update-batch response as a binary
