@@ -39,11 +39,9 @@
 //
 // Hardening: -auth-token (repeatable) requires a bearer token on every
 // non-probe request; -rate-limit/-rate-burst apply a per-client token
-// bucket (keyed by bearer token, else client IP); -evict-lru evicts the
-// least-recently-used session instead of refusing creates at
-// -max-sessions (durable victims remain recoverable on disk); and
-// -adaptive-repair lets each session tune its repair threshold from
-// observed repair-vs-reprove latency windows.
+// bucket (keyed by bearer token, else client IP); and -evict-lru evicts
+// the least-recently-used session instead of refusing creates at
+// -max-sessions (durable victims remain recoverable on disk).
 //
 // With -data-dir set the daemon is durable: every applied batch is
 // written to a per-session write-ahead log before it is acked, sessions
@@ -110,7 +108,6 @@ func main() {
 	admitTimeout := flag.Duration("admit-timeout", 0, "max admission-queue wait before a batch is rejected 503 (0 = 30s)")
 	defaultQoS := flag.String("default-qos", "", "QoS class of sessions that do not request one, and of restored sessions (empty = batch)")
 	evictLRU := flag.Bool("evict-lru", false, "evict the least-recently-used session instead of rejecting creation at -max-sessions")
-	adaptiveRepair := flag.Bool("adaptive-repair", false, "let each session tune its repair threshold from observed repair vs re-prove latencies")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -152,7 +149,6 @@ func main() {
 		AdmitTimeout:     *admitTimeout,
 		DefaultQoS:       *defaultQoS,
 		EvictLRU:         *evictLRU,
-		AdaptiveRepair:   *adaptiveRepair,
 		Engine: planarcert.EngineConfig{
 			Sequential: *seq,
 			Workers:    *workers,

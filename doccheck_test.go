@@ -23,6 +23,7 @@ var docCheckedDirs = []string{
 	"internal/graph",
 	"internal/obs",
 	"internal/qos",
+	"internal/report",
 	"internal/server",
 	"internal/wal",
 	"internal/wire",

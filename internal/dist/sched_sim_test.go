@@ -16,7 +16,8 @@ import (
 // through a scripted closed loop — every grant and release is
 // sequenced by the test, with no sleeps and no clock — and checks that
 // each claimant's share of grants lands within ±10% of what its QoS
-// weight assigns. Two workers per claimant keep every claimant
+// weight assigns. Two workers per claimant, and a wait for the previous
+// holder to re-queue before each handoff, keep every claimant
 // backlogged at each handoff, so the measured shares are the
 // scheduler's decisions, not arrival-timing artifacts.
 func TestBudgetFairShareSimulation(t *testing.T) {
@@ -87,6 +88,13 @@ func TestBudgetFairShareSimulation(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				w := <-served
 				counts[w/perClmt]++
+				// The previous holder re-queues on its own goroutine after
+				// its release. Hand off only once it has, so every other
+				// worker is waiting again; otherwise its claimant can briefly
+				// have no waiter and lose a turn the scheduler owes it.
+				for b.Scheduler().QueueDepth() < nworkers-1 {
+					runtime.Gosched()
+				}
 				resume[w] <- struct{}{}
 			}
 			// Shut the loop down deterministically: served workers now

@@ -235,23 +235,6 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 // (-1 when repair is disabled).
 func (s *Session) RepairThreshold() int { return s.threshold }
 
-// SetRepairThreshold rebounds the localized-repair scope for future
-// batches, with the same semantics as Config.RepairThreshold (0 means
-// DefaultRepairThreshold, negative disables repair). Sessions are not
-// safe for concurrent use, so callers serialize this with Apply/Flush
-// like every other method; the adaptive threshold controller in
-// internal/server drives it between batches.
-func (s *Session) SetRepairThreshold(k int) {
-	switch {
-	case k == 0:
-		s.threshold = DefaultRepairThreshold
-	case k < 0:
-		s.threshold = -1
-	default:
-		s.threshold = k
-	}
-}
-
 // Fingerprint returns the 128-bit order-independent topology
 // fingerprint of the live graph (the snapshot and certificate-cache
 // key), maintained in O(1) per update.

@@ -103,8 +103,9 @@ type SessionStatus struct {
 	CreatedAt time.Time `json:"created_at"`
 	// QoS is the session's quality-of-service class.
 	QoS string `json:"qos,omitempty"`
-	// RepairThreshold is the session's current repair threshold; with
-	// adaptive tuning on it drifts from the requested value.
+	// RepairThreshold is the session's localized-repair scope bound: the
+	// repair_threshold requested at creation, the default when none was,
+	// or -1 when repair is disabled. It is fixed for the session's life.
 	RepairThreshold int `json:"repair_threshold,omitempty"`
 	// Durable reports whether the session is backed by a WAL + snapshots.
 	Durable bool `json:"durable,omitempty"`

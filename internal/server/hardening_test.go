@@ -5,9 +5,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	planarcert "github.com/planarcert/planarcert"
-	"github.com/planarcert/planarcert/internal/dynamic"
 )
 
 func TestParseBearerToken(t *testing.T) {
@@ -240,62 +237,6 @@ func TestQoSClassPlumbing(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]interface{}{
 		"name": "bad", "qos": "turbo",
 	}, http.StatusBadRequest, nil)
-}
-
-// TestAdaptiveThresholdHookup drives the session-level tuner cadence
-// with synthetic reports: after 8 observed batches where repairs price
-// above re-proves, the session's threshold halves and the adjustment is
-// counted. The controller itself is covered in internal/dynamic; this
-// test pins the server wiring.
-func TestAdaptiveThresholdHookup(t *testing.T) {
-	srv, ts := newTestServer(t, Config{AdaptiveRepair: true})
-	doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]interface{}{
-		"name": "tuned", "repair_threshold": 1024,
-		"graph": map[string]string{"edge_list": "0 1\n1 2\n"},
-	}, http.StatusCreated, nil)
-	ms := srv.lookup("tuned")
-	if ms == nil || ms.tuner == nil {
-		t.Fatal("AdaptiveRepair server did not attach a tuner")
-	}
-
-	repair := &planarcert.SessionReport{Mode: string(dynamic.ModeRepair)}
-	reprove := &planarcert.SessionReport{Mode: string(dynamic.ModeReprove)}
-	ms.mu.Lock()
-	start := ms.s.RepairThreshold()
-	// Expensive repairs (20ms) vs cheap re-proves (1ms): the controller
-	// should shrink the threshold at its 8-batch cadence.
-	for i := 0; i < 8; i++ {
-		if i%2 == 0 {
-			ms.tuneThresholdLocked(repair, 20*time.Millisecond)
-		} else {
-			ms.tuneThresholdLocked(reprove, time.Millisecond)
-		}
-	}
-	got := ms.s.RepairThreshold()
-	ms.mu.Unlock()
-	if start != 1024 {
-		t.Fatalf("starting threshold = %d, want 1024", start)
-	}
-	if got != 512 {
-		t.Fatalf("threshold after expensive repairs = %d, want 512", got)
-	}
-	if srv.met.thresholdAdjusted.Load() != 1 {
-		t.Fatalf("adjustment counter = %d, want 1", srv.met.thresholdAdjusted.Load())
-	}
-
-	// Status reports the tuned value.
-	var st SessionStatus
-	doJSON(t, "GET", ts.URL+"/v1/sessions/tuned", nil, http.StatusOK, &st)
-	if st.RepairThreshold != 512 {
-		t.Fatalf("status repair_threshold = %d, want 512", st.RepairThreshold)
-	}
-
-	// A server without the flag attaches no tuner.
-	srv2, ts2 := newTestServer(t, Config{})
-	doJSON(t, "POST", ts2.URL+"/v1/sessions", map[string]interface{}{"name": "plain"}, http.StatusCreated, nil)
-	if ms2 := srv2.lookup("plain"); ms2.tuner != nil {
-		t.Fatal("tuner attached without AdaptiveRepair")
-	}
 }
 
 // FuzzAuthRateKey fuzzes the request-identity path the middleware runs

@@ -158,11 +158,10 @@ type metrics struct {
 	httpRequests    atomic.Uint64
 
 	// Hardening layer.
-	authFailures      atomic.Uint64 // requests rejected for a bad/missing token
-	rateLimited       atomic.Uint64 // requests rejected by the client rate limiter
-	admitTimeouts     atomic.Uint64 // batches rejected after AdmitTimeout in the admission queue
-	sessionsEvicted   atomic.Uint64 // sessions LRU-evicted to admit new ones
-	thresholdAdjusted atomic.Uint64 // adaptive repair-threshold changes applied
+	authFailures    atomic.Uint64 // requests rejected for a bad/missing token
+	rateLimited     atomic.Uint64 // requests rejected by the client rate limiter
+	admitTimeouts   atomic.Uint64 // batches rejected after AdmitTimeout in the admission queue
+	sessionsEvicted atomic.Uint64 // sessions LRU-evicted to admit new ones
 
 	// Binary wire protocol.
 	wireBatches      atomic.Uint64 // binary update-batch frames decoded
@@ -302,7 +301,6 @@ func (m *metrics) write(w io.Writer, live liveStats) {
 	counter("planarcertd_rate_limited_total", "Requests rejected by the per-client rate limiter.", m.rateLimited.Load())
 	counter("planarcertd_admit_timeouts_total", "Batches rejected after timing out in the admission queue.", m.admitTimeouts.Load())
 	counter("planarcertd_sessions_evicted_total", "Sessions evicted by the LRU policy to admit new ones.", m.sessionsEvicted.Load())
-	counter("planarcertd_repair_threshold_adjustments_total", "Adaptive repair-threshold changes applied.", m.thresholdAdjusted.Load())
 	counter("planarcertd_wire_batches_total", "Binary update-batch frames decoded.", m.wireBatches.Load())
 	counter("planarcertd_wire_frames_written_total", "Binary frames written (acks, hellos, events).", m.wireFrames.Load())
 	counter("planarcertd_watch_acks_total", "Watch subscription ACKs applied.", m.watchAcks.Load())

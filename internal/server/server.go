@@ -63,7 +63,6 @@ import (
 	"time"
 
 	planarcert "github.com/planarcert/planarcert"
-	"github.com/planarcert/planarcert/internal/dynamic"
 	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/qos"
 	"github.com/planarcert/planarcert/internal/wal"
@@ -143,11 +142,6 @@ type Config struct {
 	// rejecting creation with 429 when MaxSessions is reached. Durable
 	// victims keep their on-disk state and are recoverable at next boot.
 	EvictLRU bool
-	// AdaptiveRepair lets each session tune its own repair threshold
-	// from observed repair-vs-reprove latencies (see
-	// dynamic.ThresholdTuner); explicit SetRepairThreshold semantics are
-	// preserved — a disabled threshold is never re-enabled.
-	AdaptiveRepair bool
 }
 
 func (c Config) withDefaults() Config {
@@ -298,9 +292,6 @@ func (s *Server) adopt(ms *session) {
 	ms.met = s.met
 	ms.snapEvery = s.cfg.SnapshotEvery
 	ms.execClaim = s.exec.Claimant(ms.name, ms.qos)
-	if s.cfg.AdaptiveRepair {
-		ms.tuner = &dynamic.ThresholdTuner{}
-	}
 	ms.broadcastHook = func(delivered, dropped int) {
 		s.met.watchEvents.Add(uint64(delivered))
 		s.met.watchDropped.Add(uint64(dropped))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	planarcert "github.com/planarcert/planarcert"
-	"github.com/planarcert/planarcert/internal/dynamic"
 	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/qos"
 	"github.com/planarcert/planarcert/internal/wal"
@@ -46,11 +45,6 @@ type session struct {
 	mu      sync.Mutex
 	s       *planarcert.Session
 	pending int // updates queued but not yet flushed
-
-	// Adaptive repair-threshold controller (nil unless the server runs
-	// with AdaptiveRepair); guarded by mu like the session it tunes.
-	tuner     *dynamic.ThresholdTuner
-	sinceTune int
 
 	// Durability (all guarded by mu; store == nil means the session is
 	// not persisted). pendingLog mirrors the queued-but-unflushed update
@@ -140,28 +134,6 @@ func newSession(name string, scheme planarcert.SchemeName, s *planarcert.Session
 
 // touch stamps the session as recently used (LRU eviction key).
 func (ms *session) touch() { ms.lastUsed.Store(time.Now().UnixNano()) }
-
-// tuneThresholdLocked feeds one absorbed batch into the adaptive
-// repair-threshold controller and applies its recommendation every 8th
-// batch. The caller holds ms.mu; no-op when tuning is off.
-func (ms *session) tuneThresholdLocked(rep *planarcert.SessionReport, elapsed time.Duration) {
-	if ms.tuner == nil {
-		return
-	}
-	ms.tuner.Observe(dynamic.Mode(rep.Mode), rep.RepairFallback != "", elapsed.Seconds())
-	ms.sinceTune++
-	if ms.sinceTune < 8 {
-		return
-	}
-	ms.sinceTune = 0
-	cur := ms.s.RepairThreshold()
-	if rec := ms.tuner.Recommend(cur); rec != cur {
-		ms.s.SetRepairThreshold(rec)
-		if ms.met != nil {
-			ms.met.thresholdAdjusted.Add(1)
-		}
-	}
-}
 
 // persistOpts are the session options the durability layer carries in
 // every snapshot, so a restored session is tuned like the original.
@@ -306,7 +278,6 @@ func (ms *session) flush(sp *obs.Span) (*planarcert.SessionReport, time.Duration
 		// the durable state converges even on a mostly-queueing workload.
 		_ = ms.writeSnapshotLocked()
 	}
-	ms.tuneThresholdLocked(rep, elapsed)
 	ms.broadcast(rep)
 	return rep, elapsed, nil
 }
@@ -350,7 +321,6 @@ func (ms *session) apply(updates []planarcert.Update, sp *obs.Span) (*planarcert
 	if err := ms.persistLoggedBatch(sp, batch); err != nil {
 		return nil, elapsed, &persistError{err}
 	}
-	ms.tuneThresholdLocked(rep, elapsed)
 	ms.broadcast(rep)
 	return rep, elapsed, nil
 }

@@ -2,11 +2,15 @@ package wire
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
+	"time"
 
 	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/graph"
+	"github.com/planarcert/planarcert/internal/report"
 )
 
 // BatchMode says what the server should do with an update batch. The
@@ -26,46 +30,11 @@ type BatchAck struct {
 	Queued int
 	// Pending counts updates still queued after the request (queue mode).
 	Pending int
-	// ElapsedNanos is the server-side batch execution time (apply mode).
-	ElapsedNanos uint64
+	// Elapsed is the server-side batch execution time (apply mode),
+	// encoded as varint nanoseconds.
+	Elapsed time.Duration
 	// Report is the absorption report (apply mode only).
-	Report *Report
-}
-
-// Report mirrors planarcert.SessionReport in neutral wire types.
-type Report struct {
-	Generation      uint64
-	Mode            string
-	ActiveScheme    string
-	Updates         int
-	Dirty           int
-	Verified        int
-	FullVerify      bool
-	Accepted        bool
-	CacheGeneration uint64
-	RepairFallback  string
-	ProveErr        string
-	Verification    *Verification
-}
-
-// Verification mirrors planarcert.Report (the per-sweep verification
-// outcome) in neutral wire types. Reasons must be sorted by ID before
-// encoding — the encoder enforces it so equal reports always produce
-// identical bytes.
-type Verification struct {
-	Accepted    bool
-	MaxCertBits int
-	AvgCertBits float64
-	Messages    int
-	MaxMsgBits  int
-	Rejecting   []int64
-	Reasons     []Reason
-}
-
-// Reason pairs a rejecting node with its reason string.
-type Reason struct {
-	ID   int64
-	Text string
+	Report *report.SessionReport
 }
 
 // Hello opens a binary watch stream: the subscription identifier (new
@@ -260,7 +229,7 @@ func EncodeBatchAck(a *BatchAck) ([]byte, error) {
 		if err := writeNonNeg(w, a.Pending, "pending"); err != nil {
 			return err
 		}
-		if err := w.WriteVar(a.ElapsedNanos); err != nil {
+		if err := w.WriteVar(uint64(a.Elapsed)); err != nil {
 			return err
 		}
 		w.WriteBit(a.Report != nil)
@@ -283,10 +252,11 @@ func DecodeBatchAck(payload []byte) (*BatchAck, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	a.Queued, a.Pending = int(q), int(p)
-	if a.ElapsedNanos, err = r.ReadVar(); err != nil {
+	e, err := r.ReadVar()
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
+	a.Queued, a.Pending, a.Elapsed = int(q), int(p), time.Duration(e)
 	has, err := r.ReadBit()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
@@ -301,7 +271,7 @@ func DecodeBatchAck(payload []byte) (*BatchAck, error) {
 
 // EncodeEvent encodes one watch event (a versioned session report) as a
 // complete frame.
-func EncodeEvent(version uint64, rep *Report) ([]byte, error) {
+func EncodeEvent(version uint64, rep *report.SessionReport) ([]byte, error) {
 	return encodeFrame(KindEvent, func(w *bits.Writer) error {
 		if err := w.WriteVar(version); err != nil {
 			return err
@@ -311,7 +281,7 @@ func EncodeEvent(version uint64, rep *Report) ([]byte, error) {
 }
 
 // DecodeEvent decodes a watch-event payload.
-func DecodeEvent(payload []byte) (uint64, *Report, error) {
+func DecodeEvent(payload []byte) (uint64, *report.SessionReport, error) {
 	r := bits.NewReader(payload, len(payload)*8)
 	version, err := r.ReadVar()
 	if err != nil {
@@ -440,14 +410,14 @@ func DecodeError(payload []byte) (code int, msg string, err error) {
 
 // writeReport encodes a session report record. Field order is part of
 // the frozen format; see the golden tests.
-func writeReport(w *bits.Writer, rep *Report) error {
+func writeReport(w *bits.Writer, rep *report.SessionReport) error {
 	if err := w.WriteVar(rep.Generation); err != nil {
 		return err
 	}
 	if err := writeString(w, rep.Mode); err != nil {
 		return err
 	}
-	if err := writeString(w, rep.ActiveScheme); err != nil {
+	if err := writeString(w, string(rep.ActiveScheme)); err != nil {
 		return err
 	}
 	if err := writeNonNeg(w, rep.Updates, "updates"); err != nil {
@@ -492,44 +462,32 @@ func writeReport(w *bits.Writer, rep *Report) error {
 		return err
 	}
 	for _, id := range v.Rejecting {
-		if err := w.WriteVarInt(id); err != nil {
+		if err := w.WriteVarInt(int64(id)); err != nil {
 			return err
 		}
 	}
-	if !sortedReasons(v.Reasons) {
-		return fmt.Errorf("wire: verification reasons not sorted by id")
-	}
+	// Reasons go out in ascending ID order, so equal reports always
+	// produce identical bytes.
 	if err := w.WriteVar(uint64(len(v.Reasons))); err != nil {
 		return err
 	}
-	for _, rs := range v.Reasons {
-		if err := w.WriteVarInt(rs.ID); err != nil {
+	for _, id := range slices.Sorted(maps.Keys(v.Reasons)) {
+		if err := w.WriteVarInt(int64(id)); err != nil {
 			return err
 		}
-		if err := writeString(w, rs.Text); err != nil {
+		if err := writeString(w, v.Reasons[id]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sortedReasons reports whether the reasons are in strictly increasing
-// ID order (the deterministic encoding the format freezes).
-func sortedReasons(rs []Reason) bool {
-	for i := 1; i < len(rs); i++ {
-		if rs[i-1].ID >= rs[i].ID {
-			return false
-		}
-	}
-	return true
-}
-
 // readReport decodes a session report record. limit bounds list sizes
 // against the payload length so corrupt counts cannot allocate wildly.
-func readReport(r *bits.Reader, limit int) (*Report, error) {
-	var rep Report
+func readReport(r *bits.Reader, limit int) (*report.SessionReport, error) {
+	var rep report.SessionReport
 	var err error
-	fail := func(err error) (*Report, error) {
+	fail := func(err error) (*report.SessionReport, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	if rep.Generation, err = r.ReadVar(); err != nil {
@@ -538,9 +496,11 @@ func readReport(r *bits.Reader, limit int) (*Report, error) {
 	if rep.Mode, err = readString(r, limit); err != nil {
 		return fail(err)
 	}
-	if rep.ActiveScheme, err = readString(r, limit); err != nil {
+	scheme, err := readString(r, limit)
+	if err != nil {
 		return fail(err)
 	}
+	rep.ActiveScheme = report.SchemeName(scheme)
 	var u uint64
 	if u, err = r.ReadVar(); err != nil {
 		return fail(err)
@@ -576,7 +536,7 @@ func readReport(r *bits.Reader, limit int) (*Report, error) {
 	if !has {
 		return &rep, nil
 	}
-	var v Verification
+	var v report.Report
 	if v.Accepted, err = r.ReadBit(); err != nil {
 		return fail(err)
 	}
@@ -606,11 +566,13 @@ func readReport(r *bits.Reader, limit int) (*Report, error) {
 		return nil, fmt.Errorf("%w: rejecting count %d exceeds payload", ErrBadPayload, n)
 	}
 	if n > 0 {
-		v.Rejecting = make([]int64, n)
+		v.Rejecting = make([]graph.ID, n)
 		for i := range v.Rejecting {
-			if v.Rejecting[i], err = r.ReadVarInt(); err != nil {
+			id, err := r.ReadVarInt()
+			if err != nil {
 				return fail(err)
 			}
+			v.Rejecting[i] = graph.ID(id)
 		}
 	}
 	if n, err = r.ReadVar(); err != nil {
@@ -620,12 +582,20 @@ func readReport(r *bits.Reader, limit int) (*Report, error) {
 		return nil, fmt.Errorf("%w: reason count %d exceeds payload", ErrBadPayload, n)
 	}
 	if n > 0 {
-		v.Reasons = make([]Reason, n)
-		for i := range v.Reasons {
-			if v.Reasons[i].ID, err = r.ReadVarInt(); err != nil {
+		// The encoder writes reason IDs strictly increasing; anything else
+		// is a corrupt (or non-canonical) record, not a map to fold.
+		v.Reasons = make(map[graph.ID]string, n)
+		var prev int64
+		for i := uint64(0); i < n; i++ {
+			id, err := r.ReadVarInt()
+			if err != nil {
 				return fail(err)
 			}
-			if v.Reasons[i].Text, err = readString(r, limit); err != nil {
+			if i > 0 && id <= prev {
+				return nil, fmt.Errorf("%w: reason id %d after %d", ErrBadPayload, id, prev)
+			}
+			prev = id
+			if v.Reasons[graph.ID(id)], err = readString(r, limit); err != nil {
 				return fail(err)
 			}
 		}

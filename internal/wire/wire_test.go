@@ -9,13 +9,15 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/graph"
+	"github.com/planarcert/planarcert/internal/report"
 )
 
 // goldenReport exercises every report field, including the optional
 // verification block with rejecting nodes and sorted reasons.
-func goldenReport() *Report {
-	return &Report{
+func goldenReport() *report.SessionReport {
+	return &report.SessionReport{
 		Generation:      41,
 		Mode:            "repair",
 		ActiveScheme:    "planarity",
@@ -27,14 +29,14 @@ func goldenReport() *Report {
 		CacheGeneration: 12,
 		RepairFallback:  "reprove",
 		ProveErr:        "",
-		Verification: &Verification{
+		Verification: &report.Report{
 			Accepted:    false,
 			MaxCertBits: 96,
 			AvgCertBits: 64.5,
 			Messages:    14,
 			MaxMsgBits:  96,
-			Rejecting:   []int64{-3, 9},
-			Reasons:     []Reason{{ID: -3, Text: "left"}, {ID: 9, Text: "cycle"}},
+			Rejecting:   []graph.ID{-3, 9},
+			Reasons:     map[graph.ID]string{-3: "left", 9: "cycle"},
 		},
 	}
 }
@@ -61,7 +63,7 @@ var goldenFrames = []struct {
 	{
 		name: "batch_ack",
 		encode: func() ([]byte, error) {
-			return EncodeBatchAck(&BatchAck{Queued: 3, Pending: 7, ElapsedNanos: 1234567, Report: goldenReport()})
+			return EncodeBatchAck(&BatchAck{Queued: 3, Pending: 7, Elapsed: 1234567, Report: goldenReport()})
 		},
 		want: "504357460102450000005c1ac8930b0fab2d6878d4879c995c185a5c849706c616e61726974790b0a0fc2607dc995c1c9bdd994087c080a0400000000000270f80283a2c8283a1c6c6566741641d6379636c65",
 	},
@@ -334,9 +336,9 @@ func TestUpdateBatchRange(t *testing.T) {
 func TestBatchAckRoundTrip(t *testing.T) {
 	for _, a := range []*BatchAck{
 		{Queued: 0, Pending: 0},
-		{Queued: 100, Pending: 3, ElapsedNanos: 12345},
-		{Queued: 1, ElapsedNanos: 987654321, Report: goldenReport()},
-		{Queued: 2, Report: &Report{Generation: 1, Mode: "cache", ActiveScheme: "planarity", Accepted: true}},
+		{Queued: 100, Pending: 3, Elapsed: 12345},
+		{Queued: 1, Elapsed: 987654321, Report: goldenReport()},
+		{Queued: 2, Report: &report.SessionReport{Generation: 1, Mode: "cache", ActiveScheme: "planarity", Accepted: true}},
 	} {
 		frame, err := EncodeBatchAck(a)
 		if err != nil {
@@ -375,7 +377,7 @@ func TestEventRoundTrip(t *testing.T) {
 }
 
 func TestReportSpecialFloats(t *testing.T) {
-	rep := &Report{Mode: "reprove", Verification: &Verification{AvgCertBits: math.Inf(1)}}
+	rep := &report.SessionReport{Mode: "reprove", Verification: &report.Report{AvgCertBits: math.Inf(1)}}
 	frame, err := EncodeEvent(1, rep)
 	if err != nil {
 		t.Fatal(err)
@@ -393,15 +395,67 @@ func TestReportSpecialFloats(t *testing.T) {
 	}
 }
 
-func TestUnsortedReasonsRejected(t *testing.T) {
-	rep := goldenReport()
-	rep.Verification.Reasons = []Reason{{ID: 9, Text: "b"}, {ID: -3, Text: "a"}}
-	if _, err := EncodeEvent(1, rep); err == nil {
-		t.Fatal("encoded unsorted reasons")
+// reasonsPayload hand-builds a report record whose verification block
+// lists the given reason IDs in the given order, bypassing the encoder
+// (which always writes them sorted).
+func reasonsPayload(w *bits.Writer, ids []int64) {
+	w.WriteVar(1)      // generation
+	w.WriteVar(0)      // mode ""
+	w.WriteVar(0)      // active scheme ""
+	w.WriteVar(0)      // updates
+	w.WriteVar(0)      // dirty
+	w.WriteVar(0)      // verified
+	w.WriteBit(false)  // full verify
+	w.WriteBit(false)  // accepted
+	w.WriteVar(0)      // cache generation
+	w.WriteVar(0)      // repair fallback
+	w.WriteVar(0)      // prove err
+	w.WriteBit(true)   // has verification
+	w.WriteBit(false)  // accepted
+	w.WriteVar(0)      // max cert bits
+	w.WriteUint(0, 64) // avg cert bits
+	w.WriteVar(0)      // messages
+	w.WriteVar(0)      // max msg bits
+	w.WriteVar(0)      // rejecting count
+	w.WriteVar(uint64(len(ids)))
+	for _, id := range ids {
+		w.WriteVarInt(id)
+		w.WriteVar(1) // reason text "x"
+		w.WriteUint('x', 8)
 	}
-	rep.Verification.Reasons = []Reason{{ID: 4, Text: "b"}, {ID: 4, Text: "a"}}
-	if _, err := EncodeEvent(1, rep); err == nil {
-		t.Fatal("encoded duplicate reason ids")
+}
+
+// TestReasonOrderStrict feeds event and batch-ack payloads whose reason
+// IDs repeat or go down: the decoders must reject them as corrupt rather
+// than fold them into a map the encoder would write differently.
+func TestReasonOrderStrict(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ids  []int64
+		ok   bool
+	}{
+		{"increasing", []int64{3, 9}, true},
+		{"repeated", []int64{9, 9}, false},
+		{"decreasing", []int64{9, 3}, false},
+	} {
+		var ev, ack bits.Writer
+		ev.WriteVar(5) // event version
+		reasonsPayload(&ev, tc.ids)
+		ack.WriteVar(1) // queued
+		ack.WriteVar(0) // pending
+		ack.WriteVar(0) // elapsed
+		ack.WriteBit(true)
+		reasonsPayload(&ack, tc.ids)
+		_, _, evErr := DecodeEvent(ev.Bytes())
+		_, ackErr := DecodeBatchAck(ack.Bytes())
+		for name, err := range map[string]error{"event": evErr, "batch_ack": ackErr} {
+			if tc.ok && err != nil {
+				t.Errorf("%s/%s: %v", tc.name, name, err)
+			}
+			if !tc.ok && !errors.Is(err, ErrBadPayload) {
+				t.Errorf("%s/%s: err = %v, want ErrBadPayload", tc.name, name, err)
+			}
+		}
 	}
 }
 
@@ -539,7 +593,8 @@ func BenchmarkEncodeUpdateBatch(b *testing.B) {
 }
 
 // FuzzParseFrame feeds arbitrary bytes through the frame parser and
-// every payload decoder: nothing may panic or over-allocate.
+// every payload decoder: nothing may panic or over-allocate. Every event
+// and batch-ack payload that decodes must also re-encode canonically.
 func FuzzParseFrame(f *testing.F) {
 	for _, g := range goldenFrames {
 		frame, err := g.encode()
@@ -551,13 +606,64 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add([]byte("PCWF"))
 	f.Add(make([]byte, HeaderSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, payload, n, err := ParseFrame(data)
-		if err != nil {
-			return
+		if kind, payload, n, err := ParseFrame(data); err == nil {
+			if n > len(data) {
+				t.Fatalf("consumed %d of %d bytes", n, len(data))
+			}
+			_ = decodeByKind(kind, payload)
+			checkCanonical(t, kind, payload)
 		}
-		if n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		_ = decodeByKind(kind, payload)
+		// The CRC stops nearly every mutated frame before the payload
+		// decoders, so the report decoders also get the raw bytes.
+		checkCanonical(t, KindEvent, data)
+		checkCanonical(t, KindBatchAck, data)
 	})
+}
+
+// checkCanonical requires an event or batch-ack payload that decodes to
+// re-encode without error, and the re-encoded frame to decode and
+// re-encode to identical bytes.
+func checkCanonical(t *testing.T, kind Kind, payload []byte) {
+	first, ok := reencode(t, kind, payload)
+	if !ok {
+		return
+	}
+	_, again, _, err := ParseFrame(first)
+	if err != nil {
+		t.Fatalf("re-encoded %s does not parse: %v", kind, err)
+	}
+	second, ok := reencode(t, kind, again)
+	if !ok {
+		t.Fatalf("re-encoded %s does not decode", kind)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("%s re-encoding not canonical:\n first %x\nsecond %x", kind, first, second)
+	}
+}
+
+// reencode decodes an event or batch-ack payload and encodes the result
+// as a complete frame. ok is false when the payload does not decode (or
+// is of another kind); an encode failure is fatal.
+func reencode(t *testing.T, kind Kind, payload []byte) (frame []byte, ok bool) {
+	var err error
+	switch kind {
+	case KindEvent:
+		version, rep, derr := DecodeEvent(payload)
+		if derr != nil {
+			return nil, false
+		}
+		frame, err = EncodeEvent(version, rep)
+	case KindBatchAck:
+		a, derr := DecodeBatchAck(payload)
+		if derr != nil {
+			return nil, false
+		}
+		frame, err = EncodeBatchAck(a)
+	default:
+		return nil, false
+	}
+	if err != nil {
+		t.Fatalf("decoded %s does not re-encode: %v", kind, err)
+	}
+	return frame, true
 }

@@ -50,6 +50,7 @@ import (
 	"github.com/planarcert/planarcert/internal/pls"
 	"github.com/planarcert/planarcert/internal/preprocess"
 	"github.com/planarcert/planarcert/internal/qos"
+	"github.com/planarcert/planarcert/internal/report"
 )
 
 // NodeID identifies a node; identifiers are unique and drawn from a range
@@ -206,7 +207,7 @@ func (n *Network) Kuratowski() (*KuratowskiWitness, error) {
 }
 
 // SchemeName selects one of the proof-labeling schemes.
-type SchemeName string
+type SchemeName = report.SchemeName
 
 // Available schemes.
 const (
@@ -279,25 +280,7 @@ func Certify(n *Network, name SchemeName) (Certificates, error) {
 
 // Report summarises one verification round. The JSON field names are
 // part of the planarcertd wire format.
-type Report struct {
-	// Accepted is the global verdict: true iff every node accepted.
-	Accepted bool `json:"accepted"`
-	// Rejecting lists the rejecting nodes in ascending index order.
-	Rejecting []NodeID `json:"rejecting,omitempty"`
-	// Reasons gives each rejecting node's first error.
-	Reasons map[NodeID]string `json:"reasons,omitempty"`
-	// MaxCertBits is the largest certificate, in bits (the paper's
-	// O(log n) headline quantity).
-	MaxCertBits int `json:"max_cert_bits"`
-	// AvgCertBits is the mean certificate size over all nodes.
-	AvgCertBits float64 `json:"avg_cert_bits"`
-	// Messages counts the node-to-node messages of the single
-	// verification round (each node ships its certificate to every
-	// neighbor).
-	Messages int `json:"messages"`
-	// MaxMsgBits is the largest single message, in bits.
-	MaxMsgBits int `json:"max_msg_bits"`
-}
+type Report = report.Report
 
 func reportOf(out *dist.Outcome) *Report {
 	return &Report{

@@ -7,6 +7,7 @@ import (
 	"github.com/planarcert/planarcert/internal/dynamic"
 	"github.com/planarcert/planarcert/internal/graph"
 	"github.com/planarcert/planarcert/internal/pls"
+	"github.com/planarcert/planarcert/internal/report"
 )
 
 // UpdateOp identifies one kind of live topology update. Its values are
@@ -43,37 +44,7 @@ func checkOp(op UpdateOp) error {
 // SessionReport describes how one update batch was absorbed. The JSON
 // field names are part of the planarcertd wire format (the watch stream
 // emits one SessionReport per flushed batch).
-type SessionReport struct {
-	// Generation counts absorbed batches (0 is the initial certification).
-	Generation uint64 `json:"generation"`
-	// Mode is how the batch was absorbed: "noop", "repair" (localized
-	// repair + frontier verification), "cache" (certificate cache hit),
-	// "reprove" (full re-prove), "flip" (re-prove under the counterpart
-	// scheme after planarity flipped), or "uncertified".
-	Mode string `json:"mode"`
-	// ActiveScheme is the scheme certifying the network after the batch.
-	ActiveScheme SchemeName `json:"active_scheme"`
-	// Updates is the number of log entries absorbed.
-	Updates int `json:"updates"`
-	// Dirty counts the nodes whose certificates changed.
-	Dirty int `json:"dirty"`
-	// Verified counts the nodes whose verifier re-ran.
-	Verified int `json:"verified"`
-	// FullVerify reports whether the whole network was re-verified.
-	FullVerify bool `json:"full_verify"`
-	// Accepted is the verification verdict.
-	Accepted bool `json:"accepted"`
-	// Verification carries the verification details (nil when nothing
-	// ran, e.g. a noop batch).
-	Verification *Report `json:"verification,omitempty"`
-	// CacheGeneration is the generation stamp of the cache entry that
-	// served a "cache" batch.
-	CacheGeneration uint64 `json:"cache_generation,omitempty"`
-	// RepairFallback explains why a localized repair was abandoned.
-	RepairFallback string `json:"repair_fallback,omitempty"`
-	// ProveErr is the prover failure of an "uncertified" batch.
-	ProveErr string `json:"prove_err,omitempty"`
-}
+type SessionReport = report.SessionReport
 
 func sessionReportOf(r *dynamic.Report) *SessionReport {
 	sr := &SessionReport{
@@ -331,14 +302,6 @@ func (s *Session) Last() *SessionReport { return sessionReportOf(s.d.Last()) }
 // RepairThreshold returns the current localized-repair scope bound (-1
 // when repair is disabled).
 func (s *Session) RepairThreshold() int { return s.d.RepairThreshold() }
-
-// SetRepairThreshold rebounds the localized-repair scope for future
-// batches, with WithRepairThreshold's semantics (0 restores the
-// default, negative disables repair). Like every Session method it must
-// be serialized with Apply/Flush by the caller; planarcertd's adaptive
-// threshold controller calls it between batches when the per-mode
-// latency feedback says repair is over- or under-scoped.
-func (s *Session) SetRepairThreshold(k int) { s.d.SetRepairThreshold(k) }
 
 // Certificates returns a deep copy of the current assignment, so
 // callers mutating the map or its byte slices cannot corrupt the

@@ -3,8 +3,6 @@ package planarcert
 import (
 	"fmt"
 	"io"
-	"sort"
-	"time"
 
 	"github.com/planarcert/planarcert/internal/wire"
 )
@@ -17,34 +15,17 @@ import (
 const WireContentType = wire.ContentType
 
 // WireBatchAck is the decoded binary response of POST .../updates: the
-// frame counterpart of the JSON UpdatesResponse.
-type WireBatchAck struct {
-	// Queued counts the updates accepted by the request.
-	Queued int
-	// Pending counts updates still queued after the request (queue mode).
-	Pending int
-	// Elapsed is the server-side batch execution time (apply mode).
-	Elapsed time.Duration
-	// Report is the absorption report (apply mode only).
-	Report *SessionReport
-}
+// frame counterpart of the JSON UpdatesResponse. Its Elapsed field is
+// the server-side batch execution time (apply mode) and Report the
+// absorption report (apply mode only).
+type WireBatchAck = wire.BatchAck
 
 // WireHello is the decoded opening frame of a binary watch stream: the
 // version-acknowledged subscription identity and how a resume was
-// honored.
-type WireHello struct {
-	// Subscription identifies the subscription; resume with ?sub= and
-	// acknowledge versions against it.
-	Subscription uint64
-	// Version is the session's latest event version at attach time.
-	Version uint64
-	// ResumeFrom is the version replay restarts after.
-	ResumeFrom uint64
-	// Reset reports that the server's replay ring no longer covered the
-	// gap: only the latest event is replayed and the client must re-sync
-	// full state (GET .../graph and .../certificates).
-	Reset bool
-}
+// honored. When Reset is set the server's replay ring no longer covered
+// the gap: only the latest event is replayed and the client must re-sync
+// full state (GET .../graph and .../certificates).
+type WireHello = wire.Hello
 
 // WireEvent is one decoded watch event: a session report stamped with
 // its monotonically increasing version (the session generation).
@@ -123,13 +104,7 @@ func DecodeUpdatesFrame(frame []byte) (mode string, updates []Update, err error)
 // EncodeBatchAckFrame encodes an update-batch response as a binary
 // frame (the server side of the codec).
 func EncodeBatchAckFrame(ack *WireBatchAck) ([]byte, error) {
-	wa := &wire.BatchAck{
-		Queued:       ack.Queued,
-		Pending:      ack.Pending,
-		ElapsedNanos: uint64(ack.Elapsed.Nanoseconds()),
-		Report:       wireReportOf(ack.Report),
-	}
-	return wire.EncodeBatchAck(wa)
+	return wire.EncodeBatchAck(ack)
 }
 
 // DecodeBatchAckFrame decodes the single batch-ack frame a binary
@@ -142,26 +117,17 @@ func DecodeBatchAckFrame(frame []byte) (*WireBatchAck, error) {
 	if kind != wire.KindBatchAck || n != len(frame) {
 		return nil, fmt.Errorf("planarcert: not a single batch-ack frame (kind %s, %d trailing bytes)", kind, len(frame)-n)
 	}
-	wa, err := wire.DecodeBatchAck(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &WireBatchAck{
-		Queued:  wa.Queued,
-		Pending: wa.Pending,
-		Elapsed: time.Duration(wa.ElapsedNanos),
-		Report:  reportFromWire(wa.Report),
-	}, nil
+	return wire.DecodeBatchAck(payload)
 }
 
 // EncodeEventFrame encodes one versioned session report as a watch
-// event frame (the server side of the codec).
+// event frame (the server side of the codec). A nil report encodes as
+// the zero report.
 func EncodeEventFrame(version uint64, rep *SessionReport) ([]byte, error) {
-	wr := wireReportOf(rep)
-	if wr == nil {
-		wr = &wire.Report{}
+	if rep == nil {
+		rep = &SessionReport{}
 	}
-	return wire.EncodeEvent(version, wr)
+	return wire.EncodeEvent(version, rep)
 }
 
 // EncodeWatchAckFrame encodes a subscription acknowledgement: the
@@ -201,18 +167,13 @@ func (s *WireScanner) Next() (*WireMessage, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &WireMessage{Hello: &WireHello{
-			Subscription: h.Subscription,
-			Version:      h.Version,
-			ResumeFrom:   h.ResumeFrom,
-			Reset:        h.Reset,
-		}}, nil
+		return &WireMessage{Hello: &h}, nil
 	case wire.KindEvent:
-		version, wr, err := wire.DecodeEvent(payload)
+		version, rep, err := wire.DecodeEvent(payload)
 		if err != nil {
 			return nil, err
 		}
-		return &WireMessage{Event: &WireEvent{Version: version, Report: reportFromWire(wr)}}, nil
+		return &WireMessage{Event: &WireEvent{Version: version, Report: rep}}, nil
 	case wire.KindError:
 		code, msg, err := wire.DecodeError(payload)
 		if err != nil {
@@ -221,93 +182,4 @@ func (s *WireScanner) Next() (*WireMessage, error) {
 		return &WireMessage{Err: &WireError{Code: code, Message: msg}}, nil
 	}
 	return nil, fmt.Errorf("planarcert: unexpected %s frame on watch stream", kind)
-}
-
-// wireReportOf converts a SessionReport to its neutral wire record
-// (nil-safe).
-func wireReportOf(rep *SessionReport) *wire.Report {
-	if rep == nil {
-		return nil
-	}
-	wr := &wire.Report{
-		Generation:      rep.Generation,
-		Mode:            rep.Mode,
-		ActiveScheme:    string(rep.ActiveScheme),
-		Updates:         rep.Updates,
-		Dirty:           rep.Dirty,
-		Verified:        rep.Verified,
-		FullVerify:      rep.FullVerify,
-		Accepted:        rep.Accepted,
-		CacheGeneration: rep.CacheGeneration,
-		RepairFallback:  rep.RepairFallback,
-		ProveErr:        rep.ProveErr,
-	}
-	if v := rep.Verification; v != nil {
-		wv := &wire.Verification{
-			Accepted:    v.Accepted,
-			MaxCertBits: v.MaxCertBits,
-			AvgCertBits: v.AvgCertBits,
-			Messages:    v.Messages,
-			MaxMsgBits:  v.MaxMsgBits,
-		}
-		if len(v.Rejecting) > 0 {
-			wv.Rejecting = make([]int64, len(v.Rejecting))
-			for i, id := range v.Rejecting {
-				wv.Rejecting[i] = int64(id)
-			}
-		}
-		if len(v.Reasons) > 0 {
-			wv.Reasons = make([]wire.Reason, 0, len(v.Reasons))
-			for id, text := range v.Reasons {
-				wv.Reasons = append(wv.Reasons, wire.Reason{ID: int64(id), Text: text})
-			}
-			sort.Slice(wv.Reasons, func(i, j int) bool { return wv.Reasons[i].ID < wv.Reasons[j].ID })
-		}
-		wr.Verification = wv
-	}
-	return wr
-}
-
-// reportFromWire converts a neutral wire record back to a SessionReport
-// (nil-safe).
-func reportFromWire(wr *wire.Report) *SessionReport {
-	if wr == nil {
-		return nil
-	}
-	rep := &SessionReport{
-		Generation:      wr.Generation,
-		Mode:            wr.Mode,
-		ActiveScheme:    SchemeName(wr.ActiveScheme),
-		Updates:         wr.Updates,
-		Dirty:           wr.Dirty,
-		Verified:        wr.Verified,
-		FullVerify:      wr.FullVerify,
-		Accepted:        wr.Accepted,
-		CacheGeneration: wr.CacheGeneration,
-		RepairFallback:  wr.RepairFallback,
-		ProveErr:        wr.ProveErr,
-	}
-	if wv := wr.Verification; wv != nil {
-		v := &Report{
-			Accepted:    wv.Accepted,
-			MaxCertBits: wv.MaxCertBits,
-			AvgCertBits: wv.AvgCertBits,
-			Messages:    wv.Messages,
-			MaxMsgBits:  wv.MaxMsgBits,
-		}
-		if len(wv.Rejecting) > 0 {
-			v.Rejecting = make([]NodeID, len(wv.Rejecting))
-			for i, id := range wv.Rejecting {
-				v.Rejecting[i] = NodeID(id)
-			}
-		}
-		if len(wv.Reasons) > 0 {
-			v.Reasons = make(map[NodeID]string, len(wv.Reasons))
-			for _, rs := range wv.Reasons {
-				v.Reasons[NodeID(rs.ID)] = rs.Text
-			}
-		}
-		rep.Verification = v
-	}
-	return rep
 }
