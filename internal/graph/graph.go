@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -195,14 +197,17 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. Adjacency lists keep their order, so
+// a clone embeds, traverses and certifies exactly like the original.
 func (g *Graph) Clone() *Graph {
-	c := New(g.N())
-	for _, id := range g.ids {
-		c.MustAddNode(id)
+	c := &Graph{
+		adj:   make([][]int, len(g.adj)),
+		ids:   slices.Clone(g.ids),
+		byID:  maps.Clone(g.byID),
+		edges: maps.Clone(g.edges),
 	}
-	for e := range g.edges {
-		c.MustAddEdge(e.U, e.V)
+	for u, nb := range g.adj {
+		c.adj[u] = slices.Clone(nb)
 	}
 	return c
 }
@@ -221,31 +226,34 @@ func (g *Graph) RelabelIDs(ids []ID) (*Graph, error) {
 	if len(ids) != g.N() {
 		return nil, fmt.Errorf("graph: relabel with %d ids for %d nodes", len(ids), g.N())
 	}
-	c := New(g.N())
-	for _, id := range ids {
-		if _, err := c.AddNode(id); err != nil {
-			return nil, err
+	c := g.Clone()
+	c.ids = slices.Clone(ids)
+	c.byID = make(map[ID]int, len(ids))
+	for i, id := range ids {
+		if _, dup := c.byID[id]; dup {
+			return nil, fmt.Errorf("%w: %d", ErrDuplicateID, id)
 		}
-	}
-	for e := range g.edges {
-		c.MustAddEdge(e.U, e.V)
+		c.byID[id] = i
 	}
 	return c, nil
 }
 
 // InducedSubgraph returns the subgraph induced by keep (indices into g),
-// preserving identifiers. The second return value maps old index -> new.
+// preserving identifiers and the relative order of each adjacency list.
+// The second return value maps old index -> new.
 func (g *Graph) InducedSubgraph(keep []int) (*Graph, map[int]int) {
 	sub := New(len(keep))
 	old2new := make(map[int]int, len(keep))
 	for _, u := range keep {
 		old2new[u] = sub.MustAddNode(g.ids[u])
 	}
-	for e := range g.edges {
-		nu, ok1 := old2new[e.U]
-		nv, ok2 := old2new[e.V]
-		if ok1 && ok2 {
-			sub.MustAddEdge(nu, nv)
+	for _, u := range keep {
+		nu := old2new[u]
+		for _, v := range g.adj[u] {
+			if nv, ok := old2new[v]; ok {
+				sub.adj[nu] = append(sub.adj[nu], nv)
+				sub.edges[NewEdge(nu, nv)] = true
+			}
 		}
 	}
 	return sub, old2new

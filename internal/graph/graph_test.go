@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -108,6 +109,45 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if c.M() != 2 || g.M() != 1 {
 		t.Fatalf("M mismatch: clone %d original %d", c.M(), g.M())
+	}
+}
+
+// TestCopiesKeepAdjacencyOrder pins that every copy lists each node's
+// neighbours in the original order: the embedding, the DFS tree and so
+// the certificates are all built from that order.
+func TestCopiesKeepAdjacencyOrder(t *testing.T) {
+	g := NewWithNodes(6)
+	for _, e := range [][2]int{{0, 5}, {0, 2}, {0, 4}, {0, 1}, {3, 0}, {2, 4}, {5, 2}, {1, 2}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	g.RemoveEdge(0, 4)
+	r, err := g.RelabelIDs([]ID{10, 11, 12, 13, 14, 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Graph{"Clone": g.Clone(), "RelabelIDs": r} {
+		for u := 0; u < g.N(); u++ {
+			if !slices.Equal(c.Neighbors(u), g.Neighbors(u)) {
+				t.Fatalf("%s: node %d neighbours %v, want %v", name, u, c.Neighbors(u), g.Neighbors(u))
+			}
+		}
+		if c.M() != g.M() {
+			t.Fatalf("%s: M = %d, want %d", name, c.M(), g.M())
+		}
+	}
+	sub, old2new := g.InducedSubgraph([]int{5, 2, 0, 1})
+	want := map[int][]int{5: {0, 2}, 2: {0, 5, 1}, 0: {5, 2, 1}, 1: {0, 2}}
+	for u, nbs := range want {
+		var got []int
+		for _, v := range sub.Neighbors(old2new[u]) {
+			got = append(got, int(sub.IDOf(v)))
+		}
+		if !slices.Equal(got, nbs) {
+			t.Fatalf("InducedSubgraph: node %d neighbours %v, want %v", u, got, nbs)
+		}
+	}
+	if sub.M() != 5 {
+		t.Fatalf("InducedSubgraph: M = %d, want 5", sub.M())
 	}
 }
 

@@ -189,7 +189,7 @@ func (s *Server) evictForSpaceLocked() []*session {
 // queued updates, snapshots if durable, and terminates its watchers.
 func (s *Server) finishEviction(victims []*session) {
 	for _, ms := range victims {
-		ms.shutdown()
+		ms.shutdown(true)
 		s.met.sessionsEvicted.Add(1)
 	}
 }

@@ -122,11 +122,8 @@ func (s *Server) recoverSession(dir string) error {
 		applied++
 	}
 
-	ms := newSession(snap.Name, planarcert.SchemeName(snap.Scheme), ps, s.cfg.WatchBuffer, s.cfg.ReplayEvents)
-	ms.qos = s.defaultQoS
-	s.adopt(ms)
+	ms := s.newSession(snap.Name, planarcert.SchemeName(snap.Scheme), s.defaultQoS, ps, popts)
 	ms.store = st
-	ms.popts = popts
 
 	s.mu.Lock()
 	if s.closing || s.sessions[snap.Name] != nil || len(s.sessions) >= s.cfg.MaxSessions {

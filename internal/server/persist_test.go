@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +12,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	planarcert "github.com/planarcert/planarcert"
+	"github.com/planarcert/planarcert/internal/qos"
 	"github.com/planarcert/planarcert/internal/wal"
 )
 
@@ -360,5 +364,171 @@ func TestRecoveryMetricsExposed(t *testing.T) {
 		if !strings.Contains(body, name) {
 			t.Fatalf("metrics missing %q:\n%s", name, body)
 		}
+	}
+}
+
+// TestNoAckAfterShutdown pins "an ack means the batch is logged" for a
+// batch that passed the draining check but is still waiting in
+// admission when its session is shut down — by a graceful Close or by
+// LRU eviction. Such a batch must not be acked, and a batch that was
+// acked must survive recovery.
+func TestNoAckAfterShutdown(t *testing.T) {
+	for _, via := range []string{"close", "evict"} {
+		t.Run(via, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{ExecSlots: 1, MaxSessions: 1, EvictLRU: via == "evict"}
+			srvA, tsA := newDurableServer(t, dir, cfg)
+			doJSON(t, "POST", tsA.URL+"/v1/sessions", CreateSessionRequest{
+				Name:  "s",
+				Graph: GraphSpec{EdgeList: "0 1\n1 2\n2 3\n3 0\n"},
+			}, http.StatusCreated, nil)
+
+			// Hold the only execution slot so the batch waits in admission.
+			hold := srvA.exec.Claimant("holder", qos.Interactive)
+			if !hold.AcquireWait(time.Second, nil) {
+				t.Fatal("could not take the execution slot")
+			}
+			code := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(tsA.URL+"/v1/sessions/s/updates", "application/x-ndjson",
+					strings.NewReader(`{"op":"add_edge","a":0,"b":2}`))
+				if err != nil {
+					t.Error(err)
+					code <- 0
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				code <- resp.StatusCode
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for srvA.exec.QueueDepth() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("batch never reached admission")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if via == "close" {
+				srvA.Close()
+			} else {
+				doJSON(t, "POST", tsA.URL+"/v1/sessions", CreateSessionRequest{
+					Name:  "other",
+					Graph: GraphSpec{EdgeList: "0 1\n"},
+				}, http.StatusCreated, nil)
+			}
+			hold.Release()
+			got := <-code
+			tsA.Close()
+
+			_, tsB := newDurableServer(t, dir, Config{})
+			logged := false
+			for _, e := range sessionGraph(t, tsB.URL, "s").Edges {
+				logged = logged || e == [2]planarcert.NodeID{0, 2}
+			}
+			if got == http.StatusOK && !logged {
+				t.Fatal("batch acked 200 but absent after recovery")
+			}
+			if got != http.StatusServiceUnavailable {
+				t.Fatalf("batch reaching a shut-down session: status %d, want 503", got)
+			}
+		})
+	}
+}
+
+// TestDurableQueueMode covers queue mode on a durable server: queued
+// updates are logged with the batch that absorbs them, absorbed and
+// logged by a graceful shutdown, and that shutdown batch is broadcast to
+// the session's watchers before their streams end.
+func TestDurableQueueMode(t *testing.T) {
+	queued := "{\"op\":\"add_node\",\"a\":4}\n{\"op\":\"add_edge\",\"a\":4,\"b\":0}"
+	setup := func(t *testing.T) (string, *Server, *httptest.Server) {
+		dir := t.TempDir()
+		srv := New(Config{DataDir: dir, Fsync: wal.SyncNever, SnapshotEvery: 1 << 20})
+		if err := srv.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		doJSON(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{
+			Name:  "q",
+			Graph: GraphSpec{EdgeList: "0 1\n1 2\n2 3\n3 0\n"},
+		}, http.StatusCreated, nil)
+		var ur UpdatesResponse
+		doJSON(t, "POST", ts.URL+"/v1/sessions/q/updates?mode=queue", queued, http.StatusAccepted, &ur)
+		if ur.Queued != 2 || ur.Pending != 2 {
+			t.Fatalf("queue: %+v", ur)
+		}
+		return dir, srv, ts
+	}
+	recovered := func(t *testing.T, dir string) GraphExport {
+		_, ts := newDurableServer(t, dir, Config{})
+		return sessionGraph(t, ts.URL, "q")
+	}
+
+	t.Run("apply-then-crash", func(t *testing.T) {
+		dir, _, ts := setup(t)
+		var ur UpdatesResponse
+		doJSON(t, "POST", ts.URL+"/v1/sessions/q/updates", `{"op":"add_edge","a":0,"b":2}`, http.StatusOK, &ur)
+		if ur.Report.Updates != 3 {
+			t.Fatalf("apply absorbed %d updates, want 3", ur.Report.Updates)
+		}
+		before := sessionGraph(t, ts.URL, "q")
+		ts.Close() // crash: no Close, nothing past the WAL record
+		if after := recovered(t, dir); !reflect.DeepEqual(before, after) || len(after.Edges) != 6 {
+			t.Fatalf("after crash recovery:\n before %+v\n after  %+v", before, after)
+		}
+	})
+
+	t.Run("graceful-close", func(t *testing.T) {
+		dir, srv, ts := setup(t)
+		srv.Close()
+		ts.Close()
+		after := recovered(t, dir)
+		if len(after.Nodes) != 5 || len(after.Edges) != 5 {
+			t.Fatalf("queued updates lost across Close: %+v", after)
+		}
+	})
+
+	t.Run("watcher-sees-shutdown-batch", func(t *testing.T) {
+		_, srv, ts := setup(t)
+		resp, err := http.Get(ts.URL + "/v1/sessions/q/watch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		srv.Close()
+		raw, err := io.ReadAll(resp.Body) // the stream ends with the session
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		var rep planarcert.SessionReport
+		if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &rep) != nil {
+			t.Fatalf("watch stream %q, want the one shutdown report", raw)
+		}
+		if rep.Updates != 2 || rep.Generation != 1 || !rep.Accepted {
+			t.Fatalf("shutdown report %+v", rep)
+		}
+	})
+}
+
+// TestShutDownSessionRefusesWork pins the shut-down state at the session
+// level, where a request that looked the session up before it was
+// removed lands: queue and absorb fail with errShutDown and no watch
+// can attach.
+func TestShutDownSessionRefusesWork(t *testing.T) {
+	ms := newTestSession(t, "shut")
+	ms.shutdown(true)
+	if _, err := ms.queue([]planarcert.Update{planarcert.NodeAdd(9)}); !errors.Is(err, errShutDown) {
+		t.Fatalf("queue after shutdown: %v", err)
+	}
+	ms.mu.Lock()
+	_, _, err := ms.absorb([]planarcert.Update{planarcert.NodeAdd(9)}, false, nil)
+	ms.mu.Unlock()
+	if !errors.Is(err, errShutDown) {
+		t.Fatalf("absorb after shutdown: %v", err)
+	}
+	if _, ok := ms.subscribe(false, 0, true); ok {
+		t.Fatal("watch attached to a shut-down session")
 	}
 }

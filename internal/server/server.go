@@ -285,19 +285,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// adopt wires a session into the server's metrics, snapshot policy and
-// admission scheduler. The caller must have set ms.qos first: the
-// admission claimant is minted here in that class.
-func (s *Server) adopt(ms *session) {
-	ms.met = s.met
-	ms.snapEvery = s.cfg.SnapshotEvery
-	ms.execClaim = s.exec.Claimant(ms.name, ms.qos)
-	ms.broadcastHook = func(delivered, dropped int) {
-		s.met.watchEvents.Add(uint64(delivered))
-		s.met.watchDropped.Add(uint64(dropped))
-	}
-}
-
 // Handler returns the HTTP handler with request accounting, bearer
 // auth and per-client rate limiting (probes and /metrics are exempt
 // from both — see exemptPath). Session endpoints are gated behind boot
@@ -333,11 +320,13 @@ func (s *Server) Handler() http.Handler {
 // Close drains and deletes every session, terminating their watch
 // streams, and refuses further session creation (503), so an HTTP
 // Shutdown started right after cannot be wedged by a freshly created
-// watch stream. On a durable server the drain is ordered: new batches
-// are rejected first (draining), then each session absorbs its queued
-// updates as one final logged batch, writes a final snapshot, and
-// closes its store — in-flight applies finish first because shutdown
-// takes the same per-session mutex. It is the daemon's shutdown hook.
+// watch stream. The drain is ordered: new batches are rejected first
+// (draining), then each session absorbs its queued updates as one final
+// batch and broadcasts it; on a durable server that batch is logged, a
+// final snapshot is written and the store closed. In-flight batches
+// finish first because shutdown takes the same per-session mutex, and
+// batches still waiting in admission get 503. It is the daemon's
+// shutdown hook.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -349,7 +338,7 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	for _, ms := range all {
-		ms.shutdown()
+		ms.shutdown(true)
 		s.met.sessionsDeleted.Add(1)
 	}
 }
@@ -597,30 +586,18 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
-	var opts []planarcert.SessionOption
-	if req.RepairThreshold != 0 {
-		opts = append(opts, planarcert.WithRepairThreshold(req.RepairThreshold))
-	}
-	if req.CacheSize != 0 {
-		opts = append(opts, planarcert.WithCacheSize(req.CacheSize))
-	}
-	if req.NoFlip {
-		opts = append(opts, planarcert.WithoutFlip())
-	}
-	scheme := schemeOrDefault(req.Scheme)
-	ps, err := planarcert.NewSession(net, scheme, s.engineFor(req.Name, class), opts...)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ms := newSession(req.Name, scheme, ps, s.cfg.WatchBuffer, s.cfg.ReplayEvents)
-	ms.qos = class
-	s.adopt(ms)
-	ms.popts = persistOpts{
+	popts := persistOpts{
 		repairThreshold: req.RepairThreshold,
 		cacheSize:       req.CacheSize,
 		noFlip:          req.NoFlip,
 	}
+	scheme := schemeOrDefault(req.Scheme)
+	ps, err := planarcert.NewSession(net, scheme, s.engineFor(req.Name, class), popts.options()...)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	ms := s.newSession(req.Name, scheme, class, ps, popts)
 
 	// On a durable server the session's store and initial snapshot are
 	// set up after registration but under ms.mu, so a concurrent apply
@@ -646,25 +623,22 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.finishEviction(victims)
 	if durable {
-		st, err := s.root.CreateSession(req.Name)
-		if err == nil {
-			ms.store = st
+		var err error
+		if ms.store, err = s.root.CreateSession(req.Name); err == nil {
 			err = ms.writeSnapshotLocked()
 		}
+		// A batch already waiting on ms.mu must find a failed session
+		// shut, not absorb unlogged; shutdown closes the store.
+		ms.shut = err != nil
+		ms.mu.Unlock()
 		if err != nil {
-			ms.store = nil
-			ms.mu.Unlock()
 			s.mu.Lock()
 			delete(s.sessions, req.Name)
 			s.mu.Unlock()
-			if st != nil {
-				st.Close()
-			}
-			ms.close()
+			ms.shutdown(false)
 			writeError(w, http.StatusInternalServerError, "persist session: %v", err)
 			return
 		}
-		ms.mu.Unlock()
 	}
 	s.met.sessionsCreated.Add(1)
 	writeJSON(w, http.StatusCreated, ms.status())
@@ -738,8 +712,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", name)
 		return
 	}
-	ms.close()
-	ms.closeStore()
+	ms.shutdown(false)
 	if s.root != nil {
 		if err := s.root.RemoveSession(name); err != nil {
 			writeError(w, http.StatusInternalServerError, "remove durable state: %v", err)
@@ -832,29 +805,49 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 
 	ms.touch()
 	if mode == "queue" {
-		pending := ms.queue(updates)
+		pending, err := ms.queue(updates)
+		if err != nil {
+			s.batchError(w, err)
+			return
+		}
 		writeJSON(w, http.StatusAccepted, UpdatesResponse{Queued: len(updates), Pending: pending})
 		return
 	}
+	if rep, elapsed, ok := s.runBatch(w, r, ms, updates, false); ok {
+		writeJSON(w, http.StatusOK, UpdatesResponse{Queued: len(updates), Report: rep, ElapsedSeconds: elapsed.Seconds()})
+	}
+}
 
+// runBatch is the one admission path of a session batch: an update
+// batch of either encoding, or a flush (nil updates, with checkpoint
+// set). It admits the batch through the fair-share scheduler, absorbs it
+// under the session lock — the lock wait is the trace's queue-wait span
+// — and records it in the metrics. On failure it has written the error
+// response and ok is false; on success the caller writes the ack in its
+// own encoding.
+func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, ms *session, updates []planarcert.Update, checkpoint bool) (rep *planarcert.SessionReport, elapsed time.Duration, ok bool) {
 	sp := s.tracer.Start(ms.name, obs.SpanBatch)
 	if !s.acquireExec(ms.execClaim, sp, r.Context().Done()) {
 		sp.SetStr("error", "admission timeout")
 		sp.End()
 		writeError(w, http.StatusServiceUnavailable, "admission queue timed out (class %q)", ms.qos)
-		return
+		return nil, 0, false
 	}
-	rep, elapsed, err := ms.apply(updates, sp)
+	qw := sp.Child(obs.SpanQueueWait)
+	ms.mu.Lock()
+	qw.End()
+	rep, elapsed, err := ms.absorb(updates, checkpoint, sp)
+	ms.mu.Unlock()
 	ms.execClaim.Release()
 	if err != nil {
 		sp.SetStr("error", err.Error())
 		sp.End()
 		s.batchError(w, err)
-		return
+		return nil, 0, false
 	}
 	sp.End()
 	s.recordBatch(sp, ms, rep, elapsed)
-	writeJSON(w, http.StatusOK, UpdatesResponse{Queued: len(updates), Report: rep, ElapsedSeconds: elapsed.Seconds()})
+	return rep, elapsed, true
 }
 
 // recordBatch feeds one flushed batch into the metrics. With tracing
@@ -867,13 +860,19 @@ func (s *Server) recordBatch(sp *obs.Span, ms *session, rep *planarcert.SessionR
 	}
 }
 
-// batchError maps a failed apply/flush to its status: a batch the
-// session rejected is the client's fault (422), a batch that could not
-// be made durable is the server's (500) and was NOT acked — though it
-// was applied in memory, so the client must re-sync before retrying.
+// batchError maps a failed batch or queue request to its status: a
+// batch the session rejected is the client's fault (422); one that
+// reached a shut-down session was neither absorbed nor logged (503); one
+// that could not be made durable is the server's fault (500) and was
+// NOT acked — though it was applied in memory, so the client must
+// re-sync before retrying.
 func (s *Server) batchError(w http.ResponseWriter, err error) {
 	var pe *persistError
-	if errors.As(err, &pe) {
+	switch {
+	case errors.Is(err, errShutDown):
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	case errors.As(err, &pe):
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -892,24 +891,9 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ms.touch()
-	sp := s.tracer.Start(ms.name, obs.SpanBatch)
-	if !s.acquireExec(ms.execClaim, sp, r.Context().Done()) {
-		sp.SetStr("error", "admission timeout")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, "admission queue timed out (class %q)", ms.qos)
-		return
+	if rep, elapsed, ok := s.runBatch(w, r, ms, nil, true); ok {
+		writeJSON(w, http.StatusOK, UpdatesResponse{Report: rep, ElapsedSeconds: elapsed.Seconds()})
 	}
-	rep, elapsed, err := ms.flush(sp)
-	ms.execClaim.Release()
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
-		s.batchError(w, err)
-		return
-	}
-	sp.End()
-	s.recordBatch(sp, ms, rep, elapsed)
-	writeJSON(w, http.StatusOK, UpdatesResponse{Report: rep, ElapsedSeconds: elapsed.Seconds()})
 }
 
 func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +22,7 @@ import (
 // Two locks with distinct scopes keep the fast paths apart:
 //
 //   - mu serializes every call into the underlying planarcert.Session
-//     (queue, flush, verify, snapshot). Holding it across a flush is
+//     (queue, absorb, verify, snapshot). Holding it across absorb is
 //     the point: batches from concurrent clients are absorbed one at a
 //     time, in arrival order.
 //   - watchMu guards only the watcher registry, so attaching or
@@ -42,29 +43,32 @@ type session struct {
 	// the LRU eviction key. Atomic: handlers touch it without ms.mu.
 	lastUsed atomic.Int64
 
-	mu      sync.Mutex
-	s       *planarcert.Session
-	pending int // updates queued but not yet flushed
+	mu sync.Mutex
+	s  *planarcert.Session
+	// pendingLog mirrors the session's queued-but-unabsorbed update log,
+	// so the WAL record of the next batch carries the FULL absorbed log,
+	// including updates other clients queued earlier.
+	pendingLog []planarcert.Update
+	// shut is set once the session is shut down or deleted: from then on
+	// it absorbs, queues and attaches nothing, so no batch that reaches
+	// it is acked without being logged.
+	shut bool
 
 	// Durability (all guarded by mu; store == nil means the session is
-	// not persisted). pendingLog mirrors the queued-but-unflushed update
-	// log so the WAL record of the next apply/flush carries the FULL
-	// absorbed batch, including updates other clients queued earlier.
-	store      *wal.Store
-	snapEvery  int // logged batches between automatic snapshots
-	sinceSnap  int
-	pendingLog []planarcert.Update
+	// not persisted).
+	store     *wal.Store
+	snapEvery int // logged batches between automatic snapshots
+	sinceSnap int
 	// logDirty marks a failed WAL append: the log file may end in torn
 	// bytes, so further appends are unsafe until a snapshot resets it.
 	// While set, every ack requires a successful snapshot instead.
 	logDirty bool
 	popts    persistOpts
-	met      *metrics // nil-safe; recovery/persistence counters
+	met      *metrics
 
 	watchMu   sync.Mutex
 	watchers  map[uint64]*watcher
 	nextWatch uint64
-	closed    bool
 	watchBuf  int
 	// Version-acknowledged subscription state (all under watchMu).
 	// lastVersion is the version of the newest broadcast event (the
@@ -80,7 +84,7 @@ type session struct {
 
 	// broadcastHook feeds delivery/drop counts to the server's metrics;
 	// set once at construction (never mutated afterwards, so it needs no
-	// lock). Nil means no accounting.
+	// lock).
 	broadcastHook func(delivered, dropped int)
 }
 
@@ -113,21 +117,31 @@ type subAck struct {
 // back to a reset on resume.
 const maxSubscriptions = 4096
 
-// newSession wraps s; watchBuf must be positive (Config.withDefaults
-// guarantees it on the server path). ringCap sizes the replay ring
-// (negative disables replay-after-reconnect).
-func newSession(name string, scheme planarcert.SchemeName, s *planarcert.Session, watchBuf, ringCap int) *session {
+// newSession wraps ps as the server-managed session name in QoS class
+// class, wired into the server's metrics, snapshot policy, admission
+// scheduler and watch settings. The caller attaches the store, if any,
+// before the session can absorb a batch.
+func (s *Server) newSession(name string, scheme planarcert.SchemeName, class qos.Class, ps *planarcert.Session, popts persistOpts) *session {
 	ms := &session{
-		name:     name,
-		scheme:   scheme,
-		created:  time.Now(),
-		s:        s,
-		watchers: make(map[uint64]*watcher),
-		watchBuf: watchBuf,
-		ringCap:  ringCap,
-		subs:     make(map[uint64]*subAck),
+		name:        name,
+		scheme:      scheme,
+		created:     time.Now(),
+		qos:         class,
+		execClaim:   s.exec.Claimant(name, class),
+		s:           ps,
+		snapEvery:   s.cfg.SnapshotEvery,
+		popts:       popts,
+		met:         s.met,
+		watchers:    make(map[uint64]*watcher),
+		watchBuf:    s.cfg.WatchBuffer,
+		ringCap:     s.cfg.ReplayEvents,
+		subs:        make(map[uint64]*subAck),
+		lastVersion: ps.Generation(),
+		broadcastHook: func(delivered, dropped int) {
+			s.met.watchEvents.Add(uint64(delivered))
+			s.met.watchDropped.Add(uint64(dropped))
+		},
 	}
-	ms.lastVersion = s.Generation()
 	ms.touch()
 	return ms
 }
@@ -157,21 +171,25 @@ func (o persistOpts) options() []planarcert.SessionOption {
 	return opts
 }
 
-// queue appends updates to the session's log without flushing. Both
-// transports only yield in-range ops, so Queue cannot fail (it only
+// errShutDown answers a batch or queue request that reached a session
+// after it was shut down or deleted.
+var errShutDown = errors.New("session is shut down")
+
+// queue appends updates to the session's log without absorbing them.
+// Both transports only yield in-range ops, so Queue cannot fail (it only
 // rejects unknown ops).
-func (ms *session) queue(updates []planarcert.Update) (pending int) {
+func (ms *session) queue(updates []planarcert.Update) (pending int, err error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
+	if ms.shut {
+		return 0, errShutDown
+	}
 	for _, u := range updates {
-		if err := ms.s.Queue(u); err == nil {
-			ms.pending++
-			if ms.store != nil {
-				ms.pendingLog = append(ms.pendingLog, u)
-			}
+		if ms.s.Queue(u) == nil {
+			ms.pendingLog = append(ms.pendingLog, u)
 		}
 	}
-	return ms.pending
+	return len(ms.pendingLog), nil
 }
 
 // persistBatchLocked makes one absorbed batch durable (log-before-ack):
@@ -187,9 +205,7 @@ func (ms *session) persistBatchLocked(updates []planarcert.Update) error {
 	}
 	if !ms.logDirty && len(updates) > 0 {
 		if err := ms.store.AppendBatch(ms.store.NextSeq(), wal.FromGraph(updates)); err == nil {
-			if ms.met != nil {
-				ms.met.walAppends.Add(1)
-			}
+			ms.met.walAppends.Add(1)
 			ms.sinceSnap++
 			if ms.sinceSnap >= ms.snapEvery {
 				// The batch is already durable in the log; a failed
@@ -240,86 +256,51 @@ func (ms *session) writeSnapshotLocked() error {
 	}
 	ms.sinceSnap = 0
 	ms.logDirty = false
-	if ms.met != nil {
-		ms.met.snapshotsWritten.Add(1)
-	}
+	ms.met.snapshotsWritten.Add(1)
 	return nil
 }
 
-// flush absorbs the whole pending log as one batch and broadcasts the
-// report to every watcher. The broadcast happens while ms.mu is still
-// held (it is non-blocking, so this is cheap) so that watchers receive
-// reports in generation order even when applies race. The returned
+// absorb is the session's one batch step; the caller holds ms.mu.
+// updates (nil for a flush) join the pending log, and the session
+// absorbs the whole log as one batch. On a durable session the batch is
+// logged as one WAL record before absorb returns (checkpoint adds a
+// snapshot), and its
+// report is then broadcast, still under ms.mu, so watchers receive
+// reports in generation order even when batches race. The returned
 // duration is the time spent inside the session (repair/re-prove +
-// verification), excluding lock wait — the wait itself lands on sp's
-// queue-wait child. sp may be nil (tracing off).
-func (ms *session) flush(sp *obs.Span) (*planarcert.SessionReport, time.Duration, error) {
-	qw := sp.Child(obs.SpanQueueWait)
-	ms.mu.Lock()
-	qw.End()
-	defer ms.mu.Unlock()
-	batch := ms.pendingLog
-	ms.pendingLog = nil
-	ms.s.Trace(sp)
-	start := time.Now()
-	rep, err := ms.s.Flush()
-	elapsed := time.Since(start)
-	// Success absorbed the log; failure discarded it (Session rejects
-	// whole batches) — either way nothing stays pending.
-	ms.pending = 0
-	if err != nil {
-		return nil, elapsed, err
+// verification), excluding lock wait. sp may be nil (tracing off).
+func (ms *session) absorb(updates []planarcert.Update, checkpoint bool, sp *obs.Span) (*planarcert.SessionReport, time.Duration, error) {
+	if ms.shut {
+		return nil, 0, errShutDown
 	}
-	if err := ms.persistLoggedBatch(sp, batch); err != nil {
-		return nil, elapsed, &persistError{err}
-	}
-	if ms.store != nil {
-		// An explicit flush is a client checkpoint: force a snapshot so
-		// the durable state converges even on a mostly-queueing workload.
-		_ = ms.writeSnapshotLocked()
-	}
-	ms.broadcast(rep)
-	return rep, elapsed, nil
-}
-
-// persistLoggedBatch runs persistBatchLocked under a persist span, so a
-// traced batch shows how much of its latency was durability.
-func (ms *session) persistLoggedBatch(sp *obs.Span, batch []planarcert.Update) error {
-	pp := sp.Child(obs.SpanPersist)
-	err := ms.persistBatchLocked(batch)
-	if err != nil {
-		pp.SetStr("error", err.Error())
-	}
-	pp.End()
-	return err
-}
-
-// apply queues the batch and flushes it as one serialized operation, so
-// two concurrent apply calls cannot interleave their updates into one
-// merged batch. Like flush, the broadcast runs under ms.mu to preserve
-// generation order for watchers.
-func (ms *session) apply(updates []planarcert.Update, sp *obs.Span) (*planarcert.SessionReport, time.Duration, error) {
-	qw := sp.Child(obs.SpanQueueWait)
-	ms.mu.Lock()
-	qw.End()
-	defer ms.mu.Unlock()
-	// Apply absorbs the whole pending log plus this request's updates as
-	// one batch; the WAL record must carry all of it.
+	// The WAL record carries the whole absorbed log; with nothing queued
+	// (the common case) it is the request's own updates, uncopied.
 	batch := updates
 	if len(ms.pendingLog) > 0 {
-		batch = append(append([]planarcert.Update{}, ms.pendingLog...), updates...)
+		batch = append(ms.pendingLog, updates...)
+		ms.pendingLog = nil
 	}
-	ms.pendingLog = nil
 	ms.s.Trace(sp)
 	start := time.Now()
 	rep, err := ms.s.Apply(updates)
 	elapsed := time.Since(start)
-	ms.pending = 0
 	if err != nil {
+		// Session rejects whole batches: the log was discarded with it.
 		return nil, elapsed, err
 	}
-	if err := ms.persistLoggedBatch(sp, batch); err != nil {
+	pp := sp.Child(obs.SpanPersist)
+	err = ms.persistBatchLocked(batch)
+	if err != nil {
+		pp.SetStr("error", err.Error())
+	}
+	pp.End()
+	if err != nil {
 		return nil, elapsed, &persistError{err}
+	}
+	if checkpoint {
+		// An explicit flush is a client checkpoint: force a snapshot so
+		// the durable state converges even on a mostly-queueing workload.
+		_ = ms.writeSnapshotLocked()
 	}
 	ms.broadcast(rep)
 	return rep, elapsed, nil
@@ -367,7 +348,7 @@ func (ms *session) status() *SessionStatus {
 		Edges:           ms.s.M(),
 		Generation:      ms.s.Generation(),
 		Certified:       ms.s.Certified(),
-		Pending:         ms.pending,
+		Pending:         len(ms.pendingLog),
 		Last:            ms.s.Last(),
 		CreatedAt:       ms.created,
 		QoS:             ms.qos.String(),
@@ -408,15 +389,15 @@ type stream struct {
 // An NDJSON stream has no subscription and ignores sub. On a fresh
 // stream of either format, replayLast replays the latest report first,
 // so a watcher always has a starting state. ok is false once the
-// session is closed.
+// session is shut down.
 func (ms *session) subscribe(binary bool, sub uint64, replayLast bool) (st stream, ok bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	ms.watchMu.Lock()
-	defer ms.watchMu.Unlock()
-	if ms.closed {
+	if ms.shut {
 		return stream{}, false
 	}
+	ms.watchMu.Lock()
+	defer ms.watchMu.Unlock()
 	w := &watcher{ch: make(chan *watchEvent, ms.watchBuf), binary: binary}
 	ms.nextWatch++
 	ms.watchers[ms.nextWatch] = w
@@ -602,62 +583,41 @@ func (ms *session) broadcast(rep *planarcert.SessionReport) (delivered, dropped 
 			dropped++
 		}
 	}
-	if ms.broadcastHook != nil {
-		ms.broadcastHook(delivered, dropped)
-	}
+	ms.broadcastHook(delivered, dropped)
 	return delivered, dropped
 }
 
-// unwatch removes a watcher; safe to call after close.
+// unwatch removes a watcher; safe to call after shutdown.
 func (ms *session) unwatch(id uint64) {
 	ms.watchMu.Lock()
 	defer ms.watchMu.Unlock()
 	delete(ms.watchers, id)
 }
 
-// shutdown drains the session for a graceful daemon exit: any queued
-// updates are absorbed as one final (logged) batch, a final snapshot is
-// written, the store is closed, and the watch streams terminate. For a
-// non-durable session it only closes the watchers.
-func (ms *session) shutdown() {
+// shutdown closes the session for good. With drain set (daemon exit,
+// LRU eviction), updates still queued are absorbed, logged and
+// broadcast as one final batch and a snapshot checkpoints the session;
+// without it (deletion) the durable state is about to be removed and
+// nothing is written. Either way the store is closed, every later batch
+// or queue request fails with errShutDown, no watch can attach, and the
+// open watch streams terminate. The drain and the shut flag share one
+// ms.mu critical section, so no batch or queued update slips in between.
+func (ms *session) shutdown(drain bool) {
 	ms.mu.Lock()
-	if ms.store != nil {
+	if drain {
 		if len(ms.pendingLog) > 0 {
-			batch := ms.pendingLog
-			ms.pendingLog = nil
-			if _, err := ms.s.Flush(); err == nil {
-				_ = ms.persistBatchLocked(batch)
-			}
-			ms.pending = 0
+			_, _, _ = ms.absorb(nil, false, nil)
 		}
 		_ = ms.writeSnapshotLocked()
-		_ = ms.store.Close()
-		ms.store = nil
 	}
-	ms.mu.Unlock()
-	ms.close()
-}
-
-// closeStore releases the session's store without a final snapshot
-// (session deletion: the durable state is about to be removed).
-func (ms *session) closeStore() {
-	ms.mu.Lock()
+	ms.shut = true
 	if ms.store != nil {
 		_ = ms.store.Close()
 		ms.store = nil
 	}
 	ms.mu.Unlock()
-}
-
-// close marks the session deleted and closes every watcher channel so
-// open watch streams terminate.
-func (ms *session) close() {
 	ms.watchMu.Lock()
 	defer ms.watchMu.Unlock()
-	if ms.closed {
-		return
-	}
-	ms.closed = true
 	for id, w := range ms.watchers {
 		close(w.ch)
 		delete(ms.watchers, id)

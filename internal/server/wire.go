@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	planarcert "github.com/planarcert/planarcert"
-	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/wire"
 )
 
@@ -122,29 +121,17 @@ func (s *Server) handleUpdatesBinary(w http.ResponseWriter, r *http.Request, ms 
 
 	ms.touch()
 	if mode == wire.ModeQueue {
-		pending := ms.queue(updates)
+		pending, err := ms.queue(updates)
+		if err != nil {
+			s.batchError(w, err)
+			return
+		}
 		s.writeAckFrame(w, http.StatusAccepted, &planarcert.WireBatchAck{Queued: len(updates), Pending: pending})
 		return
 	}
-
-	sp := s.tracer.Start(ms.name, obs.SpanBatch)
-	if !s.acquireExec(ms.execClaim, sp, r.Context().Done()) {
-		sp.SetStr("error", "admission timeout")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, "admission queue timed out (class %q)", ms.qos)
-		return
+	if rep, elapsed, ok := s.runBatch(w, r, ms, updates, false); ok {
+		s.writeAckFrame(w, http.StatusOK, &planarcert.WireBatchAck{Queued: len(updates), Elapsed: elapsed, Report: rep})
 	}
-	rep, elapsed, err := ms.apply(updates, sp)
-	ms.execClaim.Release()
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
-		s.batchError(w, err)
-		return
-	}
-	sp.End()
-	s.recordBatch(sp, ms, rep, elapsed)
-	s.writeAckFrame(w, http.StatusOK, &planarcert.WireBatchAck{Queued: len(updates), Elapsed: elapsed, Report: rep})
 }
 
 // handleWatchAck advances (ack) or rewinds (nack) a binary watch

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	planarcert "github.com/planarcert/planarcert"
+	"github.com/planarcert/planarcert/internal/qos"
 )
 
 // newWireSession creates a session named name on a 4-cycle and returns
@@ -447,7 +448,7 @@ func TestWatchAckErrors(t *testing.T) {
 // materialized when a binary watcher is attached.
 func TestBroadcastSingleMarshal(t *testing.T) {
 	ms := newTestSession(t, "fanout")
-	defer ms.close()
+	defer ms.shutdown(false)
 
 	st1, ok1 := ms.subscribe(false, 0, false)
 	st2, ok2 := ms.subscribe(false, 0, false)
@@ -509,14 +510,15 @@ func newTestSession(t *testing.T, name string) *session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSession(name, planarcert.SchemePlanarity, ps, 4, 8)
+	srv := New(Config{WatchBuffer: 4, ReplayEvents: 8})
+	return srv.newSession(name, planarcert.SchemePlanarity, qos.Batch, ps, persistOpts{})
 }
 
 // TestSubscriptionEviction pins the subscription cap: minting past
 // maxSubscriptions evicts the smallest (oldest) identifier.
 func TestSubscriptionEviction(t *testing.T) {
 	ms := newTestSession(t, "evict")
-	defer ms.close()
+	defer ms.shutdown(false)
 	ms.watchMu.Lock()
 	var first uint64
 	for i := 0; i < maxSubscriptions+1; i++ {
@@ -537,7 +539,7 @@ func TestSubscriptionEviction(t *testing.T) {
 // covers resets instead of replaying a hole.
 func TestRingCoverage(t *testing.T) {
 	ms := newTestSession(t, "ring")
-	defer ms.close()
+	defer ms.shutdown(false)
 	gen := ms.lastVersion
 	for i := 0; i < 12; i++ { // ringCap is 8; versions gen+1..gen+12
 		ms.broadcast(&planarcert.SessionReport{Generation: gen + uint64(i+1)})

@@ -124,7 +124,9 @@ func (n *Network) Connected() bool { return n.g.Connected() }
 func (n *Network) IDs() []NodeID { return n.g.IDs() }
 
 // Edges returns all undirected edges as identifier pairs, each with the
-// smaller identifier first, in insertion order.
+// smaller identifier first. Edges are sorted by the insertion order of
+// their endpoints: first by the endpoint added earlier, then by the one
+// added later.
 func (n *Network) Edges() [][2]NodeID {
 	out := make([][2]NodeID, 0, n.g.M())
 	for _, e := range n.g.Edges() {

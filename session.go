@@ -125,34 +125,43 @@ type Session struct {
 // and non-planarity schemes the session flips between the two when the
 // network crosses the planarity boundary (disable with WithoutFlip).
 func NewSession(n *Network, name SchemeName, cfg EngineConfig, opts ...SessionOption) (*Session, error) {
-	scheme, err := schemeByName(name)
+	dc, err := sessionConfig(name, cfg, opts)
 	if err != nil {
 		return nil, err
+	}
+	d, err := dynamic.NewSession(n.g.Clone(), dc)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{d: d}, nil
+}
+
+// sessionConfig resolves a session's scheme and options and, unless
+// WithoutFlip is given, the counterpart scheme it flips to.
+func sessionConfig(name SchemeName, cfg EngineConfig, opts []SessionOption) (dynamic.Config, error) {
+	scheme, err := schemeByName(name)
+	if err != nil {
+		return dynamic.Config{}, err
 	}
 	var o sessionOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var counterpart pls.Scheme
-	if !o.noFlip {
-		switch name {
-		case SchemePlanarity:
-			counterpart = core.NonPlanarScheme{}
-		case SchemeNonPlanarity:
-			counterpart = core.PlanarScheme{}
-		}
-	}
-	d, err := dynamic.NewSession(n.g.Clone(), dynamic.Config{
+	dc := dynamic.Config{
 		Scheme:          scheme,
-		Counterpart:     counterpart,
 		RepairThreshold: o.repairThreshold,
 		CacheSize:       o.cacheSize,
 		EngineOpts:      cfg.options(),
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &Session{d: d}, nil
+	if !o.noFlip {
+		switch name {
+		case SchemePlanarity:
+			dc.Counterpart = core.NonPlanarScheme{}
+		case SchemeNonPlanarity:
+			dc.Counterpart = core.PlanarScheme{}
+		}
+	}
+	return dc, nil
 }
 
 // SessionSnapshot is the restorable state of a Session: everything a
@@ -197,22 +206,9 @@ func (s *Session) Snapshot() *SessionSnapshot {
 // Last().Mode ("restore" vs "reprove"/"flip"/"uncertified") to see
 // which path it took.
 func RestoreSession(snap *SessionSnapshot, cfg EngineConfig, opts ...SessionOption) (*Session, error) {
-	scheme, err := schemeByName(snap.Scheme)
+	dc, err := sessionConfig(snap.Scheme, cfg, opts)
 	if err != nil {
 		return nil, err
-	}
-	var o sessionOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	var counterpart pls.Scheme
-	if !o.noFlip {
-		switch snap.Scheme {
-		case SchemePlanarity:
-			counterpart = core.NonPlanarScheme{}
-		case SchemeNonPlanarity:
-			counterpart = core.PlanarScheme{}
-		}
 	}
 	var active pls.Scheme
 	if snap.ActiveScheme != "" && snap.ActiveScheme != snap.Scheme {
@@ -221,13 +217,7 @@ func RestoreSession(snap *SessionSnapshot, cfg EngineConfig, opts ...SessionOpti
 		}
 	}
 	certs := cloneCertificates(snap.Certificates)
-	d, err := dynamic.Restore(snap.Network.g.Clone(), dynamic.Config{
-		Scheme:          scheme,
-		Counterpart:     counterpart,
-		RepairThreshold: o.repairThreshold,
-		CacheSize:       o.cacheSize,
-		EngineOpts:      cfg.options(),
-	}, active, map[NodeID]Certificate(certs), snap.Generation)
+	d, err := dynamic.Restore(snap.Network.g.Clone(), dc, active, map[NodeID]Certificate(certs), snap.Generation)
 	if err != nil {
 		return nil, err
 	}
