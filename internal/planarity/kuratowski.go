@@ -37,27 +37,64 @@ var ErrPlanarInput = errors.New("planarity: graph is planar, no Kuratowski subgr
 // inside a non-planar graph, given by its edges (indices into the original
 // graph), its branch vertices, and the subdivision paths connecting them.
 type Witness struct {
-	Kind     Kind
-	Edges    []graph.Edge
-	Branch   []int   // 5 branch vertices for K5; 6 (3+3) for K3,3
-	Paths    [][]int // one vertex path per branch edge, endpoints included
-	Vertices []int   // all vertices participating in the subdivision
+	Kind   Kind
+	Edges  []graph.Edge
+	Branch []int   // 5 branch vertices for K5; 6 (3+3) for K3,3
+	Paths  [][]int // one vertex path per branch edge, endpoints included
 }
 
 // Kuratowski extracts a Kuratowski witness from a non-planar graph by
-// edge minimalization: edges are deleted one at a time while the graph
-// stays non-planar; the edge-minimal non-planar subgraph that remains is
-// exactly a subdivision of K5 or K3,3 (Kuratowski's theorem). The cost is
-// O(m) planarity tests, i.e. O(m^2) time.
+// block deletion over one masked LR tester. Walking the edges in sorted
+// order, it removes the next step edges. If the graph stays non-planar the
+// removal is committed and step doubles. Otherwise the block holds an edge
+// essential to non-planarity: a binary search over prefixes of the block,
+// committing each removal that keeps the graph non-planar, finds the first
+// one, which is kept, and step restarts at 1. Each kept edge's removal
+// made a supergraph of the final graph planar, and every subgraph of a
+// planar graph is planar, so the final graph is edge-minimal non-planar:
+// exactly a subdivision of K5 or K3,3 (Kuratowski's theorem). A k-edge
+// witness costs O(k log m) LR tests of O(n+m) time each, with no
+// allocation per test.
 func Kuratowski(g *graph.Graph) (*Witness, error) {
-	if IsPlanar(g) {
+	st := newLR(g)
+	planar, err := st.planar()
+	if err != nil {
+		return nil, err
+	}
+	if planar {
 		return nil, ErrPlanarInput
 	}
-	work := g.Clone()
-	for _, e := range g.Edges() {
-		work.RemoveEdge(e.U, e.V)
-		if IsPlanar(work) {
-			work.MustAddEdge(e.U, e.V) // e is essential for non-planarity
+	for lo, step := 0, 1; lo < st.m; {
+		hi := min(lo+step, st.m)
+		removed, err := st.drop(lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		if removed {
+			lo, step = hi, 2*step
+			continue
+		}
+		// Removing [lo, hi) makes the graph planar, and stays so after
+		// committing any prefix of it: search for the first essential edge.
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			removed, err := st.drop(lo, mid)
+			if err != nil {
+				return nil, err
+			}
+			if removed {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		// Edge lo is essential: keep it and restart the block size.
+		lo, step = hi, 1
+	}
+	work := graph.NewWithNodes(g.N())
+	for ei, e := range st.elist {
+		if st.alive[ei] {
+			work.MustAddEdge(e.U, e.V)
 		}
 	}
 	return classifyMinimal(work)
@@ -138,15 +175,6 @@ func classifyMinimal(work *graph.Graph) (*Witness, error) {
 	}
 	if len(w.Paths) != wantPaths {
 		return nil, fmt.Errorf("%w: %d subdivision paths for %v", ErrInternal, len(w.Paths), w.Kind)
-	}
-	vset := make(map[int]bool)
-	for _, p := range w.Paths {
-		for _, v := range p {
-			vset[v] = true
-		}
-	}
-	for v := range vset {
-		w.Vertices = append(w.Vertices, v)
 	}
 	if err := w.verify(work); err != nil {
 		return nil, err

@@ -15,7 +15,6 @@ package planarity
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/planarcert/planarcert/internal/embedding"
 	"github.com/planarcert/planarcert/internal/graph"
@@ -45,18 +44,28 @@ func emptyInterval() interval { return interval{low: none, high: none} }
 
 func (p *conflictPair) swap() { p.l, p.r = p.r, p.l }
 
-// lr holds the whole algorithm state. Edges are identified by the index of
-// the undirected edge in a fixed ordering; each edge is oriented during the
-// orientation DFS.
-type lr struct {
-	g *graph.Graph
-	n int
-	m int
+// halfEdge is one endpoint's view of an edge: the neighbour it leads to
+// and the edge id.
+type halfEdge struct {
+	to, edge int32
+}
 
-	eid   map[graph.Edge]int32 // undirected edge -> edge id
-	elist []graph.Edge         // edge id -> undirected edge
-	from  []int32              // edge id -> tail after orientation (none if unoriented)
-	to    []int32              // edge id -> head after orientation
+// lr holds the whole algorithm state. Edges are numbered in sorted (U,V)
+// order; vertex v's half-edges are adj[adjStart[v]:adjStart[v+1]], in the
+// graph's adjacency order. The alive mask takes edges out of the tested
+// graph, so one lr tests many subgraphs of g, each in O(n+m) time and
+// without allocating.
+type lr struct {
+	n    int
+	m    int
+	live int // number of alive edges
+
+	elist    []graph.Edge // edge id -> undirected edge
+	alive    []bool       // edge id -> part of the tested graph
+	adjStart []int32      // vertex -> offset of its half-edges in adj
+	adj      []halfEdge
+	from     []int32 // edge id -> tail after orientation (none if unoriented)
+	to       []int32 // edge id -> head after orientation
 
 	height     []int32 // vertex -> DFS height (none = unvisited)
 	parentEdge []int32 // vertex -> incoming tree edge id (none at roots)
@@ -70,10 +79,16 @@ type lr struct {
 	lowptE   []int32 // lowpt_edge
 	stackBot []int32 // per-edge stack height snapshot
 
-	outAdj [][]int32 // vertex -> outgoing edge ids, sorted by nesting depth
+	// Oriented edge ids grouped by tail, each group sorted by nesting
+	// depth: vertex v's outgoing edges are out[outStart[v]:outStart[v+1]].
+	outStart []int32
+	out      []int32
+	byDepth  []int32 // counting-sort scratch
+	count    []int32 // counting-sort buckets
 
-	s   []conflictPair
-	err error // internal invariant violation, if any
+	s     []conflictPair
+	chain []int32 // resolveSign scratch
+	err   error   // internal invariant violation, if any
 }
 
 // Check tests g for planarity. If planar it returns (true, rotation, nil)
@@ -86,13 +101,8 @@ func Check(g *graph.Graph) (bool, *embedding.Rotation, error) {
 		return false, nil, nil // Euler bound: too many edges to be planar
 	}
 	st := newLR(g)
-	st.orient()
-	planar := st.test()
-	if st.err != nil {
-		return false, nil, st.err
-	}
-	if !planar {
-		return false, nil, nil
+	if planar, err := st.planar(); !planar || err != nil {
+		return false, nil, err
 	}
 	rot, err := st.embed()
 	if err != nil {
@@ -107,13 +117,31 @@ func IsPlanar(g *graph.Graph) bool {
 	return ok
 }
 
+// newLR builds the half-edge lists of g in O(n+m), with every edge alive.
 func newLR(g *graph.Graph) *lr {
-	n, m := g.N(), g.M()
+	n := g.N()
+	// first[u] is the id of u's first edge {u, w > u}.
+	adjStart := make([]int32, n+1)
+	first := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		adjStart[u+1] = adjStart[u] + int32(g.Degree(u))
+		up := int32(0)
+		for _, w := range g.Neighbors(u) {
+			if w > u {
+				up++
+			}
+		}
+		first[u+1] = first[u] + up
+	}
+	m := int(first[n])
 	st := &lr{
-		g:          g,
 		n:          n,
 		m:          m,
-		eid:        make(map[graph.Edge]int32, m),
+		live:       m,
+		elist:      make([]graph.Edge, m),
+		alive:      make([]bool, m),
+		adjStart:   adjStart,
+		adj:        make([]halfEdge, 2*m),
 		from:       make([]int32, m),
 		to:         make([]int32, m),
 		height:     make([]int32, n),
@@ -125,27 +153,96 @@ func newLR(g *graph.Graph) *lr {
 		side:       make([]int8, m),
 		lowptE:     make([]int32, m),
 		stackBot:   make([]int32, m),
-		outAdj:     make([][]int32, n),
+		outStart:   make([]int32, n+1),
+		out:        make([]int32, m),
+		byDepth:    make([]int32, m),
+		count:      make([]int32, 4*n+1),
 	}
-	st.elist = g.Edges()
-	for i, e := range st.elist {
-		st.eid[e] = int32(i)
+	// Visiting v in ascending order fills each u's id range with its
+	// higher neighbours in ascending order: the sorted edge numbering.
+	fill := st.count[:n]
+	copy(fill, first[:n])
+	for v := 0; v < n; v++ {
+		for i, u := range g.Neighbors(v) {
+			if u < v {
+				id := fill[u]
+				fill[u]++
+				st.elist[id] = graph.Edge{U: u, V: v}
+				st.adj[adjStart[v]+int32(i)] = halfEdge{to: int32(u), edge: id}
+			}
+		}
 	}
-	for i := 0; i < m; i++ {
+	// The half-edges {u -> w > u}: find each higher neighbour's slot in
+	// u's list, then walk u's id range.
+	pos := fill
+	for u := 0; u < n; u++ {
+		for i, w := range g.Neighbors(u) {
+			if w > u {
+				pos[w] = int32(i)
+			}
+		}
+		for id := first[u]; id < first[u+1]; id++ {
+			w := st.elist[id].V
+			st.adj[adjStart[u]+pos[w]] = halfEdge{to: int32(w), edge: id}
+		}
+	}
+	for i := range st.alive {
+		st.alive[i] = true
+	}
+	return st
+}
+
+// setAlive puts the edges with ids in [lo, hi), all currently in the
+// other state, into the tested graph or takes them out of it.
+func (st *lr) setAlive(lo, hi int, alive bool) {
+	for ei := lo; ei < hi; ei++ {
+		st.alive[ei] = alive
+	}
+	if alive {
+		st.live += hi - lo
+	} else {
+		st.live -= hi - lo
+	}
+}
+
+// drop takes the alive edges [lo, hi) out of the tested graph and reports
+// whether it stays non-planar. If it does not, the edges are put back.
+func (st *lr) drop(lo, hi int) (bool, error) {
+	st.setAlive(lo, hi, false)
+	planar, err := st.planar()
+	if planar {
+		st.setAlive(lo, hi, true)
+	}
+	return !planar && err == nil, err
+}
+
+// planar runs the orientation and testing phases on the alive edges. It
+// may be called again after changing the mask; every run starts from a
+// clean state.
+func (st *lr) planar() (bool, error) {
+	if st.n > 2 && st.live > 3*st.n-6 {
+		return false, nil // Euler bound
+	}
+	for i := 0; i < st.m; i++ {
 		st.from[i] = none
 		st.to[i] = none
 		st.ref[i] = none
 		st.side[i] = 1
 		st.lowptE[i] = none
 	}
-	for v := 0; v < n; v++ {
+	for v := 0; v < st.n; v++ {
 		st.height[v] = none
 		st.parentEdge[v] = none
 	}
-	return st
+	st.roots = st.roots[:0]
+	st.s = st.s[:0]
+	st.orient()
+	planar := st.test()
+	if st.err != nil {
+		return false, st.err
+	}
+	return planar, nil
 }
-
-func (st *lr) edgeID(u, v int) int32 { return st.eid[graph.NewEdge(u, v)] }
 
 // orient runs the orientation DFS (phase 1): it orients every edge, builds
 // the DFS forest, and computes lowpt, lowpt2 and nesting depth per edge.
@@ -161,19 +258,19 @@ func (st *lr) orient() {
 
 func (st *lr) dfs1(v int32) {
 	e := st.parentEdge[v]
-	for _, w := range st.g.Neighbors(int(v)) {
-		ei := st.edgeID(int(v), w)
-		if st.from[ei] != none {
-			continue // already oriented (from the other side, or parent)
+	for _, h := range st.adj[st.adjStart[v]:st.adjStart[v+1]] {
+		ei, w := h.edge, h.to
+		if !st.alive[ei] || st.from[ei] != none {
+			continue // masked out, or already oriented (from the other side, or parent)
 		}
 		st.from[ei] = v
-		st.to[ei] = int32(w)
+		st.to[ei] = w
 		st.lowpt[ei] = st.height[v]
 		st.lowpt2[ei] = st.height[v]
 		if st.height[w] == none { // tree edge
 			st.parentEdge[w] = ei
 			st.height[w] = st.height[v] + 1
-			st.dfs1(int32(w))
+			st.dfs1(w)
 		} else { // back edge
 			st.lowpt[ei] = st.height[w]
 		}
@@ -197,22 +294,53 @@ func (st *lr) dfs1(v int32) {
 	}
 }
 
-// sortOutgoing (re)builds outAdj sorted by the current nesting depths.
+// sortOutgoing (re)builds the outgoing lists sorted by the current
+// nesting depths, ties in edge-id order: a stable counting sort by depth,
+// then a stable counting sort by tail. Depths lie in (-2n, 2n), so both
+// passes are O(n+m).
 func (st *lr) sortOutgoing() {
-	for v := range st.outAdj {
-		st.outAdj[v] = st.outAdj[v][:0]
-	}
+	off := int32(2 * st.n)
+	count := st.count
+	clear(count)
+	k := 0
 	for ei := 0; ei < st.m; ei++ {
 		if st.from[ei] != none {
-			st.outAdj[st.from[ei]] = append(st.outAdj[st.from[ei]], int32(ei))
+			count[st.nesting[ei]+off]++
+			k++
 		}
 	}
-	for v := range st.outAdj {
-		adj := st.outAdj[v]
-		sort.SliceStable(adj, func(i, j int) bool {
-			return st.nesting[adj[i]] < st.nesting[adj[j]]
-		})
+	sum := int32(0)
+	for i, c := range count {
+		count[i] = sum
+		sum += c
 	}
+	byDepth := st.byDepth[:k]
+	for ei := 0; ei < st.m; ei++ {
+		if st.from[ei] != none {
+			d := st.nesting[ei] + off
+			byDepth[count[d]] = int32(ei)
+			count[d]++
+		}
+	}
+	clear(st.outStart)
+	for _, ei := range byDepth {
+		st.outStart[st.from[ei]+1]++
+	}
+	for v := 0; v < st.n; v++ {
+		st.outStart[v+1] += st.outStart[v]
+	}
+	fill := count[:st.n]
+	copy(fill, st.outStart[:st.n])
+	for _, ei := range byDepth {
+		v := st.from[ei]
+		st.out[fill[v]] = ei
+		fill[v]++
+	}
+}
+
+// outgoing returns v's oriented edges in nesting-depth order.
+func (st *lr) outgoing(v int32) []int32 {
+	return st.out[st.outStart[v]:st.outStart[v+1]]
 }
 
 // test runs the testing DFS (phase 2) and reports planarity.
@@ -254,7 +382,7 @@ func (st *lr) lowest(p conflictPair) int32 {
 
 func (st *lr) dfs2(v int32) bool {
 	e := st.parentEdge[v]
-	for idx, ei := range st.outAdj[v] {
+	for idx, ei := range st.outgoing(v) {
 		st.stackBot[ei] = int32(len(st.s))
 		if st.parentEdge[st.to[ei]] == ei { // tree edge
 			if !st.dfs2(st.to[ei]) {
@@ -390,12 +518,13 @@ func (st *lr) trimBackEdges(u int32) {
 // resolveSign resolves side(e) through the ref chain, memoising results.
 func (st *lr) resolveSign(e int32) int8 {
 	// Iterative resolution to avoid deep recursion on ref chains.
-	var chain []int32
+	chain := st.chain[:0]
 	x := e
 	for st.ref[x] != none {
 		chain = append(chain, x)
 		x = st.ref[x]
 	}
+	st.chain = chain
 	s := st.side[x]
 	for i := len(chain) - 1; i >= 0; i-- {
 		st.side[chain[i]] *= s
@@ -405,17 +534,16 @@ func (st *lr) resolveSign(e int32) int8 {
 	return s
 }
 
-// halfEdgeID maps the directed edge (u,v) to its half-edge id in [0, 2m).
-func (st *lr) halfEdgeID(u, v int32) int32 {
-	ei := st.edgeID(int(u), int(v))
-	if graph.NewEdge(int(u), int(v)).U == int(u) {
+// half returns the half-edge id in [0, 2m) of edge ei leaving tail.
+func (st *lr) half(ei, tail int32) int32 {
+	if st.elist[ei].U == int(tail) {
 		return 2 * ei
 	}
 	return 2*ei + 1
 }
 
-// rotationBuilder is a set of circular doubly-linked half-edge lists, one
-// per vertex, supporting O(1) insertion relative to a reference neighbor.
+// rotationBuilder is a set of doubly-linked half-edge lists, one per
+// vertex, supporting O(1) insertion relative to a reference half-edge.
 type rotationBuilder struct {
 	st    *lr
 	next  []int32 // half-edge -> next half-edge in rotation of its tail
@@ -445,9 +573,8 @@ func newRotationBuilder(st *lr) *rotationBuilder {
 	return b
 }
 
-// append adds (v,w) at the end of v's list.
-func (b *rotationBuilder) append(v, w int32) {
-	he := b.st.halfEdgeID(v, w)
+// append adds half-edge he at the end of v's list.
+func (b *rotationBuilder) append(v, he int32) {
 	if b.first[v] == none {
 		b.first[v] = he
 		b.last[v] = he
@@ -459,9 +586,8 @@ func (b *rotationBuilder) append(v, w int32) {
 	b.count[v]++
 }
 
-// prependFirst adds (v,w) at the front of v's list.
-func (b *rotationBuilder) prependFirst(v, w int32) {
-	he := b.st.halfEdgeID(v, w)
+// prependFirst adds half-edge he at the front of v's list.
+func (b *rotationBuilder) prependFirst(v, he int32) {
 	if b.first[v] == none {
 		b.first[v] = he
 		b.last[v] = he
@@ -473,10 +599,8 @@ func (b *rotationBuilder) prependFirst(v, w int32) {
 	b.count[v]++
 }
 
-// insertAfter inserts (v,w) immediately after (v,ref) in v's list.
-func (b *rotationBuilder) insertAfter(v, w, ref int32) {
-	he := b.st.halfEdgeID(v, w)
-	rhe := b.st.halfEdgeID(v, ref)
+// insertAfter inserts half-edge he immediately after rhe in v's list.
+func (b *rotationBuilder) insertAfter(v, he, rhe int32) {
 	nxt := b.next[rhe]
 	b.next[rhe] = he
 	b.prev[he] = rhe
@@ -489,10 +613,8 @@ func (b *rotationBuilder) insertAfter(v, w, ref int32) {
 	b.count[v]++
 }
 
-// insertBefore inserts (v,w) immediately before (v,ref) in v's list.
-func (b *rotationBuilder) insertBefore(v, w, ref int32) {
-	he := b.st.halfEdgeID(v, w)
-	rhe := b.st.halfEdgeID(v, ref)
+// insertBefore inserts half-edge he immediately before rhe in v's list.
+func (b *rotationBuilder) insertBefore(v, he, rhe int32) {
 	prv := b.prev[rhe]
 	b.prev[rhe] = he
 	b.next[he] = rhe
@@ -505,18 +627,21 @@ func (b *rotationBuilder) insertBefore(v, w, ref int32) {
 	b.count[v]++
 }
 
-// build materialises the linked lists into a Rotation.
+// build materialises the linked lists into a Rotation. It expects every
+// edge to be alive.
 func (b *rotationBuilder) build() (*embedding.Rotation, error) {
-	rot := embedding.NewRotation(b.st.n)
-	for v := 0; v < b.st.n; v++ {
-		deg := b.st.g.Degree(v)
-		if int(b.count[v]) != deg {
+	st := b.st
+	rot := embedding.NewRotation(st.n)
+	slab := make([]int, 2*st.m)
+	for v := 0; v < st.n; v++ {
+		lo, hi := st.adjStart[v], st.adjStart[v+1]
+		if b.count[v] != hi-lo {
 			return nil, fmt.Errorf("%w: vertex %d has %d half-edges, degree %d",
-				ErrInternal, v, b.count[v], deg)
+				ErrInternal, v, b.count[v], hi-lo)
 		}
-		order := make([]int, 0, deg)
+		order := slab[lo:lo:hi]
 		for he := b.first[v]; he != none; he = b.next[he] {
-			e := b.st.elist[he/2]
+			e := st.elist[he/2]
 			tail := e.U
 			if he%2 == 1 {
 				tail = e.V
@@ -533,7 +658,7 @@ func (b *rotationBuilder) build() (*embedding.Rotation, error) {
 }
 
 // embed runs the embedding phase (phase 3) and returns a planar rotation
-// system for g.
+// system for g. It expects every edge to be alive.
 func (st *lr) embed() (*embedding.Rotation, error) {
 	// Resolve sides and fold them into the nesting depths.
 	for ei := 0; ei < st.m; ei++ {
@@ -546,11 +671,12 @@ func (st *lr) embed() (*embedding.Rotation, error) {
 
 	b := newRotationBuilder(st)
 	// Place outgoing half-edges of every vertex in signed nesting order.
-	for v := 0; v < st.n; v++ {
-		for _, ei := range st.outAdj[v] {
-			b.append(int32(v), st.to[ei])
+	for v := int32(0); v < int32(st.n); v++ {
+		for _, ei := range st.outgoing(v) {
+			b.append(v, st.half(ei, v))
 		}
 	}
+	// leftRef/rightRef hold half-edges leaving their vertex.
 	leftRef := make([]int32, st.n)
 	rightRef := make([]int32, st.n)
 	for i := range leftRef {
@@ -566,12 +692,12 @@ func (st *lr) embed() (*embedding.Rotation, error) {
 }
 
 func (st *lr) dfs3(v int32, b *rotationBuilder, leftRef, rightRef []int32) error {
-	for _, ei := range st.outAdj[v] {
+	for _, ei := range st.outgoing(v) {
 		w := st.to[ei]
 		if st.parentEdge[w] == ei { // tree edge: place (w -> v) first at w
-			b.prependFirst(w, v)
-			leftRef[v] = w
-			rightRef[v] = w
+			b.prependFirst(w, st.half(ei, w))
+			leftRef[v] = st.half(ei, v)
+			rightRef[v] = leftRef[v]
 			if err := st.dfs3(w, b, leftRef, rightRef); err != nil {
 				return err
 			}
@@ -580,11 +706,12 @@ func (st *lr) dfs3(v int32, b *rotationBuilder, leftRef, rightRef []int32) error
 				return fmt.Errorf("%w: back edge (%d,%d) before any tree edge at %d",
 					ErrInternal, v, w, w)
 			}
+			he := st.half(ei, w)
 			if st.side[ei] == 1 {
-				b.insertAfter(w, v, rightRef[w])
+				b.insertAfter(w, he, rightRef[w])
 			} else {
-				b.insertBefore(w, v, leftRef[w])
-				leftRef[w] = v
+				b.insertBefore(w, he, leftRef[w])
+				leftRef[w] = he
 			}
 		}
 	}
