@@ -2,6 +2,7 @@ package planarcert_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -47,6 +48,11 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			"Recovery/n=50000/replay",
 			"Recovery/n=50000/crash_replay",
 			"Recovery/n=50000/reprove",
+		},
+		"BENCH_prover.json": {
+			"BenchmarkE7Prover/n=1024",
+			"BenchmarkE7Prover/n=16384",
+			"BenchmarkE7Prover/n=131072",
 		},
 		"BENCH_nonplanar.json": {
 			"BenchmarkKuratowski/n=200",
@@ -250,6 +256,36 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	}
 	if kur2000 == 0 || kur2000 >= 1e9 {
 		t.Fatalf("BENCH_nonplanar.json: BenchmarkKuratowski/n=2000 at %d ns/op, bar is under 1e9", kur2000)
+	}
+
+	// The acceptance bars of the index-addressed prover: n=16384 under
+	// 1.8e8 ns/op (the map- and sort-based prover took ~4e8 on the same
+	// machine) and at most 4 allocations per node at every size (it spent
+	// ~27.5).
+	raw, err = os.ReadFile("BENCH_prover.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prover snapshot
+	if err := json.Unmarshal(raw, &prover); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{1024, 16384, 131072} {
+		name := fmt.Sprintf("BenchmarkE7Prover/n=%d", n)
+		var e *entry
+		for i := range prover.Benchmarks {
+			if prover.Benchmarks[i].Name == name {
+				e = &prover.Benchmarks[i]
+			}
+		}
+		switch {
+		case e == nil:
+			t.Fatalf("BENCH_prover.json: missing %s", name)
+		case e.AllocsPerOp <= 0 || float64(e.AllocsPerOp)/float64(n) > 4:
+			t.Fatalf("BENCH_prover.json: %s spends %d allocs/op, bar is 4 per node (%d)", name, e.AllocsPerOp, 4*n)
+		case n == 16384 && e.NsPerOp >= 1.8e8:
+			t.Fatalf("BENCH_prover.json: %s at %d ns/op, bar is under 1.8e8", name, e.NsPerOp)
+		}
 	}
 
 	// The acceptance bars of the observability layer: tracing every

@@ -154,9 +154,11 @@ func BenchmarkE6Soundness(b *testing.B) {
 	}
 }
 
-// BenchmarkE7Prover isolates the prover.
+// BenchmarkE7Prover isolates the prover: planarcert.Certify on a stacked
+// triangulation, from the LR test to the defensive copy of the encoded
+// certificates. BENCH_prover.json records it with -benchmem.
 func BenchmarkE7Prover(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096, 16384} {
+	for _, n := range []int{1024, 16384, 131072} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			g := gen.StackedTriangulation(n, rng)

@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	mbits "math/bits"
+	"slices"
 )
 
 // ErrOutOfRange is returned when a value does not fit the declared width.
@@ -23,6 +25,10 @@ var ErrOutOfRange = errors.New("bits: value out of range")
 var ErrShortRead = errors.New("bits: read past end of stream")
 
 // Writer accumulates a bit stream. The zero value is ready to use.
+//
+// Invariant: the bytes of buf past its length, up to its capacity, are
+// zero. WriteUint relies on it to OR a field into an 8-byte window that
+// may reach past the stream's end.
 type Writer struct {
 	buf  []byte
 	nbit int
@@ -31,10 +37,11 @@ type Writer struct {
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbit }
 
-// Reset empties the writer for reuse, keeping the underlying buffer so
-// a pooled encoder (e.g. internal/wire's frame codec) does not allocate
-// per message.
+// Reset empties the writer for reuse, keeping (and zeroing) the
+// underlying buffer so a pooled encoder (e.g. internal/wire's frame
+// codec) does not allocate per message.
 func (w *Writer) Reset() {
+	clear(w.buf)
 	w.buf = w.buf[:0]
 	w.nbit = 0
 }
@@ -63,7 +70,11 @@ func (w *Writer) WriteBit(b bool) {
 }
 
 // WriteUint appends v in exactly width bits (MSB first). It fails if v
-// needs more than width bits or width is not in [0, 64].
+// needs more than width bits or width is not in [0, 64]. When the field
+// fits one 8-byte window of the buffer's capacity it is ORed in with a
+// single load and store (the zero tail keeps the bits past the field
+// clear); otherwise the buffer grows, with an 8-byte margin so the next
+// fields take the window path, and the field goes a byte at a time.
 func (w *Writer) WriteUint(v uint64, width int) error {
 	if width < 0 || width > 64 {
 		return fmt.Errorf("%w: width %d", ErrOutOfRange, width)
@@ -71,8 +82,27 @@ func (w *Writer) WriteUint(v uint64, width int) error {
 	if width < 64 && v>>uint(width) != 0 {
 		return fmt.Errorf("%w: %d does not fit in %d bits", ErrOutOfRange, v, width)
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v>>uint(i)&1 == 1)
+	pos, end := w.nbit, w.nbit+width
+	need := (end + 7) >> 3
+	w.nbit = end
+	if idx, off := pos>>3, pos&7; off+width <= 64 && idx+8 <= cap(w.buf) {
+		win := w.buf[idx : idx+8]
+		binary.BigEndian.PutUint64(win, binary.BigEndian.Uint64(win)|v<<uint(64-off-width))
+		if need > len(w.buf) {
+			w.buf = w.buf[:need]
+		}
+		return nil
+	}
+	if need > len(w.buf) {
+		w.buf = slices.Grow(w.buf, need+8-len(w.buf))[:need]
+	}
+	for rem := width; rem > 0; {
+		room := 8 - pos&7
+		take := min(room, rem)
+		chunk := byte(v>>uint(rem-take)) & byte(1<<uint(take)-1)
+		w.buf[pos>>3] |= chunk << uint(room-take)
+		pos += take
+		rem -= take
 	}
 	return nil
 }
@@ -87,9 +117,13 @@ func (w *Writer) WriteInt(v, lo int64, width int) error {
 }
 
 // WriteVar appends v using a 6-bit length prefix followed by that many
-// bits of payload. Cost: 6 + bitlen(v) bits — O(log v).
+// bits of payload. Cost: 6 + bitLen(v) bits — O(log v). Prefix and
+// payload go out as one field when they fit a 64-bit word.
 func (w *Writer) WriteVar(v uint64) error {
 	n := bitLen(v)
+	if n <= 58 {
+		return w.WriteUint(uint64(n)<<uint(n)|v, 6+n)
+	}
 	if err := w.WriteUint(uint64(n), 6); err != nil {
 		return err
 	}
@@ -211,14 +245,7 @@ func (r *Reader) ReadVarInt() (int64, error) {
 }
 
 // bitLen returns the minimal number of bits to represent v (0 -> 0).
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
+func bitLen(v uint64) int { return mbits.Len64(v) }
 
 // WidthFor returns the number of bits needed to represent values in
 // [0, maxVal] — the fixed width both prover and verifier derive from a

@@ -1,7 +1,10 @@
 package bits
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -197,4 +200,71 @@ func TestLenCountsBits(t *testing.T) {
 	if c.Size() != 13 {
 		t.Fatalf("Size = %d", c.Size())
 	}
+}
+
+// refWriteUint is the bit-at-a-time writer WriteUint replaced, kept as
+// the reference its byte-chunked loop must reproduce.
+func refWriteUint(w *Writer, v uint64, width int) error {
+	if width < 0 || width > 64 {
+		return fmt.Errorf("%w: width %d", ErrOutOfRange, width)
+	}
+	if width < 64 && v>>uint(width) != 0 {
+		return fmt.Errorf("%w: %d does not fit in %d bits", ErrOutOfRange, v, width)
+	}
+	for i := width - 1; i >= 0; i-- {
+		w.WriteBit(v>>uint(i)&1 == 1)
+	}
+	return nil
+}
+
+// refWriteVar is the two-field WriteVar on top of refWriteUint.
+func refWriteVar(w *Writer, v uint64) error {
+	n := 0
+	for x := v; x != 0; x >>= 1 {
+		n++
+	}
+	if err := refWriteUint(w, uint64(n), 6); err != nil {
+		return err
+	}
+	return refWriteUint(w, v, n)
+}
+
+// FuzzWriteUint drives WriteUint/WriteVar and the bit-at-a-time
+// reference with the same (value, width) sequence and requires the same
+// bytes, the same Len and the same out-of-range failures after every
+// call. Each 10-byte record is: op, width, 8 value bytes; op bit 0
+// selects WriteVar, bit 1 masks the value to the width (so most fixed
+// fields fit), bit 2 resets both writers first.
+func FuzzWriteUint(f *testing.F) {
+	f.Add([]byte{2, 5, 0, 0, 0, 0, 0, 0, 0, 17, 2, 64, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Add([]byte{1, 0, 128, 0, 0, 0, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0, 0, 0, 8})
+	f.Add([]byte{0, 65, 0, 0, 0, 0, 0, 0, 0, 1, 6, 200, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want Writer
+		for len(data) >= 10 {
+			op, width := data[0], int(int8(data[1]))
+			v := binary.BigEndian.Uint64(data[2:10])
+			data = data[10:]
+			if op&4 != 0 {
+				got.Reset()
+				want.Reset()
+			}
+			if op&2 != 0 && width >= 0 && width < 64 {
+				v &= 1<<uint(width) - 1
+			}
+			var gerr, werr error
+			if op&1 != 0 {
+				gerr, werr = got.WriteVar(v), refWriteVar(&want, v)
+			} else {
+				gerr, werr = got.WriteUint(v, width), refWriteUint(&want, v, width)
+			}
+			if (gerr == nil) != (werr == nil) || (gerr != nil && (!errors.Is(gerr, ErrOutOfRange) || gerr.Error() != werr.Error())) {
+				t.Fatalf("op %d width %d value %d: error %v, reference %v", op, width, v, gerr, werr)
+			}
+			if got.Len() != want.Len() || !bytes.Equal(got.Raw(), want.Raw()) {
+				t.Fatalf("op %d width %d value %d: %d bits %x, reference %d bits %x",
+					op, width, v, got.Len(), got.Raw(), want.Len(), want.Raw())
+			}
+		}
+	})
 }

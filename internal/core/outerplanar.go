@@ -35,6 +35,16 @@ func (OuterplanarScheme) Name() string { return "outerplanarity" }
 // the root's order so that the DFS boundary corner sits where the apex
 // was — i.e. on the face that contained all vertices.
 func outerplanarTransform(g *graph.Graph) (*Transform, error) {
+	rot, root, err := outerplanarRotation(g)
+	if err != nil {
+		return nil, err
+	}
+	return BuildTransform(g, rot, root)
+}
+
+// outerplanarRotation returns the apex-free rotation system and root
+// outerplanarTransform cuts along.
+func outerplanarRotation(g *graph.Graph) (*embedding.Rotation, int, error) {
 	n := g.N()
 	apex := g.Clone()
 	maxID := graph.ID(0)
@@ -49,13 +59,13 @@ func outerplanarTransform(g *graph.Graph) (*Transform, error) {
 	}
 	ok, rotApex, err := planarity.Check(apex)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("core: graph is not outerplanar")
+		return nil, 0, fmt.Errorf("core: graph is not outerplanar")
 	}
 	if planar, err := rotApex.IsPlanar(apex); err != nil || !planar {
-		return nil, fmt.Errorf("core: apex embedding failed audit: %v", err)
+		return nil, 0, fmt.Errorf("core: apex embedding failed audit: %v", err)
 	}
 	// Remove the apex from every rotation; remember where it was so the
 	// root's boundary corner can take its place.
@@ -72,7 +82,7 @@ func outerplanarTransform(g *graph.Graph) (*Transform, error) {
 			order = append(order, w)
 		}
 		if pos < 0 {
-			return nil, fmt.Errorf("core: apex missing from rotation of %d", v)
+			return nil, 0, fmt.Errorf("core: apex missing from rotation of %d", v)
 		}
 		if v == root {
 			// Start the root's rotation right after the apex slot: the DFS
@@ -91,7 +101,7 @@ func outerplanarTransform(g *graph.Graph) (*Transform, error) {
 		}
 		rot.Order[v] = order
 	}
-	return BuildTransform(g, rot, root)
+	return rot, root, nil
 }
 
 // Prove implements pls.Scheme.
@@ -121,7 +131,11 @@ func (OuterplanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, e
 			return nil, fmt.Errorf("core: vertex %d has no outer-face copy (internal error)", v)
 		}
 	}
-	return proveFromTransform(g, tr)
+	p, err := proveFromTransform(g, tr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.Certs, nil
 }
 
 // Verify implements pls.Scheme: Algorithm 2 plus the sentinel-copy check.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/planarcert/planarcert/internal/graph"
 )
@@ -44,33 +43,59 @@ var ErrCrossing = errors.New("core: crossing edges, ordering is not a path-outer
 // {i, i+1} need not be included; they never cover anything strictly).
 // It runs a left-to-right sweep with a stack of open edges; if two edges
 // cross, it returns ErrCrossing — so it doubles as the witness validity
-// check. Complexity O((n + m) log m).
+// check. Complexity O(n + m).
+//
+// The edges starting at each rank are bucketed (one CSR array, filled by
+// descending end so the innermost lands on top) instead of sorted. The
+// push check keeps the ends on the stack non-increasing towards the top,
+// and every edge ending at x is on top when the sweep reaches x, so after
+// popping them only the top can still end at or before x: checking the
+// top is the whole stale-edge check.
 func ComputeIntervals(n int, edges []graph.Edge) ([]Interval, error) {
-	// startsAt[a] lists the edges {a,b}, sorted by decreasing b so that the
-	// innermost ends up on top of the stack.
-	startsAt := make([][]int, n+2)
-	for x, e := range edges {
+	for _, e := range edges {
 		if e.U < 1 || e.V > n || e.U >= e.V {
 			return nil, fmt.Errorf("core: edge %v outside rank range [1,%d]", e, n)
 		}
-		startsAt[e.U] = append(startsAt[e.U], x)
 	}
-	for a := range startsAt {
-		sort.Slice(startsAt[a], func(i, j int) bool {
-			return edges[startsAt[a][i]].V > edges[startsAt[a][j]].V
-		})
+	// byEnd: edge indices grouped by descending end; startsAt: those
+	// indices regrouped by start, keeping the descending ends per start.
+	off := make([]int32, n+2)
+	for _, e := range edges {
+		off[e.V]++
 	}
+	for b, sum := n, int32(0); b >= 0; b-- {
+		sum, off[b] = sum+off[b], sum
+	}
+	byEnd := make([]int32, 2*len(edges))
+	startsAt, byEnd := byEnd[len(edges):], byEnd[:len(edges)]
+	for x, e := range edges {
+		byEnd[off[e.V]] = int32(x)
+		off[e.V]++
+	}
+	clear(off)
+	for _, e := range edges {
+		off[e.U+1]++
+	}
+	for a := 1; a <= n+1; a++ {
+		off[a] += off[a-1]
+	}
+	for _, x := range byEnd {
+		u := edges[x].U
+		startsAt[off[u]] = x
+		off[u]++
+	}
+	// off[a] is now the end of rank a's run, i.e. the start of a+1's.
 	intervals := make([]Interval, n+1)
-	stack := make([]int, 0, len(edges))
+	stack := make([]int32, 0, len(edges))
 	for x := 1; x <= n; x++ {
 		// Close edges ending at x. Non-crossing families keep all of them
 		// on top of the stack.
 		for len(stack) > 0 && edges[stack[len(stack)-1]].V == x {
 			stack = stack[:len(stack)-1]
 		}
-		for _, ei := range stack {
-			if edges[ei].V <= x {
-				return nil, fmt.Errorf("%w: edge %v still open at %d", ErrCrossing, edges[ei], x)
+		if len(stack) > 0 {
+			if top := edges[stack[len(stack)-1]]; top.V <= x {
+				return nil, fmt.Errorf("%w: edge %v still open at %d", ErrCrossing, top, x)
 			}
 		}
 		// The innermost open edge strictly covers x (it was opened at some
@@ -82,7 +107,7 @@ func ComputeIntervals(n int, edges []graph.Edge) ([]Interval, error) {
 			intervals[x] = Sentinel(n)
 		}
 		// Open edges starting at x (outermost first).
-		for _, ei := range startsAt[x] {
+		for _, ei := range startsAt[off[x-1]:off[x]] {
 			// Nesting discipline: a new edge must close no later than the
 			// current innermost open edge.
 			if len(stack) > 0 && edges[ei].V > edges[stack[len(stack)-1]].V {
@@ -184,7 +209,7 @@ func verifyPONode(v PONodeView, ns *poNodeScratch) error {
 	if x == n {
 		right = append(right, virtualHigh)
 	}
-	ns.left, ns.right = left, right // keep any growth for the next call
+	ns.left, ns.right = left, right                                                          // keep any growth for the next call
 	slices.SortFunc(left, func(a, b PONeighbor) int { return cmp.Compare(b.Rank, a.Rank) })  // x-_0 > x-_1 > ...
 	slices.SortFunc(right, func(a, b PONeighbor) int { return cmp.Compare(a.Rank, b.Rank) }) // x+_0 < x+_1 < ...
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/planarcert/planarcert/internal/gen"
@@ -80,6 +83,82 @@ func TestSweepAgreesWithPairwise(t *testing.T) {
 		pairErr := CheckWitnessPairwise(edges)
 		if (sweepErr == nil) != (pairErr == nil) {
 			t.Fatalf("trial %d: sweep=%v pairwise=%v edges=%v", trial, sweepErr, pairErr, edges)
+		}
+	}
+}
+
+// refComputeIntervals is the sort-and-rescan sweep ComputeIntervals
+// replaced (per-rank slices sorted by end, the whole stack rescanned at
+// every rank), kept as its reference.
+func refComputeIntervals(n int, edges []graph.Edge) ([]Interval, error) {
+	startsAt := make([][]int, n+2)
+	for x, e := range edges {
+		if e.U < 1 || e.V > n || e.U >= e.V {
+			return nil, fmt.Errorf("core: edge %v outside rank range [1,%d]", e, n)
+		}
+		startsAt[e.U] = append(startsAt[e.U], x)
+	}
+	for a := range startsAt {
+		sort.Slice(startsAt[a], func(i, j int) bool {
+			return edges[startsAt[a][i]].V > edges[startsAt[a][j]].V
+		})
+	}
+	intervals := make([]Interval, n+1)
+	stack := make([]int, 0, len(edges))
+	for x := 1; x <= n; x++ {
+		for len(stack) > 0 && edges[stack[len(stack)-1]].V == x {
+			stack = stack[:len(stack)-1]
+		}
+		for _, ei := range stack {
+			if edges[ei].V <= x {
+				return nil, fmt.Errorf("%w: edge %v still open at %d", ErrCrossing, edges[ei], x)
+			}
+		}
+		if len(stack) > 0 {
+			top := edges[stack[len(stack)-1]]
+			intervals[x] = Interval{A: top.U, B: top.V}
+		} else {
+			intervals[x] = Sentinel(n)
+		}
+		for _, ei := range startsAt[x] {
+			if len(stack) > 0 && edges[ei].V > edges[stack[len(stack)-1]].V {
+				return nil, fmt.Errorf("%w: %v crosses %v", ErrCrossing, edges[ei], edges[stack[len(stack)-1]])
+			}
+			stack = append(stack, ei)
+		}
+	}
+	if len(stack) != 0 {
+		return nil, fmt.Errorf("%w: %d edges still open after sweep", ErrCrossing, len(stack))
+	}
+	return intervals, nil
+}
+
+// TestComputeIntervalsMatchesReference checks the bucketed top-only
+// sweep against the reference on random chord sets, crossing or not,
+// including out-of-range ranks: same intervals, same error text.
+func TestComputeIntervalsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(20)
+		var edges []graph.Edge
+		if trial%2 == 0 { // honest: the chords of a path-outerplanar graph
+			po := gen.RandomPathOuterplanar(n, rng.Float64(), rng)
+			for _, e := range po.Edges() {
+				if e.V > e.U+1 {
+					edges = append(edges, graph.Edge{U: e.U + 1, V: e.V + 1})
+				}
+			}
+		} else {
+			for i := rng.Intn(10); i > 0; i-- {
+				a := rng.Intn(n + 1)
+				edges = append(edges, graph.Edge{U: a, V: a + 1 + rng.Intn(n+1-a)})
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		got, gotErr := ComputeIntervals(n, edges)
+		want, wantErr := refComputeIntervals(n, edges)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("trial %d n=%d edges=%v: got %v, %v; want %v, %v", trial, n, edges, got, gotErr, want, wantErr)
 		}
 	}
 }

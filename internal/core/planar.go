@@ -8,6 +8,7 @@ import (
 	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/dist"
 	"github.com/planarcert/planarcert/internal/graph"
+	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/pls"
 )
 
@@ -60,45 +61,27 @@ func (e *EdgeCert) Other(id graph.ID) graph.ID {
 
 func (e *EdgeCert) encode(w *bits.Writer, rankWidth int) error {
 	w.WriteBit(e.IsTree)
-	writeRank := func(r int) error { return w.WriteUint(uint64(r), rankWidth) }
-	writeIv := func(i Interval) error {
-		if err := writeRank(i.A); err != nil {
-			return err
-		}
-		return writeRank(i.B)
-	}
 	if e.IsTree {
-		if err := w.WriteVar(uint64(e.ParentID)); err != nil {
-			return err
-		}
-		if err := w.WriteVar(uint64(e.ChildID)); err != nil {
-			return err
-		}
-		for _, r := range []int{e.PA, e.CMin, e.CMax, e.PB} {
-			if err := writeRank(r); err != nil {
-				return err
-			}
-		}
-		for _, iv := range []Interval{e.IPA, e.ICMin, e.ICMax, e.IPB} {
-			if err := writeIv(iv); err != nil {
-				return err
-			}
-		}
-		return nil
+		ranks := [...]int{e.PA, e.CMin, e.CMax, e.PB,
+			e.IPA.A, e.IPA.B, e.ICMin.A, e.ICMin.B, e.ICMax.A, e.ICMax.B, e.IPB.A, e.IPB.B}
+		return encodeEdgeFields(w, rankWidth, e.ParentID, e.ChildID, ranks[:])
 	}
-	if err := w.WriteVar(uint64(e.IDU)); err != nil {
+	ranks := [...]int{e.RankU, e.RankV, e.IU.A, e.IU.B, e.IV.A, e.IV.B}
+	return encodeEdgeFields(w, rankWidth, e.IDU, e.IDV, ranks[:])
+}
+
+// encodeEdgeFields writes an edge certificate's two endpoint identifiers
+// and then its ranks (each rank, then each interval's two ends), every
+// rank in rankWidth bits.
+func encodeEdgeFields(w *bits.Writer, rankWidth int, a, b graph.ID, ranks []int) error {
+	if err := w.WriteVar(uint64(a)); err != nil {
 		return err
 	}
-	if err := w.WriteVar(uint64(e.IDV)); err != nil {
+	if err := w.WriteVar(uint64(b)); err != nil {
 		return err
 	}
-	for _, r := range []int{e.RankU, e.RankV} {
-		if err := writeRank(r); err != nil {
-			return err
-		}
-	}
-	for _, iv := range []Interval{e.IU, e.IV} {
-		if err := writeIv(iv); err != nil {
+	for _, r := range ranks {
+		if err := w.WriteUint(uint64(r), rankWidth); err != nil {
 			return err
 		}
 	}
@@ -267,74 +250,155 @@ func (PlanarScheme) Name() string { return "planarity" }
 // (Lemma 3), compute intervals, and distribute edge certificates along a
 // degeneracy ordering so every node stores at most five.
 func (PlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error) {
-	n := g.N()
-	if n == 0 {
+	p, err := ProvePlanar(g, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.Certs, nil
+}
+
+// PlanarProof is the planarity prover's structured output: the
+// transform, the certificate objects and their encoding.
+type PlanarProof struct {
+	Transform *Transform
+	Objs      map[graph.ID]*PlanarCert
+	Certs     map[graph.ID]bits.Certificate
+}
+
+// ProvePlanar runs the planarity prover, recording its steps — the LR
+// test, the Euler audit, the transform, the certificate objects and the
+// encoding — as children of sp, in that order (nil records nothing).
+// Graphs outside the class fail with pls.ErrNotInClass.
+func ProvePlanar(g *graph.Graph, sp *obs.Span) (*PlanarProof, error) {
+	if g.N() == 0 {
 		return nil, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
 	}
 	if !g.Connected() {
 		return nil, fmt.Errorf("%w: disconnected graph", pls.ErrNotInClass)
 	}
-	tr, err := TransformOf(g)
+	tr, err := transformOf(g, sp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
 	}
-	return proveFromTransform(g, tr)
+	return proveFromTransform(g, tr, sp)
 }
 
 // proveFromTransform builds the Theorem 1 certificates from a completed
-// transform (shared by the planarity and outerplanarity provers).
-func proveFromTransform(g *graph.Graph, tr *Transform) (map[graph.ID]bits.Certificate, error) {
-	objs, _, err := BuildPlanarCertObjects(g, tr)
+// transform (shared by the planarity and outerplanarity provers). It
+// encodes straight from the object slab, in vertex order, so the
+// encoder walks the slabs sequentially instead of in map order.
+func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) (*PlanarProof, error) {
+	c := sp.Child(obs.SpanCertObjects)
+	slab, _, err := buildPlanarCertSlab(g, tr)
+	var objs map[graph.ID]*PlanarCert
+	if err == nil {
+		objs = certMap(slab)
+	}
+	c.End()
 	if err != nil {
 		return nil, err
 	}
-	return EncodePlanarCerts(objs)
+	c = sp.Child(obs.SpanEncode)
+	defer c.End()
+	certs := make(map[graph.ID]bits.Certificate, len(slab))
+	enc := certEncoder{left: len(slab)}
+	for i := range slab {
+		cert, err := enc.encode(&slab[i])
+		if err != nil {
+			return nil, err
+		}
+		certs[slab[i].Tree.SelfID] = cert
+	}
+	return &PlanarProof{Transform: tr, Objs: objs, Certs: certs}, nil
 }
 
 // BuildPlanarCertObjects computes the structured Theorem 1 certificates
-// for a completed transform, together with the holder map recording
-// which endpoint stores each edge's certificate (the degeneracy-order
-// assignment). The dynamic subsystem patches these objects in place and
-// re-encodes only the nodes whose certificates changed.
-func BuildPlanarCertObjects(g *graph.Graph, tr *Transform) (map[graph.ID]*PlanarCert, map[graph.Edge]graph.ID, error) {
-	n := g.N()
-	certs := make(map[graph.ID]*PlanarCert, n)
-	holders := make(map[graph.Edge]graph.ID, g.M())
-	for v := 0; v < n; v++ {
-		copies := tr.Copies[v]
-		size := uint64(copies[len(copies)-1]-copies[0]+2) / 2
-		certs[g.IDOf(v)] = &PlanarCert{
-			Tree: pls.TreeCert{
-				SelfID: g.IDOf(v),
-				RootID: g.IDOf(tr.Root),
-				N:      uint64(n),
-				Dist:   uint64(tr.Depth[v]),
-				Parent: g.IDOf(tr.Parent[v]),
-				Size:   size,
-			},
-		}
+// for a completed transform, together with the holder of every edge
+// certificate, by Transform edge id: the endpoint that comes earlier in
+// the degeneracy order and stores it. The dynamic subsystem patches
+// these objects in place and re-encodes only the nodes whose
+// certificates changed.
+func BuildPlanarCertObjects(g *graph.Graph, tr *Transform) (map[graph.ID]*PlanarCert, []graph.ID, error) {
+	slab, holderIdx, err := buildPlanarCertSlab(g, tr)
+	if err != nil {
+		return nil, nil, err
 	}
+	holders := make([]graph.ID, len(holderIdx))
+	for e, h := range holderIdx {
+		holders[e] = g.IDOf(int(h))
+	}
+	return certMap(slab), holders, nil
+}
+
+// certMap indexes a certificate slab by node identifier.
+func certMap(slab []PlanarCert) map[graph.ID]*PlanarCert {
+	m := make(map[graph.ID]*PlanarCert, len(slab))
+	for i := range slab {
+		m[slab[i].Tree.SelfID] = &slab[i]
+	}
+	return m
+}
+
+// buildPlanarCertSlab is BuildPlanarCertObjects returning the
+// certificates and the holders by node index. The objects live in three
+// slabs (node certificates, edge certificates, and the pointers every
+// node's Edges slice is carved from, sized by a holder pre-count), so
+// the cost is a fixed handful of allocations. A node's edge
+// certificates keep edge-id order, which fixes the encoded bytes.
+func buildPlanarCertSlab(g *graph.Graph, tr *Transform) ([]PlanarCert, []int32, error) {
+	n := g.N()
 	// Degeneracy ordering: assign each edge certificate to the endpoint
 	// that comes earlier (which then has at most 5 certified edges).
 	order, degeneracy := g.DegeneracyOrder()
 	if degeneracy > MaxEdgeCerts {
 		return nil, nil, fmt.Errorf("%w: degeneracy %d exceeds 5 — not planar", pls.ErrNotInClass, degeneracy)
 	}
-	pos := make([]int, n)
+	pos := make([]int32, n)
 	for i, v := range order {
-		pos[v] = i
+		pos[v] = int32(i)
 	}
-	iv := func(r int) Interval { return tr.Intervals[r] }
-	for _, e := range g.Edges() {
-		var ec *EdgeCert
-		if tr.Parent[e.U] == e.V || tr.Parent[e.V] == e.U {
-			child, parent := e.U, e.V
-			if tr.Parent[e.V] == e.U {
-				child, parent = e.V, e.U
+	edges := tr.Edges
+	holderIdx := make([]int32, len(edges))
+	start := make([]int32, n+1) // start[v]: v's first slot in ptrs
+	for e, ge := range edges {
+		h := ge.U
+		if pos[ge.V] < pos[ge.U] {
+			h = ge.V
+		}
+		holderIdx[e] = int32(h)
+		start[h+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	certs := make([]PlanarCert, n)
+	edgeSlab := make([]EdgeCert, len(edges))
+	ptrs := make([]*EdgeCert, len(edges))
+	for v := 0; v < n; v++ {
+		copies := tr.Copies[v]
+		certs[v] = PlanarCert{
+			Tree: pls.TreeCert{
+				SelfID: g.IDOf(v),
+				RootID: g.IDOf(tr.Root),
+				N:      uint64(n),
+				Dist:   uint64(tr.Depth[v]),
+				Parent: g.IDOf(tr.Parent[v]),
+				Size:   uint64(copies[len(copies)-1]-copies[0]+2) / 2,
+			},
+			Edges: ptrs[start[v]:start[v]:start[v+1]],
+		}
+	}
+	iv := tr.Intervals
+	for e, ge := range edges {
+		ec := &edgeSlab[e]
+		if tr.IsTree(e) {
+			child, parent := ge.U, ge.V
+			if tr.Parent[ge.V] == ge.U {
+				child, parent = ge.V, ge.U
 			}
 			cc := tr.Copies[child]
 			cMin, cMax := cc[0], cc[len(cc)-1]
-			ec = &EdgeCert{
+			*ec = EdgeCert{
 				IsTree:   true,
 				ParentID: g.IDOf(parent),
 				ChildID:  g.IDOf(child),
@@ -342,42 +406,71 @@ func BuildPlanarCertObjects(g *graph.Graph, tr *Transform) (map[graph.ID]*Planar
 				CMin:     cMin,
 				CMax:     cMax,
 				PB:       cMax + 1,
-				IPA:      iv(cMin - 1),
-				ICMin:    iv(cMin),
-				ICMax:    iv(cMax),
-				IPB:      iv(cMax + 1),
+				IPA:      iv[cMin-1],
+				ICMin:    iv[cMin],
+				ICMax:    iv[cMax],
+				IPB:      iv[cMax+1],
 			}
 		} else {
 			rr := tr.CotreeRanks[e]
-			ec = &EdgeCert{
-				IsTree: false,
-				IDU:    g.IDOf(e.U),
-				IDV:    g.IDOf(e.V),
-				RankU:  rr[0],
-				RankV:  rr[1],
-				IU:     iv(rr[0]),
-				IV:     iv(rr[1]),
+			*ec = EdgeCert{
+				IDU:   g.IDOf(ge.U),
+				IDV:   g.IDOf(ge.V),
+				RankU: rr[0],
+				RankV: rr[1],
+				IU:    iv[rr[0]],
+				IV:    iv[rr[1]],
 			}
 		}
-		holder := e.U
-		if pos[e.V] < pos[e.U] {
-			holder = e.V
-		}
-		certs[g.IDOf(holder)].Edges = append(certs[g.IDOf(holder)].Edges, ec)
-		holders[e] = g.IDOf(holder)
+		h := &certs[holderIdx[e]]
+		h.Edges = append(h.Edges, ec)
 	}
-	return certs, holders, nil
+	return certs, holderIdx, nil
+}
+
+// encodeChunk caps the size of the byte slabs certEncoder carves
+// certificate Data from.
+const encodeChunk = 64 << 10
+
+// certEncoder encodes certificates through one reused Writer and copies
+// each into a byte slab that is never grown: a certificate that does not
+// fit the slab's tail opens the next one, sized for the certificates
+// still to come at the current one's size plus a quarter, at most
+// encodeChunk. So Data slices cost one allocation per slab, small
+// networks hold no mostly empty slab, and no superseded backing array
+// stays reachable.
+type certEncoder struct {
+	w    bits.Writer
+	slab []byte
+	left int // certificates still to encode, this one included
+}
+
+func (enc *certEncoder) encode(c *PlanarCert) (bits.Certificate, error) {
+	enc.w.Reset()
+	if err := c.Encode(&enc.w); err != nil {
+		return bits.Certificate{}, err
+	}
+	raw := enc.w.Raw()
+	if len(raw) > cap(enc.slab)-len(enc.slab) {
+		size := min(encodeChunk, enc.left*len(raw)*5/4)
+		enc.slab = make([]byte, 0, max(size, len(raw)))
+	}
+	enc.left--
+	lo := len(enc.slab)
+	enc.slab = append(enc.slab, raw...)
+	return bits.Certificate{Data: enc.slab[lo:len(enc.slab):len(enc.slab)], Bits: enc.w.Len()}, nil
 }
 
 // EncodePlanarCerts serialises structured planarity certificates.
 func EncodePlanarCerts(objs map[graph.ID]*PlanarCert) (map[graph.ID]bits.Certificate, error) {
 	out := make(map[graph.ID]bits.Certificate, len(objs))
+	enc := certEncoder{left: len(objs)}
 	for id, c := range objs {
-		var w bits.Writer
-		if err := c.Encode(&w); err != nil {
+		cert, err := enc.encode(c)
+		if err != nil {
 			return nil, err
 		}
-		out[id] = bits.FromWriter(&w)
+		out[id] = cert
 	}
 	return out, nil
 }

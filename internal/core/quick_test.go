@@ -135,7 +135,7 @@ func TestQuickTransformInvariants(t *testing.T) {
 		if tr.N2 != 2*n-1 {
 			return false
 		}
-		if CheckWitnessPairwise(cotreeOnly(tr)) != nil {
+		if CheckWitnessPairwise(tr.chords()) != nil {
 			return false
 		}
 		if _, err := tr.ContractBack(); err != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/planarcert/planarcert/internal/embedding"
 	"github.com/planarcert/planarcert/internal/graph"
+	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/planarity"
 )
 
@@ -31,19 +33,31 @@ type Transform struct {
 	// Copies maps each vertex to its ranks i_1 < ... < i_d.
 	Copies [][]int
 
-	// CotreeEdges maps every cotree edge of G to its unique edge of
-	// G_{T,f} in rank space.
-	CotreeEdges map[graph.Edge]graph.Edge
-	// CotreeRanks maps every cotree edge e (normalised, e.U < e.V as
-	// indices) to the pair [rank of e.U's copy, rank of e.V's copy].
-	CotreeRanks map[graph.Edge][2]int
+	// Edges lists the edges of G in graph.Edges order; an edge's
+	// position here is its id in CotreeRanks and in the holder list of
+	// BuildPlanarCertObjects.
+	Edges []graph.Edge
+	// CotreeRanks maps the id of every cotree edge e to the pair [rank
+	// of e.U's copy, rank of e.V's copy] its G_{T,f} edge joins. Tree
+	// edges hold [0, 0] (ranks start at 1).
+	CotreeRanks [][2]int
 	// POEdges is the full edge set of G_{T,f} in rank space: the path
-	// edges {i, i+1} plus the mapped cotree edges.
+	// edges {i, i+1} (the first N2-1 entries) plus the mapped cotree
+	// edges in edge-id order.
 	POEdges []graph.Edge
 	// Intervals holds I(x) for each rank x (index 0 unused), as computed
 	// by the nesting sweep; present only after a successful Build.
 	Intervals []Interval
 }
+
+// IsTree reports whether edge id e is a spanning-tree edge.
+func (t *Transform) IsTree(e int) bool { return t.CotreeRanks[e][0] == 0 }
+
+// chords lists the non-path PO edges (path edges never strictly cover a
+// rank and never cross anything).
+func (t *Transform) chords() []graph.Edge { return t.POEdges[t.N2-1:] }
+
+var errEmptyTransform = errors.New("core: empty graph has no transform")
 
 // BuildTransform computes the transform for a connected planar graph g
 // using the planar rotation system rot, rooting the spanning tree at
@@ -51,24 +65,29 @@ type Transform struct {
 // construction fails to produce a path-outerplanar graph (which, by
 // Lemma 3, indicates rot is not a planar embedding).
 func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transform, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty graph has no transform")
+	if g.N() == 0 {
+		return nil, errEmptyTransform
 	}
-	if err := rot.Validate(g); err != nil {
+	d, err := rot.Index(g)
+	if err != nil {
 		return nil, fmt.Errorf("core: invalid rotation: %w", err)
 	}
+	return buildTransform(g, rot, d, root)
+}
+
+// buildTransform is BuildTransform over a validated rotation's dart
+// index. Every step is an O(n + m) pass over arrays indexed by vertex,
+// dart, rank or edge id.
+func buildTransform(g *graph.Graph, rot *embedding.Rotation, d *embedding.Darts, root int) (*Transform, error) {
+	n := g.N()
 	t := &Transform{
-		G:           g,
-		Root:        root,
-		Parent:      make([]int, n),
-		ChildOrder:  make([][]int, n),
-		Depth:       make([]int, n),
-		N2:          2*n - 1,
-		F:           make([]int, 2*n),
-		Copies:      make([][]int, n),
-		CotreeEdges: make(map[graph.Edge]graph.Edge, g.M()-n+1),
-		CotreeRanks: make(map[graph.Edge][2]int, g.M()-n+1),
+		G:      g,
+		Root:   root,
+		Parent: make([]int, n),
+		Depth:  make([]int, n),
+		N2:     2*n - 1,
+		F:      make([]int, 2*n),
+		Edges:  d.Edges,
 	}
 	for i := range t.Parent {
 		t.Parent[i] = -1
@@ -80,68 +99,120 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 	// DFS following the rotation: at v, scan neighbors starting just after
 	// the parent's slot (for the root: from slot 0, i.e. the virtual r'
 	// sits before slot 0). Unvisited neighbors become children in that
-	// order.
-	counter := 0
-	var dfs func(v int)
-	dfs = func(v int) {
-		counter++
-		t.F[counter] = v
-		t.Copies[v] = append(t.Copies[v], counter)
+	// order, and every return to v records a further copy of v. pslot[w]
+	// is the slot of w's parent in w's rotation, read off the dart index.
+	type frame struct{ v, start, scanned int32 }
+	pslot := make([]int32, n)
+	stack := make([]frame, 1, n)
+	stack[0] = frame{v: int32(root)}
+	counter := 1
+	t.F[1] = root
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		v := int(fr.v)
 		rotv := rot.Order[v]
-		start := 0
-		if v != t.Root {
-			p := rot.PositionOf(v, t.Parent[v])
-			start = p + 1
-		}
-		for s := 0; s < len(rotv); s++ {
-			w := rotv[(start+s)%len(rotv)]
-			if v != t.Root && w == t.Parent[v] {
-				continue
-			}
-			if t.Depth[w] == -1 { // tree child
-				t.Parent[w] = v
-				t.Depth[w] = t.Depth[v] + 1
-				t.ChildOrder[v] = append(t.ChildOrder[v], w)
-				dfs(w)
+		if int(fr.scanned) == len(rotv) {
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
 				counter++
-				t.F[counter] = v
-				t.Copies[v] = append(t.Copies[v], counter)
+				t.F[counter] = int(stack[len(stack)-1].v)
 			}
+			continue
 		}
+		slot := int(fr.start + fr.scanned)
+		if slot >= len(rotv) {
+			slot -= len(rotv)
+		}
+		fr.scanned++
+		w := rotv[slot]
+		if t.Depth[w] != -1 { // the parent, or a cotree edge
+			continue
+		}
+		t.Parent[w] = v
+		t.Depth[w] = t.Depth[v] + 1
+		counter++
+		t.F[counter] = w
+		ps := d.Rev[d.Off[v]+int32(slot)] - d.Off[w]
+		pslot[w] = ps
+		stack = append(stack, frame{v: int32(w), start: ps + 1})
 	}
-	dfs(root)
 	if counter != t.N2 {
 		return nil, fmt.Errorf("core: DFS covered %d ranks, want %d (graph disconnected?)", counter, t.N2)
 	}
 
-	// Path edges of G_{T,f}.
-	t.POEdges = make([]graph.Edge, 0, t.N2-1+g.M())
-	for i := 1; i < t.N2; i++ {
-		t.POEdges = append(t.POEdges, graph.NewEdge(i, i+1))
+	// Copies and children, carved from two slabs: the copies of v are the
+	// ranks f maps to v, and the rank after each copy but the last is the
+	// first copy of the next child.
+	off := make([]int32, n+1)
+	for r := 1; r <= t.N2; r++ {
+		off[t.F[r]+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	copySlab := make([]int, t.N2)
+	childSlab := make([]int, t.N2-n)
+	t.Copies = make([][]int, n)
+	t.ChildOrder = make([][]int, n)
+	for v := 0; v < n; v++ {
+		lo, hi := int(off[v]), int(off[v+1])
+		t.Copies[v] = copySlab[lo:lo:hi]
+		t.ChildOrder[v] = childSlab[lo-v : lo-v : hi-v-1]
+	}
+	for r := 1; r <= t.N2; r++ {
+		v := t.F[r]
+		if len(t.Copies[v]) > 0 {
+			t.ChildOrder[v] = append(t.ChildOrder[v], t.F[t.Copies[v][len(t.Copies[v])-1]+1])
+		}
+		t.Copies[v] = append(t.Copies[v], r)
 	}
 
 	// Cotree edges: attach each endpoint to the copy given by its type
-	// (Lemma 3): scan the rotation forward from the cotree slot; the first
-	// tree-neighbor slot c_k gives copy i_k, wrapping to the parent slot
-	// (or the root's virtual r' boundary) gives copy i_d.
-	for _, e := range g.Edges() {
-		if t.Parent[e.U] == e.V || t.Parent[e.V] == e.U {
+	// (Lemma 3): scanning the rotation forward from the cotree slot, the
+	// first tree-child slot c_k gives copy i_k, and wrapping to the parent
+	// slot (or the root's virtual r' boundary) gives copy i_d. One
+	// backward pass over each rotation, starting from the boundary,
+	// resolves every slot of the vertex.
+	dartRank := make([]int32, len(d.Rev))
+	for v := 0; v < n; v++ {
+		rotv, copies := rot.Order[v], t.Copies[v]
+		base := 0
+		if v != root {
+			base = int(pslot[v])
+		}
+		k := len(copies) - 1
+		cur := int32(copies[k])
+		for rel := len(rotv) - 1; rel >= 0; rel-- {
+			slot := base + rel
+			if slot >= len(rotv) {
+				slot -= len(rotv)
+			}
+			if t.Parent[rotv[slot]] == v { // tree child c_k
+				k--
+				cur = int32(copies[k])
+				continue
+			}
+			dartRank[int(d.Off[v])+slot] = cur
+		}
+	}
+	t.CotreeRanks = make([][2]int, len(d.Edges))
+	t.POEdges = make([]graph.Edge, t.N2-1, t.N2-1+len(d.Edges)-(n-1))
+	for i := 1; i < t.N2; i++ {
+		t.POEdges[i-1] = graph.Edge{U: i, V: i + 1}
+	}
+	for e, ge := range d.Edges {
+		if t.Parent[ge.U] == ge.V || t.Parent[ge.V] == ge.U {
 			continue // tree edge
 		}
-		ru := t.copyForCotree(rot, e.U, e.V)
-		rv := t.copyForCotree(rot, e.V, e.U)
-		if ru < 0 || rv < 0 {
-			return nil, fmt.Errorf("core: no copy found for cotree edge %v", e)
-		}
-		po := graph.NewEdge(ru, rv)
-		t.CotreeEdges[e] = po
+		lo := d.Lo[e]
+		ru, rv := int(dartRank[lo]), int(dartRank[d.Rev[lo]])
 		t.CotreeRanks[e] = [2]int{ru, rv}
-		t.POEdges = append(t.POEdges, po)
+		t.POEdges = append(t.POEdges, graph.NewEdge(ru, rv))
 	}
 
 	// Compute intervals; the sweep also proves the identity order is a
 	// path-outerplanarity witness (Lemma 3).
-	intervals, err := ComputeIntervals(t.N2, cotreeOnly(t))
+	intervals, err := ComputeIntervals(t.N2, t.chords())
 	if err != nil {
 		return nil, fmt.Errorf("core: G_{T,f} not path-outerplanar: %w", err)
 	}
@@ -149,73 +220,40 @@ func BuildTransform(g *graph.Graph, rot *embedding.Rotation, root int) (*Transfo
 	return t, nil
 }
 
-// cotreeOnly lists the non-path PO edges (path edges never strictly cover
-// a rank and never cross anything).
-func cotreeOnly(t *Transform) []graph.Edge {
-	out := make([]graph.Edge, 0, len(t.CotreeEdges))
-	for _, po := range t.CotreeEdges {
-		out = append(out, po)
-	}
-	return out
-}
-
-// copyForCotree determines which copy of v the cotree edge {v, u} attaches
-// to: the rank i_k whose section of the circle C_v contains the edge's
-// crossing point.
-func (t *Transform) copyForCotree(rot *embedding.Rotation, v, u int) int {
-	rotv := rot.Order[v]
-	slot := rot.PositionOf(v, u)
-	if slot < 0 {
-		return -1
-	}
-	copies := t.Copies[v]
-	d := len(copies)
-	// Conceptually rotate so the list starts at the parent slot (root: at
-	// the virtual r' boundary before slot 0). Children then appear in
-	// ChildOrder; scanning forward from the cotree slot, the first tree
-	// slot met is c_k -> copy i_k, and reaching the start-of-list boundary
-	// (the parent / r') -> copy i_d.
-	start := 0
-	if v != t.Root {
-		start = rot.PositionOf(v, t.Parent[v])
-	}
-	// Position of slot in the rotated list (0 = parent/r' boundary).
-	rel := ((slot-start)%len(rotv) + len(rotv)) % len(rotv)
-	childRank := make(map[int]int, len(t.ChildOrder[v]))
-	for k, c := range t.ChildOrder[v] {
-		childRank[c] = k // c_{k+1} in 1-based notation -> copy i_{k+1}
-	}
-	for off := rel + 1; off < len(rotv); off++ {
-		w := rotv[(start+off)%len(rotv)]
-		if k, ok := childRank[w]; ok {
-			return copies[k]
-		}
-		if v != t.Root && w == t.Parent[v] {
-			return copies[d-1]
-		}
-	}
-	// Wrapped to the boundary: parent slot (non-root) or r' (root).
-	return copies[d-1]
-}
-
 // TransformOf is the honest-prover pipeline: test planarity, audit the
 // embedding, and build the transform rooted at vertex 0.
 func TransformOf(g *graph.Graph) (*Transform, error) {
+	return transformOf(g, nil)
+}
+
+// transformOf is TransformOf recording the LR test, the Euler audit and
+// the transform as children of sp (nil records nothing).
+func transformOf(g *graph.Graph, sp *obs.Span) (*Transform, error) {
+	if g.N() == 0 {
+		return nil, errEmptyTransform
+	}
+	c := sp.Child(obs.SpanLRCheck)
 	ok, rot, err := planarity.Check(g)
+	c.End()
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("core: graph is not planar")
 	}
-	planar, err := rot.IsPlanar(g)
+	c = sp.Child(obs.SpanEulerAudit)
+	d, err := rot.Index(g)
+	planar := err == nil && d.Genus() == 0
+	c.End()
 	if err != nil {
 		return nil, err
 	}
 	if !planar {
 		return nil, fmt.Errorf("core: embedding failed Euler audit")
 	}
-	return BuildTransform(g, rot, 0)
+	c = sp.Child(obs.SpanTransform)
+	defer c.End()
+	return buildTransform(g, rot, d, 0)
 }
 
 // ContractBack verifies Lemma 4's round trip: contracting the path edges

@@ -39,7 +39,7 @@ func checkTransform(t *testing.T, g *graph.Graph, label string) *Transform {
 	}
 	// The identity order is a witness: pairwise Definition 1 check on the
 	// cotree PO edges (independent of the sweep used internally).
-	if err := CheckWitnessPairwise(cotreeOnly(tr)); err != nil {
+	if err := CheckWitnessPairwise(tr.chords()); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	// Lemma 4 round trip.
@@ -142,7 +142,7 @@ func TestTransformIntervalsMatchDefinition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges := cotreeOnly(tr)
+		edges := tr.chords()
 		for x := 1; x <= tr.N2; x++ {
 			want := Sentinel(tr.N2)
 			for _, e := range edges {

@@ -635,7 +635,7 @@ func (s *Session) reprove(rep *Report) {
 	for i, sch := range order {
 		pv := s.span.Child(obs.SpanProve)
 		pv.SetStr("scheme", sch.Name())
-		certs, st, err := s.proveStructured(sch)
+		certs, st, err := s.proveStructured(sch, pv)
 		if err != nil {
 			pv.SetStr("error", err.Error())
 			pv.End()
@@ -695,29 +695,18 @@ func (s *Session) counterpartOf(sch pls.Scheme) pls.Scheme {
 }
 
 // proveStructured runs the scheme's prover, keeping the structured
-// certificate state for schemes that support localized repair.
-func (s *Session) proveStructured(sch pls.Scheme) (map[graph.ID]bits.Certificate, repairState, error) {
+// certificate state for schemes that support localized repair. The
+// planarity prover records its steps as children of pv.
+func (s *Session) proveStructured(sch pls.Scheme, pv *obs.Span) (map[graph.ID]bits.Certificate, repairState, error) {
 	switch sch.(type) {
 	case core.PlanarScheme:
-		if s.g.N() == 0 {
-			return nil, nil, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
-		}
-		if !s.g.Connected() {
-			return nil, nil, fmt.Errorf("%w: disconnected graph", pls.ErrNotInClass)
-		}
-		tr, err := core.TransformOf(s.g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
-		}
-		objs, holders, err := core.BuildPlanarCertObjects(s.g, tr)
+		proof, err := core.ProvePlanar(s.g, pv)
 		if err != nil {
 			return nil, nil, err
 		}
-		certs, err := core.EncodePlanarCerts(objs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return certs, newPlanarState(s.g, tr, objs, holders), nil
+		c := pv.Child(obs.SpanRepairState)
+		defer c.End()
+		return proof.Certs, newPlanarState(s.g, proof), nil
 	case core.NonPlanarScheme:
 		proof, err := core.BuildNonPlanarProof(s.g)
 		if err != nil {

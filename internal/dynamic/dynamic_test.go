@@ -2,11 +2,14 @@ package dynamic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/planarcert/planarcert/internal/core"
 	"github.com/planarcert/planarcert/internal/gen"
 	"github.com/planarcert/planarcert/internal/graph"
+	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/planarity"
 	"github.com/planarcert/planarcert/internal/pls"
 )
@@ -388,6 +391,49 @@ func TestNodeAdditions(t *testing.T) {
 		t.Fatalf("reconnecting failed: %+v", rep)
 	}
 	checkParity(t, s)
+}
+
+// TestReproveTraceSteps checks that a traced planarity re-prove records
+// its six steps, in order, as the only children of the prove span, and
+// that Phases still books the whole prove span (steps included) once.
+func TestReproveTraceSteps(t *testing.T) {
+	s, err := NewSession(gen.StackedTriangulation(60, rand.New(rand.NewSource(2))), planarCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := obs.New(obs.Config{}).Start("s", obs.SpanBatch)
+	s.TraceNext(root)
+	rep, err := s.Apply([]Update{{Op: AddNode, A: 1000}, {Op: AddEdge, A: 1000, B: 0}})
+	if err != nil || rep.Mode != ModeReprove || !rep.Accepted {
+		t.Fatalf("leaf attach: %+v, %v", rep, err)
+	}
+	root.End()
+	var prove *obs.Span
+	for _, c := range root.Children() {
+		if c.Name() == obs.SpanProve {
+			prove = c
+		}
+	}
+	if prove == nil {
+		t.Fatal("no prove span")
+	}
+	want := []string{obs.SpanLRCheck, obs.SpanEulerAudit, obs.SpanTransform,
+		obs.SpanCertObjects, obs.SpanEncode, obs.SpanRepairState}
+	var got []string
+	var sum time.Duration
+	for _, c := range prove.Children() {
+		got = append(got, c.Name())
+		sum += c.Duration()
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("prove children = %v, want %v", got, want)
+	}
+	if sum > prove.Duration() {
+		t.Fatalf("steps add up to %v, more than the prove span's %v", sum, prove.Duration())
+	}
+	if ph := obs.Phases(root); ph[obs.PhaseProve] != prove.Duration() {
+		t.Fatalf("Phases books %v as prove, span lasted %v", ph[obs.PhaseProve], prove.Duration())
+	}
 }
 
 // TestBatchValidation checks invalid logs are rejected atomically.

@@ -11,8 +11,9 @@ import (
 // planarState is the structured Theorem 1 certificate assignment kept
 // alongside the planarity scheme: the DFS-mapping of the last full
 // prove (ranks, copies, tree parents), the live interval table of the
-// spanning-path proof, the chord attachment of every cotree edge, and
-// the decoded per-node certificates with their holder assignment.
+// spanning-path proof, the cotree edges whose chords end at each rank,
+// and the decoded per-node certificates (which carry each chord's
+// ranks).
 //
 // Localized repair exploits the nesting structure of the chord family
 // over ranks 1..2n-1 (Section 3.1 of the paper): the chords of a
@@ -47,30 +48,59 @@ type planarState struct {
 	copies [][]int         // node index -> ranks, ascending
 	parent []int           // spanning-tree parent by index
 	iv     []core.Interval // rank -> I(rank)
-	chords map[graph.Edge][2]int
-	byRank map[int][]graph.Edge
+	byRank [][]graph.Edge  // rank -> cotree edges whose chord ends there
 	objs   map[graph.ID]*core.PlanarCert
-	holder map[graph.Edge]graph.ID
 }
 
-func newPlanarState(g *graph.Graph, tr *core.Transform, objs map[graph.ID]*core.PlanarCert, holders map[graph.Edge]graph.ID) *planarState {
-	p := &planarState{
+// newPlanarState adopts a prove's transform and certificate objects. A
+// chord's ranks and holder are read off its edge certificate when a
+// repair needs them (edgeCertOf), so the only index built here is
+// byRank: one counting pass over the transform's chords, carved from
+// one slab with each rank's run capped so a later append reallocates
+// that run alone.
+func newPlanarState(g *graph.Graph, p *core.PlanarProof) *planarState {
+	tr := p.Transform
+	start := make([]int32, tr.N2+2)
+	for _, rr := range tr.CotreeRanks {
+		if rr[0] != 0 { // tree edges hold [0, 0]
+			start[rr[0]+1]++
+			start[rr[1]+1]++
+		}
+	}
+	for r := 1; r < len(start); r++ {
+		start[r] += start[r-1]
+	}
+	slab := make([]graph.Edge, start[len(start)-1])
+	byRank := make([][]graph.Edge, tr.N2+1)
+	for r := range byRank {
+		byRank[r] = slab[start[r]:start[r]:start[r+1]]
+	}
+	for e, rr := range tr.CotreeRanks {
+		if rr[0] != 0 {
+			byRank[rr[0]] = append(byRank[rr[0]], tr.Edges[e])
+			byRank[rr[1]] = append(byRank[rr[1]], tr.Edges[e])
+		}
+	}
+	return &planarState{
 		g:      g,
 		n2:     tr.N2,
 		f:      tr.F,
 		copies: tr.Copies,
 		parent: tr.Parent,
 		iv:     tr.Intervals,
-		chords: tr.CotreeRanks,
-		byRank: make(map[int][]graph.Edge, len(tr.CotreeRanks)),
-		objs:   objs,
-		holder: holders,
+		byRank: byRank,
+		objs:   p.Objs,
 	}
-	for e, rr := range tr.CotreeRanks {
-		p.byRank[rr[0]] = append(p.byRank[rr[0]], e)
-		p.byRank[rr[1]] = append(p.byRank[rr[1]], e)
+}
+
+// chordOf returns the chord [lo, hi] of a cotree edge, from the ranks
+// in its edge certificate.
+func (p *planarState) chordOf(ge graph.Edge) (core.Interval, bool) {
+	ec, _, ok := p.edgeCertOf(ge)
+	if !ok || ec.IsTree {
+		return core.Interval{}, false
 	}
-	return p
+	return core.Interval{A: min(ec.RankU, ec.RankV), B: max(ec.RankU, ec.RankV)}, true
 }
 
 // repair implements repairState for the planarity scheme.
@@ -118,23 +148,17 @@ func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[graph.I
 	if p.parent[e.U] == e.V || p.parent[e.V] == e.U {
 		return false, "spanning-tree edge removed (ranks renumber globally)"
 	}
-	rr, ok := p.chords[e]
-	if !ok {
+	ec, hid, ok := p.edgeCertOf(e)
+	if !ok || ec.IsTree {
 		return false, "no chord recorded for removed edge"
 	}
-	a, b := rr[0], rr[1]
-	if a > b {
-		a, b = b, a
-	}
+	a, b := min(ec.RankU, ec.RankV), max(ec.RankU, ec.RankV)
 	if *budget -= b - a + 1; *budget < 0 {
 		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", a, b)
 	}
 	// Detach the chord before computing its parent cover.
-	delete(p.chords, e)
 	p.byRank[a] = dropEdge(p.byRank[a], e)
 	p.byRank[b] = dropEdge(p.byRank[b], e)
-	hid := p.holder[e]
-	delete(p.holder, e)
 	if !p.dropEdgeCert(hid, pr) {
 		return false, "certificate holder lost the edge certificate"
 	}
@@ -207,8 +231,6 @@ func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[graph.ID]b
 		IU: p.iv[rankU], IV: p.iv[rankV],
 	}
 	p.objs[hid].Edges = append(p.objs[hid].Edges, ec)
-	p.holder[e] = hid
-	p.chords[e] = [2]int{rankU, rankV}
 	p.byRank[rankU] = append(p.byRank[rankU], e)
 	p.byRank[rankV] = append(p.byRank[rankV], e)
 	dirty[hid] = true
@@ -229,12 +251,9 @@ func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[graph.ID]b
 func (p *planarState) facesOf(x int) []core.Interval {
 	out := []core.Interval{p.iv[x]}
 	for _, ge := range p.byRank[x] {
-		rr := p.chords[ge]
-		lo, hi := rr[0], rr[1]
-		if lo > hi {
-			lo, hi = hi, lo
+		if c, ok := p.chordOf(ge); ok {
+			out = append(out, c)
 		}
-		out = append(out, core.Interval{A: lo, B: hi})
 	}
 	return out
 }
@@ -279,23 +298,13 @@ func (p *planarState) coverOf(a, b int) core.Interval {
 	consider(p.iv[a])
 	consider(p.iv[b])
 	for _, ge := range p.byRank[a] {
-		rr := p.chords[ge]
-		lo, hi := rr[0], rr[1]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo == a && hi > b {
-			consider(core.Interval{A: lo, B: hi})
+		if c, ok := p.chordOf(ge); ok && c.A == a && c.B > b {
+			consider(c)
 		}
 	}
 	for _, ge := range p.byRank[b] {
-		rr := p.chords[ge]
-		lo, hi := rr[0], rr[1]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if hi == b && lo < a {
-			consider(core.Interval{A: lo, B: hi})
+		if c, ok := p.chordOf(ge); ok && c.B == b && c.A < a {
+			consider(c)
 		}
 	}
 	return best
@@ -365,20 +374,19 @@ func (p *planarState) patchChord(ge graph.Edge, x int, niv core.Interval, dirty 
 	return true
 }
 
-// edgeCertOf locates the stored certificate of a graph edge.
+// edgeCertOf locates the stored certificate of a graph edge and its
+// holder: one of the two endpoints, each storing at most MaxEdgeCerts.
 func (p *planarState) edgeCertOf(ge graph.Edge) (*core.EdgeCert, graph.ID, bool) {
-	hid, ok := p.holder[ge]
-	if !ok {
-		return nil, 0, false
-	}
 	idU, idV := p.g.IDOf(ge.U), p.g.IDOf(ge.V)
-	for _, ec := range p.objs[hid].Edges {
-		if ec.IsTree {
-			if (ec.ParentID == idU && ec.ChildID == idV) || (ec.ParentID == idV && ec.ChildID == idU) {
+	for _, hid := range [2]graph.ID{idU, idV} {
+		obj, ok := p.objs[hid]
+		if !ok {
+			continue
+		}
+		for _, ec := range obj.Edges {
+			if ec.Involves(idU) && ec.Involves(idV) {
 				return ec, hid, true
 			}
-		} else if (ec.IDU == idU && ec.IDV == idV) || (ec.IDU == idV && ec.IDV == idU) {
-			return ec, hid, true
 		}
 	}
 	return nil, 0, false

@@ -41,28 +41,176 @@ func FromAdjacency(g *graph.Graph) *Rotation {
 }
 
 // Validate checks that the rotation system matches the graph: every vertex
-// lists exactly its neighbors, once each.
+// lists exactly its neighbors, once each. One stamp array marks u's
+// neighbors (u+1) and flips each mark (-(u+1)) as the rotation lists it,
+// so the check is O(n + m) with no per-vertex set.
 func (r *Rotation) Validate(g *graph.Graph) error {
-	if len(r.Order) != g.N() {
-		return fmt.Errorf("embedding: rotation has %d vertices, graph has %d", len(r.Order), g.N())
+	n := g.N()
+	if len(r.Order) != n {
+		return fmt.Errorf("embedding: rotation has %d vertices, graph has %d", len(r.Order), n)
 	}
-	for u := 0; u < g.N(); u++ {
+	mark := make([]int32, n)
+	for u := 0; u < n; u++ {
 		if len(r.Order[u]) != g.Degree(u) {
 			return fmt.Errorf("embedding: vertex %d rotation lists %d neighbors, degree is %d",
 				u, len(r.Order[u]), g.Degree(u))
 		}
-		seen := make(map[int]bool, len(r.Order[u]))
+		tag := int32(u + 1)
+		for _, v := range g.Neighbors(u) {
+			mark[v] = tag
+		}
 		for _, v := range r.Order[u] {
-			if !g.HasEdge(u, v) {
+			switch {
+			case v < 0 || v >= n || (mark[v] != tag && mark[v] != -tag):
 				return fmt.Errorf("embedding: rotation at %d lists non-neighbor %d", u, v)
-			}
-			if seen[v] {
+			case mark[v] == -tag:
 				return fmt.Errorf("embedding: rotation at %d lists %d twice", u, v)
 			}
-			seen[v] = true
+			mark[v] = -tag
 		}
 	}
 	return nil
+}
+
+// Darts indexes the half-edges ("darts") of a rotation system that
+// matches its graph. The darts leaving u are Off[u] .. Off[u+1]-1 in
+// rotation order: dart Off[u]+i points at Order[u][i]. Rev[d] is the
+// dart opposite d. Edges lists the graph's edges in graph.Edges order
+// (sorted by lower, then higher endpoint), and Lo[e] is the dart of
+// edge e leaving its lower endpoint, so Rev[Lo[e]] leaves the higher.
+type Darts struct {
+	Off   []int32
+	Rev   []int32
+	Edges []graph.Edge
+	Lo    []int32
+	order [][]int
+}
+
+// Index validates r against g and returns its dart index.
+func (r *Rotation) Index(g *graph.Graph) (*Darts, error) {
+	if err := r.Validate(g); err != nil {
+		return nil, err
+	}
+	return r.darts(), nil
+}
+
+// darts builds the index in O(n + m) without sorting: visiting every
+// higher endpoint v in ascending order fills each lower endpoint's run
+// of edge ids already sorted (the graph.Edges bucketing), recording the
+// dart at v; a second pass over each lower endpoint's rotation pairs it
+// with its own dart. The rotation must match its graph (Validate).
+func (r *Rotation) darts() *Darts {
+	n := len(r.Order)
+	off := make([]int32, n+1)
+	next := make([]int32, n+1) // next[u]: id of u's next edge {u, v > u}
+	for u, rot := range r.Order {
+		off[u+1] = off[u] + int32(len(rot))
+		up := int32(0)
+		for _, v := range rot {
+			if v > u {
+				up++
+			}
+		}
+		next[u+1] = next[u] + up
+	}
+	m := next[n]
+	d := &Darts{
+		Off:   off,
+		Rev:   make([]int32, off[n]),
+		Edges: make([]graph.Edge, m),
+		Lo:    make([]int32, m),
+		order: r.Order,
+	}
+	hi := d.Lo // holds each edge's dart at its higher endpoint until paired
+	for v, rot := range r.Order {
+		for j, u := range rot {
+			if u < v {
+				id := next[u]
+				next[u]++
+				d.Edges[id] = graph.Edge{U: u, V: v}
+				hi[id] = off[v] + int32(j)
+			}
+		}
+	}
+	where := next[:n] // reused: where[w] is u's dart towards w > u
+	id := int32(0)
+	for u, rot := range r.Order {
+		for i, w := range rot {
+			if w > u {
+				where[w] = off[u] + int32(i)
+			}
+		}
+		for ; id < m && d.Edges[id].U == u; id++ {
+			lo, h := where[d.Edges[id].V], hi[id]
+			d.Rev[lo], d.Rev[h] = h, lo
+			d.Lo[id] = lo
+		}
+	}
+	return d
+}
+
+// Genus computes the total orientable genus of the indexed rotation
+// system, as Rotation.Genus does, tracing faces over the dart arrays.
+func (d *Darts) Genus() int {
+	n := len(d.order)
+	// Connected components by BFS over the rotation (= adjacency).
+	comp := make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	queue := make([]int32, 0, n)
+	var per [][3]int // per component: vertices, darts, faces
+	for s := 0; s < n; s++ {
+		if comp[s] >= 0 {
+			continue
+		}
+		c := int32(len(per))
+		per = append(per, [3]int{})
+		comp[s] = c
+		queue = append(queue[:0], int32(s))
+		for len(queue) > 0 {
+			u := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			per[c][0]++
+			per[c][1] += len(d.order[u])
+			for _, v := range d.order[u] {
+				if comp[v] < 0 {
+					comp[v] = c
+					queue = append(queue, int32(v))
+				}
+			}
+		}
+	}
+	// Faces: from dart (u -> v) the face continues with the dart after
+	// Rev at v, i.e. (v -> successor of u in v's rotation).
+	seen := make([]bool, len(d.Rev))
+	for s := 0; s < n; s++ {
+		for d0 := d.Off[s]; d0 < d.Off[s+1]; d0++ {
+			if seen[d0] {
+				continue
+			}
+			per[comp[s]][2]++
+			u, x := int32(s), d0
+			for !seen[x] {
+				seen[x] = true
+				v := int32(d.order[u][x-d.Off[u]])
+				x = d.Rev[x] + 1
+				if x == d.Off[v+1] {
+					x = d.Off[v]
+				}
+				u = v
+			}
+		}
+	}
+	total := 0
+	for _, c := range per {
+		nc, mc, fc := c[0], c[1]/2, c[2]
+		if mc == 0 {
+			fc = 1 // an isolated vertex has exactly one face
+		}
+		total += (2 - nc + mc - fc) / 2
+	}
+	return total
 }
 
 // half identifies the directed edge (u -> v).
@@ -110,43 +258,22 @@ func (r *Rotation) Faces() [][]int {
 // relation on its embedding surface gives n_c - m_c + f_c = 2 - 2*genus_c,
 // where f_c counts the faces traced within that component (an isolated
 // vertex traces no half-edge and contributes its single face directly).
+// r must match g (see Validate); the count runs in O(n + m) over Darts.
 func (r *Rotation) Genus(g *graph.Graph) int {
-	comps := g.Components()
-	compOf := make([]int, g.N())
-	for ci, comp := range comps {
-		for _, v := range comp {
-			compOf[v] = ci
-		}
-	}
-	facesPer := make([]int, len(comps))
-	for _, face := range r.Faces() {
-		facesPer[compOf[face[0]]]++
-	}
-	edgesPer := make([]int, len(comps))
-	for _, e := range g.Edges() {
-		edgesPer[compOf[e.U]]++
-	}
-	total := 0
-	for ci, comp := range comps {
-		f := facesPer[ci]
-		if edgesPer[ci] == 0 {
-			f = 1 // an isolated vertex has exactly one face
-		}
-		total += (2 - len(comp) + edgesPer[ci] - f) / 2
-	}
-	return total
+	return r.darts().Genus()
 }
 
 // IsPlanar reports whether the rotation system is a planar (genus-0)
 // embedding of g, after validating structural consistency.
 func (r *Rotation) IsPlanar(g *graph.Graph) (bool, error) {
-	if err := r.Validate(g); err != nil {
+	d, err := r.Index(g)
+	if err != nil {
 		return false, err
 	}
 	if g.N() == 0 {
 		return true, nil
 	}
-	return r.Genus(g) == 0, nil
+	return d.Genus() == 0, nil
 }
 
 // PositionOf returns the index of neighbor v in u's rotation, or -1.

@@ -182,18 +182,30 @@ func (g *Graph) IDs() []ID {
 	return out
 }
 
-// Edges returns all edges in deterministic (sorted) order.
+// Edges returns all edges in deterministic (sorted) order. It buckets
+// every edge {u, v}, u < v, under u while visiting v in ascending order,
+// so each bucket fills already sorted: O(n + m), no comparison sort.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	n := len(g.adj)
+	next := make([]int, n+1) // next[u]: output slot of u's next edge
+	for u, nb := range g.adj {
+		up := 0
+		for _, v := range nb {
+			if v > u {
+				up++
+			}
 		}
-		return out[i].V < out[j].V
-	})
+		next[u+1] = next[u] + up
+	}
+	out := make([]Edge, next[n])
+	for v, nb := range g.adj {
+		for _, u := range nb {
+			if u < v {
+				out[next[u]] = Edge{U: u, V: v}
+				next[u]++
+			}
+		}
+	}
 	return out
 }
 

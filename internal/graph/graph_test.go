@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +83,52 @@ func TestEdgesSortedAndNormalized(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Edges()[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// refEdges is the map-dump-and-sort Edges that the adjacency bucketing
+// replaced, kept as its reference.
+func refEdges(g *Graph) []Edge {
+	out := make([]Edge, 0, len(g.edges))
+	for e := range g.edges {
+		out = append(out, e)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].U != out[j].U {
+			return out[i].U < out[j].U
+		}
+		return out[i].V < out[j].V
+	})
+	return out
+}
+
+// TestEdgesMatchesSortedSetUnderChurn checks the bucketed Edges against
+// the sorted edge set after random add/remove churn, which reorders
+// adjacency lists (removals splice, re-adds append at the tail).
+func TestEdgesMatchesSortedSetUnderChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		g := NewWithNodes(n)
+		for step := 0; step < 6*n; step++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			if g.HasEdge(u, v) {
+				g.RemoveEdge(u, v)
+			} else {
+				g.MustAddEdge(u, v)
+			}
+			if step%7 == 0 {
+				if got, want := g.Edges(), refEdges(g); !slices.Equal(got, want) {
+					t.Fatalf("trial %d step %d: Edges() = %v, want %v", trial, step, got, want)
+				}
+			}
+		}
+		if got, want := g.Edges(), refEdges(g); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Edges() = %v, want %v", trial, got, want)
 		}
 	}
 }
@@ -300,6 +347,68 @@ func TestDegeneracyOrderPropertyRandom(t *testing.T) {
 		}
 		if !degeneracyProperty(g) {
 			t.Fatalf("degeneracy property violated on trial %d: %v", trial, g)
+		}
+	}
+}
+
+// refDegeneracyOrder is the slice-per-bucket peeling DegeneracyOrder
+// replaced, kept as its reference: the arena must pop nodes in exactly
+// the same LIFO order, since the order fixes which endpoint holds each
+// planar edge certificate.
+func refDegeneracyOrder(g *Graph) (order []int, degeneracy int) {
+	n := g.N()
+	deg := make([]int, n)
+	removed := make([]bool, n)
+	maxDeg := 0
+	for i := 0; i < n; i++ {
+		deg[i] = len(g.adj[i])
+		maxDeg = max(maxDeg, deg[i])
+	}
+	buckets := make([][]int, maxDeg+1)
+	for i := 0; i < n; i++ {
+		buckets[deg[i]] = append(buckets[deg[i]], i)
+	}
+	cur := 0
+	for len(order) < n && cur <= maxDeg {
+		if len(buckets[cur]) == 0 {
+			cur++
+			continue
+		}
+		u := buckets[cur][len(buckets[cur])-1]
+		buckets[cur] = buckets[cur][:len(buckets[cur])-1]
+		if removed[u] || deg[u] != cur {
+			continue
+		}
+		removed[u] = true
+		order = append(order, u)
+		degeneracy = max(degeneracy, cur)
+		for _, v := range g.adj[u] {
+			if !removed[v] {
+				deg[v]--
+				buckets[deg[v]] = append(buckets[deg[v]], v)
+				cur = min(cur, deg[v])
+			}
+		}
+	}
+	return order, degeneracy
+}
+
+func TestDegeneracyOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(60)
+		g := NewWithNodes(n)
+		for i := rng.Intn(4*n + 1); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v)
+			}
+		}
+		gotOrder, gotDeg := g.DegeneracyOrder()
+		wantOrder, wantDeg := refDegeneracyOrder(g)
+		if gotDeg != wantDeg || !slices.Equal(gotOrder, wantOrder) {
+			t.Fatalf("trial %d (%v): order %v degeneracy %d, reference %v %d",
+				trial, g, gotOrder, gotDeg, wantOrder, wantDeg)
 		}
 	}
 }

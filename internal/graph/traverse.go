@@ -96,47 +96,49 @@ func IsTreeEdge(parent []int, u, v int) bool {
 // to spread edge certificates.
 func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 	n := g.N()
-	deg := make([]int, n)
-	removed := make([]bool, n)
+	deg := make([]int32, n) // -1 once peeled
 	maxDeg := 0
 	for i := 0; i < n; i++ {
-		deg[i] = len(g.adj[i])
-		if deg[i] > maxDeg {
-			maxDeg = deg[i]
-		}
+		deg[i] = int32(len(g.adj[i]))
+		maxDeg = max(maxDeg, len(g.adj[i]))
 	}
-	// Bucket queue over degrees for O(n + m) peeling.
-	buckets := make([][]int, maxDeg+1)
+	// Bucket queue over degrees for O(n + m) peeling. Each bucket is a
+	// LIFO stack threaded through one arena: a node is pushed once at the
+	// start and once per edge whose other end is peeled first, so n + m
+	// entries suffice. Entries left behind by a later decrement are stale
+	// and skipped when popped.
+	type entry struct{ v, below int32 }
+	arena := make([]entry, 0, n+g.M())
+	top := make([]int32, maxDeg+1) // arena index of each bucket's top, -1 if empty
+	for d := range top {
+		top[d] = -1
+	}
 	for i := 0; i < n; i++ {
-		buckets[deg[i]] = append(buckets[deg[i]], i)
+		arena = append(arena, entry{int32(i), top[deg[i]]})
+		top[deg[i]] = int32(len(arena) - 1)
 	}
 	order = make([]int, 0, n)
 	cur := 0
-	for len(order) < n {
-		if cur > maxDeg {
-			break
-		}
-		if len(buckets[cur]) == 0 {
+	for len(order) < n && cur <= maxDeg {
+		if top[cur] < 0 {
 			cur++
 			continue
 		}
-		u := buckets[cur][len(buckets[cur])-1]
-		buckets[cur] = buckets[cur][:len(buckets[cur])-1]
-		if removed[u] || deg[u] != cur {
-			continue // stale bucket entry
+		e := arena[top[cur]]
+		top[cur] = e.below
+		u := int(e.v)
+		if deg[u] != int32(cur) {
+			continue // stale entry (or already peeled)
 		}
-		removed[u] = true
+		deg[u] = -1
 		order = append(order, u)
-		if cur > degeneracy {
-			degeneracy = cur
-		}
+		degeneracy = max(degeneracy, cur)
 		for _, v := range g.adj[u] {
-			if !removed[v] {
+			if deg[v] >= 0 {
 				deg[v]--
-				buckets[deg[v]] = append(buckets[deg[v]], v)
-				if deg[v] < cur {
-					cur = deg[v]
-				}
+				arena = append(arena, entry{int32(v), top[deg[v]]})
+				top[deg[v]] = int32(len(arena) - 1)
+				cur = min(cur, int(deg[v]))
 			}
 		}
 	}

@@ -40,6 +40,29 @@ const (
 	SpanAdmit = "admit"
 )
 
+// The steps of a planarity re-prove, recorded as the children of its
+// SpanProve span in this order and named after the package doing the
+// work. Phases does not descend into SpanProve, so they refine the
+// prove phase without changing the decomposition.
+const (
+	// SpanLRCheck is the class checks (non-empty, connected) and the
+	// left-right planarity test that yields a rotation system.
+	SpanLRCheck = "planarity.check"
+	// SpanEulerAudit validates the rotation against the graph and checks
+	// its genus is 0.
+	SpanEulerAudit = "embedding.audit"
+	// SpanTransform is the §3.2 cut along the DFS tree plus the §3.1
+	// interval sweep.
+	SpanTransform = "core.transform"
+	// SpanCertObjects builds the structured certificates and spreads the
+	// edge certificates along the degeneracy order (§3.3).
+	SpanCertObjects = "core.cert_objects"
+	// SpanEncode serialises the certificates to bit strings.
+	SpanEncode = "core.encode"
+	// SpanRepairState builds the localized-repair state of the session.
+	SpanRepairState = "dynamic.state"
+)
+
 // Attr is one span attribute: either a string or an int64 value under a
 // key. Attributes carry the cost-model quantities (mode, frontier size,
 // certificate bits, rounds) alongside the timings.

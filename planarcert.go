@@ -252,13 +252,20 @@ func schemeByName(name SchemeName) (pls.Scheme, error) {
 }
 
 // cloneCertificates deep-copies a certificate assignment: a fresh map
-// whose Data slices share no backing array with the input.
+// whose Data slices share no backing array with the input. The copies
+// are carved from one slab, each capped at its own length so an append
+// to one reallocates instead of running into the next.
 func cloneCertificates(certs Certificates) Certificates {
 	out := make(Certificates, len(certs))
+	total := 0
+	for _, c := range certs {
+		total += len(c.Data)
+	}
+	slab := make([]byte, 0, total)
 	for id, c := range certs {
-		data := make([]byte, len(c.Data))
-		copy(data, c.Data)
-		out[id] = Certificate{Data: data, Bits: c.Bits}
+		lo := len(slab)
+		slab = append(slab, c.Data...)
+		out[id] = Certificate{Data: slab[lo:len(slab):len(slab)], Bits: c.Bits}
 	}
 	return out
 }
