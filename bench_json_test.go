@@ -101,6 +101,7 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	perNodeBars := map[string]float64{}
+	var sweep16k int64 // the sequential n=16384 sweep, ns/op
 	for _, b := range base.Benchmarks {
 		if !strings.HasPrefix(b.Name, "BenchmarkEngineParallel/") {
 			continue
@@ -112,6 +113,9 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			t.Errorf("BENCH_baseline.json: %s missing nodes_per_s", b.Name)
 		}
 		perNodeBars[b.Name] = b.NodesPerS
+		if b.Name == "BenchmarkEngineParallel/n=16384/seq" {
+			sweep16k = b.NsPerOp
+		}
 	}
 	for _, mode := range []string{"seq", "par"} {
 		small := perNodeBars["BenchmarkEngineParallel/n=64/"+mode]
@@ -261,7 +265,11 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	// The acceptance bars of the index-addressed prover: n=16384 under
 	// 1.8e8 ns/op (the map- and sort-based prover took ~4e8 on the same
 	// machine) and at most 4 allocations per node at every size (it spent
-	// ~27.5).
+	// ~27.5). And the bar of the per-sweep decode memo: the sequential
+	// verification sweep of an n=16384 triangulation costs less than
+	// proving it (BENCH_baseline.json and BENCH_prover.json regenerated
+	// together) — a sweep that decodes every certificate deg+1 times did
+	// not.
 	raw, err = os.ReadFile("BENCH_prover.json")
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +293,9 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			t.Fatalf("BENCH_prover.json: %s spends %d allocs/op, bar is 4 per node (%d)", name, e.AllocsPerOp, 4*n)
 		case n == 16384 && e.NsPerOp >= 1.8e8:
 			t.Fatalf("BENCH_prover.json: %s at %d ns/op, bar is under 1.8e8", name, e.NsPerOp)
+		case n == 16384 && (sweep16k == 0 || sweep16k >= e.NsPerOp):
+			t.Fatalf("BENCH_baseline.json: the sequential n=16384 sweep at %d ns/op, bar is under %s at %d ns/op",
+				sweep16k, name, e.NsPerOp)
 		}
 	}
 

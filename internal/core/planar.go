@@ -201,10 +201,10 @@ func DecodePlanarCert(r *bits.Reader) (*PlanarCert, error) {
 }
 
 // decodePlanarCertInto reads a PlanarCert into c, carving the edge
-// certificates out of sc's slab when sc is non-nil and allocating them
+// certificates out of arena when it is non-nil and allocating them
 // fresh otherwise. Both paths run the identical decode logic, so pooled
 // and fresh decoding cannot diverge.
-func decodePlanarCertInto(r *bits.Reader, c *PlanarCert, sc *planarScratch) error {
+func decodePlanarCertInto(r *bits.Reader, c *PlanarCert, arena *edgeArena) error {
 	if err := pls.DecodeTreeCertInto(r, &c.Tree); err != nil {
 		return err
 	}
@@ -216,7 +216,7 @@ func decodePlanarCertInto(r *bits.Reader, c *PlanarCert, sc *planarScratch) erro
 		return fmt.Errorf("core: %d edge certificates exceed the cap %d", cnt, MaxEdgeCerts)
 	}
 	rw := rankWidth(c.Tree.N)
-	if sc == nil {
+	if arena == nil {
 		c.Edges = nil
 		for i := uint64(0); i < cnt; i++ {
 			e := new(EdgeCert)
@@ -227,15 +227,12 @@ func decodePlanarCertInto(r *bits.Reader, c *PlanarCert, sc *planarScratch) erro
 		}
 		return nil
 	}
-	start := len(sc.edgePtrs)
-	for i := uint64(0); i < cnt; i++ {
-		e := sc.newEdgeCert()
+	c.Edges = arena.take(int(cnt))
+	for _, e := range c.Edges {
 		if err := decodeEdgeCertInto(r, rw, e); err != nil {
 			return err
 		}
-		sc.edgePtrs = append(sc.edgePtrs, e)
 	}
-	c.Edges = sc.edgePtrs[start:len(sc.edgePtrs):len(sc.edgePtrs)]
 	return nil
 }
 
@@ -528,27 +525,28 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 	sc.reset(len(view.Neighbors))
 
 	// Phase 0: decode everything.
-	view.Cert.ResetReader(&sc.r)
-	if err := decodePlanarCertInto(&sc.r, &sc.self, sc); err != nil {
+	sweep := view.Scratch.Sweep()
+	selfDec, err := sc.decodeAt(sweep, view.Idx, view.Cert, &sc.self)
+	if err != nil {
 		return none, err
 	}
-	self := &sc.self
+	self := &selfDec.cert
 	myID := view.ID
 	if self.Tree.SelfID != myID {
 		return none, fmt.Errorf("core: certificate claims ID %d, node is %d", self.Tree.SelfID, myID)
 	}
 	for i := range view.Neighbors {
 		nb := &view.Neighbors[i]
-		c := &sc.nbrs[i]
-		nb.Cert.ResetReader(&sc.r)
-		if err := decodePlanarCertInto(&sc.r, c, sc); err != nil {
+		d, err := sc.decodeAt(sweep, nb.Idx, nb.Cert, &sc.nbrs[i])
+		if err != nil {
 			return none, err
 		}
-		if c.Tree.SelfID != nb.ID {
+		if d.cert.Tree.SelfID != nb.ID {
 			return none, fmt.Errorf("core: neighbor certificate claims ID %d, neighbor is %d",
-				c.Tree.SelfID, nb.ID)
+				d.cert.Tree.SelfID, nb.ID)
 		}
-		sc.treeNbrs = append(sc.treeNbrs, &c.Tree)
+		sc.nbrDecs = append(sc.nbrDecs, d)
+		sc.treeNbrs = append(sc.treeNbrs, &d.cert.Tree)
 	}
 
 	// Phase 2a (paper order keeps this before the PO simulation): spanning
@@ -590,13 +588,19 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 		}
 		sc.edgeCnt[j]++
 	}
+	// A neighbor's certificate claims the neighbor's own ID (phase 0),
+	// so its decode summary answers both questions without loading the
+	// edge certificates: each involves the neighbor unless foreign, and
+	// then involves me iff its other endpoint is me (or the neighbor
+	// carries my ID).
 	for i := range view.Neighbors {
 		nbID := view.Neighbors[i].ID
-		for _, ec := range sc.nbrs[i].Edges {
-			if !ec.Involves(nbID) {
-				return none, fmt.Errorf("core: neighbor %d stores certificate for a foreign edge", nbID)
-			}
-			if !ec.Involves(myID) {
+		d := sc.nbrDecs[i]
+		if d.foreign {
+			return none, fmt.Errorf("core: neighbor %d stores certificate for a foreign edge", nbID)
+		}
+		for k, ec := range d.cert.Edges {
+			if d.others[k] != myID && nbID != myID {
 				continue // about one of the neighbor's other edges
 			}
 			if sc.edgeOne[i] == nil {
@@ -636,7 +640,7 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 	for i := range view.Neighbors {
 		nbID := view.Neighbors[i].ID
 		ec := sc.edgeOne[i]
-		nbCert := &sc.nbrs[i]
+		nbCert := &sc.nbrDecs[i].cert
 		nbIsMyChild := nbCert.Tree.Parent == myID && nbCert.Tree.Dist == self.Tree.Dist+1
 		nbIsMyParent := self.Tree.Parent == nbID
 		if ec.IsTree {

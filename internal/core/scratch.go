@@ -23,7 +23,12 @@ import (
 //   - everything in the scratch is garbage on entry — reset is the
 //     scheme's first step, and nothing decoded for one node may
 //     influence another node's verdict (the decode-parity suite and
-//     FuzzScratchReuse enforce this);
+//     FuzzScratchReuse enforce this), with one exception: the pure
+//     decode of a certificate may be shared, keyed by (sweep id, node
+//     index) — the planar memo (planarMemo) does this, so a sweep
+//     decodes each certificate once instead of deg+1 times. Nothing
+//     else may be shared (TestSweepMemoNotStale and FuzzSweepMemo
+//     enforce both halves);
 //   - views with a nil Scratch (direct Verify calls, the interactive
 //     protocols) fall back to a fresh scratch per call, which is
 //     exactly the old fresh-allocation behavior — both paths run the
@@ -139,19 +144,20 @@ func grow2[T any](s []T, n int) []T {
 // extra check on the same reconstruction.
 type planarScratch struct {
 	r        bits.Reader
-	self     PlanarCert
-	nbrs     []PlanarCert    // decoded neighbor certificates, by view position
+	self     planarDecode
+	nbrs     []planarDecode  // fresh decodes of neighbor certificates, by view position
+	nbrDecs  []*planarDecode // the neighbor decodes in use, by view position
 	treeNbrs []*pls.TreeCert // their spanning-tree sub-proofs
-	edgeSlab []EdgeCert      // all edge certificates decoded for this view
-	edgePtrs []*EdgeCert     // backing for the decoded certs' Edges slices
+	slab     edgeArena       // edge certificates of this view's fresh decodes
 	edgeOne  []*EdgeCert     // per neighbor position: the first certificate recovered for edge {me, nb}
 	edgeCnt  []int32         // per neighbor position: how many were recovered
 	claims   rankMap[Interval]
 	copyIdx  rankMap[int]
 	children []childInfo
-	copies   []int           // my reconstructed copies f^{-1}(me)
-	cotree   [][]PONeighbor  // cotree attachments per copy index
+	copies   []int          // my reconstructed copies f^{-1}(me)
+	cotree   [][]PONeighbor // cotree attachments per copy index
 	po       poNodeScratch
+	memo     planarMemo
 }
 
 type planarScratchKey struct{}
@@ -168,21 +174,14 @@ func planarScratchFor(view dist.View) *planarScratch {
 }
 
 // reset prepares the scratch for a view with deg neighbors. Every
-// region is either truncated to zero length or fully overwritten before
-// use, so nothing from the previous node can leak into this one.
+// per-view region is either truncated to zero length or fully
+// overwritten before use, so nothing from the previous node can leak
+// into this one; the sweep memo is keyed by sweep id and left alone.
 func (sc *planarScratch) reset(deg int) {
 	sc.nbrs = grow2(sc.nbrs, deg)
+	sc.nbrDecs = sc.nbrDecs[:0]
 	sc.treeNbrs = sc.treeNbrs[:0]
-	// Pre-size the slabs so decoding never reallocates mid-node: the cap
-	// bounds certificates at MaxEdgeCerts edges each.
-	need := (deg + 1) * MaxEdgeCerts
-	if cap(sc.edgeSlab) < need {
-		sc.edgeSlab = make([]EdgeCert, 0, need)
-		sc.edgePtrs = make([]*EdgeCert, 0, need)
-	} else {
-		sc.edgeSlab = sc.edgeSlab[:0]
-		sc.edgePtrs = sc.edgePtrs[:0]
-	}
+	sc.slab.rewind()
 	sc.edgeOne = grow2(sc.edgeOne, deg)
 	sc.edgeCnt = grow2(sc.edgeCnt, deg)
 	for i := 0; i < deg; i++ {
@@ -195,10 +194,143 @@ func (sc *planarScratch) reset(deg int) {
 	sc.copies = sc.copies[:0]
 }
 
-// newEdgeCert carves one zeroed EdgeCert out of the slab.
-func (sc *planarScratch) newEdgeCert() *EdgeCert {
-	sc.edgeSlab = append(sc.edgeSlab, EdgeCert{})
-	return &sc.edgeSlab[len(sc.edgeSlab)-1]
+// planarDecode is one decoded planar certificate together with what
+// every viewer derives from its edge list alone, so that a node scans
+// a neighbor's stored edge certificates without loading them: whether
+// one of them misses the holder, and each one's other endpoint.
+type planarDecode struct {
+	cert    PlanarCert
+	foreign bool                   // some stored certificate does not involve the holder
+	others  [MaxEdgeCerts]graph.ID // per stored certificate: the endpoint that is not the holder
+}
+
+// decodeHook, when non-nil, runs at every planarDecode.decode; tests
+// install it to count decodes.
+var decodeHook func()
+
+// decode reads the certificate from r into d, with edge certificates
+// from arena (fresh ones when arena is nil), and derives the summary.
+func (d *planarDecode) decode(r *bits.Reader, arena *edgeArena) error {
+	if decodeHook != nil {
+		decodeHook()
+	}
+	if err := decodePlanarCertInto(r, &d.cert, arena); err != nil {
+		return err
+	}
+	holder := d.cert.Tree.SelfID
+	d.foreign = false
+	for k, ec := range d.cert.Edges {
+		d.foreign = d.foreign || !ec.Involves(holder)
+		d.others[k] = ec.Other(holder)
+	}
+	return nil
+}
+
+// decodeAt returns the decode of cert, the certificate of the node with
+// index idx, in the view being verified. Inside an engine sweep
+// (sweep != 0) the decode is memoized by (sweep, idx): the first view
+// that shows the node decodes it, and every later view of the sweep
+// gets the same decode, or the same decode error, without reading a
+// bit. Outside a sweep it decodes into into, with edge certificates
+// from the per-view slab. Both paths run planarDecode.decode, and
+// decoding is a pure function of the certificate's bits, so they
+// cannot disagree.
+func (sc *planarScratch) decodeAt(sweep uint64, idx int32, cert bits.Certificate, into *planarDecode) (*planarDecode, error) {
+	if sweep == 0 {
+		cert.ResetReader(&sc.r)
+		return into, into.decode(&sc.r, &sc.slab)
+	}
+	m := &sc.memo
+	if m.sweep != sweep {
+		m.begin(sweep)
+	}
+	if int(idx) >= len(m.entries) {
+		// Growing copies the entries; a decode handed out before keeps
+		// its old copy alive, and stamped decodes never change.
+		m.entries = grow2(m.entries, max(int(idx)+1, 2*len(m.entries)))
+	}
+	e := &m.entries[idx]
+	switch e.stamp {
+	case sweep << 1:
+		return &e.dec, nil
+	case sweep<<1 | 1:
+		return nil, m.errs[idx]
+	}
+	cert.ResetReader(&sc.r)
+	err := e.dec.decode(&sc.r, &m.edges)
+	// Stamp only once the decode has returned: a decode that panics
+	// leaves the entry unstamped, and the next viewer decodes afresh.
+	if err != nil {
+		if m.errs == nil {
+			m.errs = make(map[int32]error)
+		}
+		m.errs[idx] = err
+		e.stamp = sweep<<1 | 1
+		return nil, err
+	}
+	e.stamp = sweep << 1
+	return &e.dec, nil
+}
+
+// planarMemo is the one piece of planar decode state that outlives a
+// node: the decoded certificates of the current sweep, by node index.
+// It lives in the worker's pooled scratch, so a sweep's decodes are
+// shared by the views one worker verifies and dropped with the pool.
+type planarMemo struct {
+	sweep   uint64          // the sweep the entries' edge certificates belong to
+	entries []memoEntry     // by node index
+	errs    map[int32]error // decode errors of this sweep, by node index
+	edges   edgeArena       // edge certificates of this sweep's decodes
+}
+
+// memoEntry is one node's memoized decode. stamp is sweep<<1 for a
+// decode of that sweep and sweep<<1|1 for a decode that failed; sweep
+// ids start at 1, so a zero stamp matches no sweep.
+type memoEntry struct {
+	stamp uint64
+	dec   planarDecode
+}
+
+// begin starts the memo for a new sweep: entries of older sweeps stop
+// matching by their stamps, and the edge arena is reused from the top.
+func (m *planarMemo) begin(sweep uint64) {
+	m.sweep = sweep
+	m.edges.rewind()
+	clear(m.errs)
+}
+
+// edgeArena hands out edge certificates in chunks that are never
+// reallocated, so every certificate carved since the last rewind stays
+// where it is. A chunk is kept as pointers to its slots, so a decoded
+// certificate's Edges slice is carved, not built. Chunks double from 16
+// to 512 slots: a one-view scratch stays small, and a sweep memo's
+// chunks are each allocated once per worker.
+type edgeArena struct {
+	chunks [][]*EdgeCert
+	cur    int // chunk being carved
+	used   int // slots carved from it
+}
+
+// rewind makes the whole arena available again.
+func (a *edgeArena) rewind() { a.cur, a.used = 0, 0 }
+
+// take returns k consecutive slots; their contents are stale and must
+// be overwritten.
+func (a *edgeArena) take(k int) []*EdgeCert {
+	if a.cur < len(a.chunks) && a.used+k > len(a.chunks[a.cur]) {
+		a.cur, a.used = a.cur+1, 0
+	}
+	if a.cur == len(a.chunks) {
+		certs := make([]EdgeCert, max(16<<min(a.cur, 5), k))
+		ptrs := make([]*EdgeCert, len(certs))
+		for i := range certs {
+			ptrs[i] = &certs[i]
+		}
+		a.chunks = append(a.chunks, ptrs)
+	}
+	lo := a.used
+	a.used += k
+	return a.chunks[a.cur][lo:a.used:a.used]
 }
 
 // cotreeFor sizes the per-copy cotree attachment lists, keeping the

@@ -90,3 +90,71 @@ func FuzzScratchReuse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSweepMemo is the fuzzing arm of the per-sweep decode memo: it
+// overwrites the certificates of one or two nodes of a small honest
+// assignment with fuzzed bytes and requires the sequential and the
+// parallel engine sweep, both on one pool shared by every input, to
+// report the same rejecting nodes and reasons as verifying each node
+// alone with no scratch. A memo entry that leaks across sweeps, a
+// cached decode error returned at the wrong point, or a decode shared
+// between nodes surfaces as an Outcome difference.
+func FuzzSweepMemo(f *testing.F) {
+	rng := rand.New(rand.NewSource(12))
+	fixtures := []struct {
+		scheme pls.Scheme
+		g      *graph.Graph
+	}{
+		{core.PlanarScheme{}, gen.ScrambleIDs(gen.Grid(3, 4), rng)},
+		{core.PlanarScheme{}, gen.ScrambleIDs(gen.StackedTriangulation(24, rng), rng)},
+		{core.OuterplanarScheme{}, gen.ScrambleIDs(gen.RandomOuterplanar(12, 0.6, rng), rng)},
+	}
+	honest := make([]map[graph.ID]bits.Certificate, len(fixtures))
+	for i, fx := range fixtures {
+		certs, err := fx.scheme.Prove(fx.g)
+		if err != nil {
+			f.Fatalf("prover for %s: %v", fx.scheme.Name(), err)
+		}
+		honest[i] = certs
+	}
+	for si, fx := range fixtures {
+		a := honest[si][fx.g.IDOf(0)]
+		b := honest[si][fx.g.IDOf(1)]
+		// Two nodes swap certificates; one node gets garbage; a node
+		// keeps its own certificate (an honest sweep).
+		f.Add(uint8(si), uint8(0), uint8(1), b.Data, uint16(b.Bits), a.Data, uint16(a.Bits))
+		f.Add(uint8(si), uint8(2), uint8(2), []byte{0xFF, 0x00, 0x13}, uint16(21), a.Data, uint16(a.Bits))
+		f.Add(uint8(si), uint8(0), uint8(0), a.Data, uint16(a.Bits), a.Data, uint16(a.Bits))
+	}
+	clamp := func(data []byte, nbits uint16) bits.Certificate {
+		n := int(nbits)
+		if max := len(data) * 8; n > max {
+			n = max
+		}
+		return bits.Certificate{Data: data, Bits: n}
+	}
+	pool := dist.NewScratchPool()
+	f.Fuzz(func(t *testing.T, sel, na, nb uint8, dataA []byte, bitsA uint16, dataB []byte, bitsB uint16) {
+		if len(dataA) > 256 || len(dataB) > 256 {
+			t.Skip("bound the decode work")
+		}
+		si := int(sel) % len(fixtures)
+		fx := fixtures[si]
+		certs := make(map[graph.ID]bits.Certificate, len(honest[si]))
+		for id, c := range honest[si] {
+			certs[id] = c
+		}
+		certs[fx.g.IDOf(int(na)%fx.g.N())] = clamp(dataA, bitsA)
+		if int(nb)%fx.g.N() != int(na)%fx.g.N() {
+			certs[fx.g.IDOf(int(nb)%fx.g.N())] = clamp(dataB, bitsB)
+		}
+		want := freshVerdicts(fx.scheme, fx.g, certs)
+		all := make([]int, fx.g.N())
+		for u := range all {
+			all[u] = u
+		}
+		for _, opts := range sweepOpts(pool) {
+			checkOutcome(t, fx.g, all, want, dist.NewEngine(fx.g, opts...).RunPLS(certs, fx.scheme.Verify))
+		}
+	})
+}

@@ -6,10 +6,12 @@ import (
 )
 
 // NeighborCert is one neighbor's contribution to a node's 1-round view:
-// its identifier and the certificate it was assigned.
+// its identifier and the certificate it was assigned, plus its node
+// index in the engine's graph (see View.Idx).
 type NeighborCert struct {
 	ID   graph.ID
 	Cert bits.Certificate
+	Idx  int32
 }
 
 // View is everything a node sees when it runs the 1-round verifier: its
@@ -22,8 +24,16 @@ type NeighborCert struct {
 // may decode into it to stay allocation-free in steady state; they must
 // treat its contents as garbage on entry and must not retain anything
 // stored in it past the call.
+//
+// Idx is the node's index in the engine's graph. Within one sweep
+// (Scratch.Sweep() != 0) a node index names exactly one certificate, so
+// a verifier may share the pure decode of a certificate between the
+// views of one sweep, keyed by (sweep, index); a caller that rewrites a
+// view's certificates must therefore not pass the engine's Scratch on.
+// Outside a sweep Idx carries no meaning.
 type View struct {
 	ID        graph.ID
+	Idx       int32
 	Degree    int
 	Cert      bits.Certificate
 	Neighbors []NeighborCert

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/planarcert/planarcert/internal/bits"
@@ -401,5 +402,57 @@ func TestEngineAllocationFree(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("RunPLS allocates %.0f objects per sweep of 1024 nodes, want O(1)", allocs)
+	}
+}
+
+// TestViewIndicesAndSweepIDs pins what a decode memo keyed by (sweep,
+// node index) relies on: every view and neighbor entry carries the
+// node's index in the engine's graph, every worker of one sweep sees
+// one non-zero sweep id, and no two sweeps share an id — full and
+// frontier sweeps, sequential and parallel, on one reused engine.
+// Scratches outside a sweep report 0.
+func TestViewIndicesAndSweepIDs(t *testing.T) {
+	if id := (*dist.Scratch)(nil).Sweep(); id != 0 {
+		t.Fatalf("nil scratch reports sweep %d", id)
+	}
+	if id := new(dist.Scratch).Sweep(); id != 0 {
+		t.Fatalf("scratch built outside the engine reports sweep %d", id)
+	}
+	rng := rand.New(rand.NewSource(6))
+	g := gen.ScrambleIDs(gen.Grid(6, 6), rng)
+	seen := map[uint64]bool{}
+	for name, e := range engines(g) {
+		for _, subset := range []bool{false, true, false, true} {
+			var mu sync.Mutex
+			ids := map[uint64]bool{}
+			verify := func(v dist.View) error {
+				if g.IDOf(int(v.Idx)) != v.ID {
+					t.Errorf("%s: view of node %d carries index %d", name, v.ID, v.Idx)
+				}
+				for _, nb := range v.Neighbors {
+					if g.IDOf(int(nb.Idx)) != nb.ID {
+						t.Errorf("%s: neighbor %d carries index %d", name, nb.ID, nb.Idx)
+					}
+				}
+				mu.Lock()
+				ids[v.Scratch.Sweep()] = true
+				mu.Unlock()
+				return nil
+			}
+			if subset {
+				e.RunPLSSubset(nil, verify, []int{0, 5, 6, 7, 20, 35})
+			} else {
+				e.RunPLS(nil, verify)
+			}
+			if len(ids) != 1 || ids[0] {
+				t.Fatalf("%s (subset %v): one sweep saw sweep ids %v, want one non-zero id", name, subset, ids)
+			}
+			for id := range ids {
+				if seen[id] {
+					t.Fatalf("%s: sweep id %d issued twice", name, id)
+				}
+				seen[id] = true
+			}
+		}
 	}
 }

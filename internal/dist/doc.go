@@ -17,6 +17,10 @@
 //   - RunPLSSubset verifies only a subset of nodes against the live
 //     graph (no layout snapshot), which is what makes incremental
 //     frontier verification in internal/dynamic cost ~ subset degree;
+//   - every RunPLS and RunPLSSubset call is one sweep with a unique id
+//     (Scratch.Sweep), and views carry node indices (View.Idx), so a
+//     verifier may decode each certificate once per sweep and share
+//     the decode between the views that show it;
 //   - NewEngine takes options (Sequential, Parallel, ShardSize,
 //     FailFast, Limit) so experiments can compare execution modes on
 //     identical inputs.

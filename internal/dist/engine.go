@@ -198,8 +198,8 @@ func (e *Engine) RunPLS(certs map[graph.ID]bits.Certificate, verify func(View) e
 		}
 	}
 	// Refresh the arena's certificate slots in CSR order.
-	for k, v := range lay.nbr {
-		lay.arena[k].Cert = lay.certs[v]
+	for k := range lay.arena {
+		lay.arena[k].Cert = lay.certs[lay.arena[k].Idx]
 	}
 
 	if e.parallel(n) {
@@ -229,7 +229,7 @@ func (e *Engine) RunPLS(certs map[graph.ID]bits.Certificate, verify func(View) e
 
 func (e *Engine) verifySequential(lay *layout, verify func(View) error) {
 	pool := e.scratchPool()
-	sc := pool.get()
+	sc := pool.get(sweeps.Add(1))
 	defer pool.put(sc)
 	for u := 0; u < lay.n; u++ {
 		if err := verifyNode(lay, u, sc, verify); err != nil {
@@ -266,24 +266,26 @@ func (e *Engine) verifyParallel(lay *layout, verify func(View) error, sweep *obs
 // extra workers; verifyShard handles one shard with the worker's own
 // Scratch and reports whether the sweep should stop early (fail-fast).
 // Each worker borrows exactly one Scratch from the engine's pool for
-// the whole drain, so scratch state is worker-local by construction and
-// a sweep's scratch traffic is O(workers), not O(nodes). Worker 0
-// always runs, so an exhausted budget degrades the sweep to sequential
-// execution instead of stalling it; every extra worker needs a free
-// budget slot at spawn time (see Limit). The acquisition outcome is
-// recorded on sweep's budget-wait child span as wanted/granted/denied
-// slot counts, and the span's duration measures the acquisition.
+// the whole drain, stamped with the drain's one sweep id, so scratch
+// state is worker-local by construction and a sweep's scratch traffic
+// is O(workers), not O(nodes). Worker 0 always runs, so an exhausted
+// budget degrades the sweep to sequential execution instead of
+// stalling it; every extra worker needs a free budget slot at spawn
+// time (see Limit). The acquisition outcome is recorded on sweep's
+// budget-wait child span as wanted/granted/denied slot counts, and the
+// span's duration measures the acquisition.
 func (e *Engine) fanOut(nshards int, sweep *obs.Span, verifyShard func(s int, sc *Scratch) bool) {
 	workers := e.workers
 	if workers > nshards {
 		workers = nshards
 	}
 	pool := e.scratchPool()
+	id := sweeps.Add(1)
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	loop := func() {
-		sc := pool.get()
+		sc := pool.get(id)
 		defer pool.put(sc)
 		for {
 			if e.failFast && stop.Load() {

@@ -10,14 +10,13 @@ import (
 // from shared slices.
 //
 // The adjacency is flattened the usual CSR way: node u's neighbors live
-// at positions offsets[u]..offsets[u+1] of nbr (indices) and arena
-// (identifier + certificate pairs). Neighbor identifiers never change,
-// so they are written once at build time; only the Cert fields of the
-// arena are refreshed per RunPLS, one O(2m) pass.
+// at positions offsets[u]..offsets[u+1] of arena (identifier, index and
+// certificate of each neighbor). Neighbor identifiers and indices never
+// change, so they are written once at build time; only the Cert fields
+// of the arena are refreshed per RunPLS, one O(2m) pass.
 type layout struct {
 	n       int
 	offsets []int32        // len n+1; prefix sums of degrees
-	nbr     []int32        // len 2m; CSR neighbor indices
 	ids     []graph.ID     // node index -> identifier
 	arena   []NeighborCert // len 2m; CSR-aligned neighbor views
 
@@ -40,14 +39,11 @@ func newLayout(g *graph.Graph) *layout {
 	for u := 0; u < n; u++ {
 		lay.offsets[u+1] = lay.offsets[u] + int32(g.Degree(u))
 	}
-	m2 := int(lay.offsets[n])
-	lay.nbr = make([]int32, 0, m2)
-	lay.arena = make([]NeighborCert, m2)
+	lay.arena = make([]NeighborCert, 0, lay.offsets[n])
 	for u := 0; u < n; u++ {
 		lay.ids[u] = g.IDOf(u)
 		for _, v := range g.Neighbors(u) {
-			lay.arena[len(lay.nbr)].ID = g.IDOf(v)
-			lay.nbr = append(lay.nbr, int32(v))
+			lay.arena = append(lay.arena, NeighborCert{ID: g.IDOf(v), Idx: int32(v)})
 		}
 	}
 	return lay
@@ -65,6 +61,7 @@ func (lay *layout) view(u int) View {
 	lo, hi := lay.offsets[u], lay.offsets[u+1]
 	return View{
 		ID:        lay.ids[u],
+		Idx:       int32(u),
 		Degree:    int(hi - lo),
 		Cert:      lay.certs[u],
 		Neighbors: lay.arena[lo:hi:hi],

@@ -1,6 +1,9 @@
 package dist
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Scratch is the per-worker decode arena of a verification sweep. The
 // engine hands every worker goroutine its own Scratch and attaches it to
@@ -18,7 +21,11 @@ import "sync"
 // across nodes and sweeps — that is the point — so schemes must treat
 // everything inside as garbage on entry and must never let state decoded
 // for one node influence the verdict of another (the decode-parity and
-// scratch-reuse fuzz suites enforce this).
+// scratch-reuse fuzz suites enforce this). The one exception is the pure
+// decode of a certificate: the engine stamps each borrowed Scratch with
+// its sweep's id (Sweep), and within one sweep a node index names one
+// certificate, so a decode keyed by (Sweep(), node index) may serve
+// every view of that sweep.
 //
 // All methods are nil-safe: a nil *Scratch (a View built outside the
 // engine, e.g. by direct Verify calls or the interactive protocols)
@@ -28,7 +35,23 @@ type Scratch struct {
 	// views from the live graph rather than the CSR arena).
 	nbrBuf []NeighborCert
 
+	sweep uint64 // id of the sweep holding this scratch; 0 outside one
 	slots []scratchSlot
+}
+
+// sweeps hands out sweep ids; 0 is never issued, so it means "no sweep".
+var sweeps atomic.Uint64
+
+// Sweep returns the process-wide unique id of the engine sweep that
+// currently holds s, or 0 for a nil Scratch and for one built outside
+// the engine. Two views carrying Scratches with the same non-zero Sweep
+// belong to the same sweep, where a node index (View.Idx,
+// NeighborCert.Idx) names exactly one certificate.
+func (s *Scratch) Sweep() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.sweep
 }
 
 type scratchSlot struct {
@@ -97,8 +120,17 @@ func NewScratchPool() *ScratchPool {
 	return sp
 }
 
-func (sp *ScratchPool) get() *Scratch  { return sp.p.Get().(*Scratch) }
-func (sp *ScratchPool) put(s *Scratch) { sp.p.Put(s) }
+// get borrows a scratch for the sweep with the given id.
+func (sp *ScratchPool) get(sweep uint64) *Scratch {
+	s := sp.p.Get().(*Scratch)
+	s.sweep = sweep
+	return s
+}
+
+func (sp *ScratchPool) put(s *Scratch) {
+	s.sweep = 0
+	sp.p.Put(s)
+}
 
 // WithScratch makes the engine borrow worker scratch from pool instead
 // of a private one, sharing decode arenas across the many short-lived

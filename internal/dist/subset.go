@@ -92,10 +92,11 @@ func (e *Engine) subsetView(u int, certs map[graph.ID]bits.Certificate, sc *Scra
 	ncs := sc.neighbors(len(nbrs))
 	for i, v := range nbrs {
 		id := e.g.IDOf(v)
-		ncs[i] = NeighborCert{ID: id, Cert: certs[id]}
+		ncs[i] = NeighborCert{ID: id, Cert: certs[id], Idx: int32(v)}
 	}
 	return View{
 		ID:        e.g.IDOf(u),
+		Idx:       int32(u),
 		Degree:    len(nbrs),
 		Cert:      certs[e.g.IDOf(u)],
 		Neighbors: ncs,
@@ -105,7 +106,7 @@ func (e *Engine) subsetView(u int, certs map[graph.ID]bits.Certificate, sc *Scra
 
 func (e *Engine) subsetSequential(sub []int, certs map[graph.ID]bits.Certificate, verify func(View) error, errs []error) {
 	pool := e.scratchPool()
-	sc := pool.get()
+	sc := pool.get(sweeps.Add(1))
 	defer pool.put(sc)
 	for i, u := range sub {
 		if err := verifyView(e.g.IDOf(u), e.subsetView(u, certs, sc), verify); err != nil {
