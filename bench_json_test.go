@@ -17,6 +17,7 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	type entry struct {
 		Name          string  `json:"name"`
 		NsPerOp       int64   `json:"ns_per_op"`
+		BytesPerOp    int64   `json:"bytes_per_op"`
 		AllocsPerOp   int64   `json:"allocs_per_op"`
 		NodesPerS     float64 `json:"nodes_per_s"`
 		AllocsPerNode float64 `json:"allocs_per_node"`
@@ -101,7 +102,6 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	perNodeBars := map[string]float64{}
-	var sweep16k int64 // the sequential n=16384 sweep, ns/op
 	for _, b := range base.Benchmarks {
 		if !strings.HasPrefix(b.Name, "BenchmarkEngineParallel/") {
 			continue
@@ -113,9 +113,6 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			t.Errorf("BENCH_baseline.json: %s missing nodes_per_s", b.Name)
 		}
 		perNodeBars[b.Name] = b.NodesPerS
-		if b.Name == "BenchmarkEngineParallel/n=16384/seq" {
-			sweep16k = b.NsPerOp
-		}
 	}
 	for _, mode := range []string{"seq", "par"} {
 		small := perNodeBars["BenchmarkEngineParallel/n=64/"+mode]
@@ -265,11 +262,14 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	// The acceptance bars of the index-addressed prover: n=16384 under
 	// 1.8e8 ns/op (the map- and sort-based prover took ~4e8 on the same
 	// machine) and at most 4 allocations per node at every size (it spent
-	// ~27.5). And the bar of the per-sweep decode memo: the sequential
-	// verification sweep of an n=16384 triangulation costs less than
-	// proving it (BENCH_baseline.json and BENCH_prover.json regenerated
-	// together) — a sweep that decodes every certificate deg+1 times did
-	// not.
+	// ~27.5). The bar of the 72-byte pointer-free edge certificates:
+	// n=16384 allocates at most 28 MB per prove (184-byte certificates
+	// behind a pointer slab took 31.9 MB). And the bar of the per-sweep
+	// decode memo: the sequential verification sweep of an n=16384
+	// triangulation costs less than proving it — a sweep that decodes
+	// every certificate deg+1 times did not. Both sides come from
+	// BENCH_prover.json, which records the sweep measured in the same
+	// session as the prover.
 	raw, err = os.ReadFile("BENCH_prover.json")
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +277,12 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	var prover snapshot
 	if err := json.Unmarshal(raw, &prover); err != nil {
 		t.Fatal(err)
+	}
+	var sweep16k int64 // the sequential n=16384 sweep, ns/op
+	for _, b := range prover.Benchmarks {
+		if b.Name == "BenchmarkEngineParallel/n=16384/seq" {
+			sweep16k = b.NsPerOp
+		}
 	}
 	for _, n := range []int64{1024, 16384, 131072} {
 		name := fmt.Sprintf("BenchmarkE7Prover/n=%d", n)
@@ -293,8 +299,10 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			t.Fatalf("BENCH_prover.json: %s spends %d allocs/op, bar is 4 per node (%d)", name, e.AllocsPerOp, 4*n)
 		case n == 16384 && e.NsPerOp >= 1.8e8:
 			t.Fatalf("BENCH_prover.json: %s at %d ns/op, bar is under 1.8e8", name, e.NsPerOp)
+		case n == 16384 && (e.BytesPerOp <= 0 || e.BytesPerOp > 28e6):
+			t.Fatalf("BENCH_prover.json: %s allocates %d B/op, bar is at most 28e6", name, e.BytesPerOp)
 		case n == 16384 && (sweep16k == 0 || sweep16k >= e.NsPerOp):
-			t.Fatalf("BENCH_baseline.json: the sequential n=16384 sweep at %d ns/op, bar is under %s at %d ns/op",
+			t.Fatalf("BENCH_prover.json: the sequential n=16384 sweep at %d ns/op, bar is under %s at %d ns/op",
 				sweep16k, name, e.NsPerOp)
 		}
 	}

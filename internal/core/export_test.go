@@ -11,3 +11,6 @@ func CountDecodes() (stop func() int) {
 		return n
 	}
 }
+
+// CheckRankBound is checkRankBound, the prover's size limit.
+var CheckRankBound = checkRankBound

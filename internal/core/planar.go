@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/planarcert/planarcert/internal/bits"
@@ -17,71 +18,90 @@ import (
 // verifier enforces the cap, which keeps certificates at O(log n) bits.
 const MaxEdgeCerts = 5
 
-// EdgeCert is the certificate c(e) of one edge of G (Section 3.3). A tree
-// edge {parent p, child c} is mapped onto the two path edges
-// {PA, CMin} and {CMax, PB} of G_{T,f}: PA and PB are the ranks of p's
-// copies around c's subtree, CMin/CMax are c's first/last copies. A cotree
-// edge {u, v} is mapped onto the single edge {RankU, RankV}. Each rank
-// travels with its path-outerplanarity interval.
+// EdgeCert is the certificate c(e) of one edge of G (Section 3.3), one
+// layout for both kinds of edge. Rank[k] travels with its
+// path-outerplanarity interval Iv[k].
+//
+//   - A tree edge {parent p, child c} (IsTree) is mapped onto the two
+//     path edges {PA, CMin} and {CMax, PB} of G_{T,f}: U = p, V = c, and
+//     Rank = (PA, CMin, CMax, PB), where PA and PB are the ranks of p's
+//     copies around c's subtree and CMin/CMax are c's first/last copies.
+//   - A cotree edge {u, v} is mapped onto the single edge
+//     {Rank[0], Rank[1]} of G_{T,f}: U = u, V = v, Rank[0] is u's copy
+//     and Rank[1] is v's; Rank[2:] and Iv[2:] are unused and zero.
+//
+// Ranks and interval ends are 32-bit: ProvePlanar refuses graphs whose
+// ranks would not fit, and decoding rejects certificates that claim
+// larger ones. The struct holds no pointers, so an edge-certificate
+// slab is a single noscan allocation. IsTree comes first: with 72-byte
+// entries a trailing IsTree always falls on the cache line after U's,
+// and a leading one usually on the same line.
 type EdgeCert struct {
 	IsTree bool
+	U, V   graph.ID
+	Rank   [4]int32
+	Iv     [4]Interval32
+}
 
-	// Tree edge fields.
-	ParentID, ChildID      graph.ID
-	PA, CMin, CMax, PB     int
-	IPA, ICMin, ICMax, IPB Interval
+// Interval32 is an Interval stored with 32-bit ends, the in-memory form
+// of an edge certificate's intervals.
+type Interval32 struct {
+	A, B int32
+}
 
-	// Cotree edge fields.
-	IDU, IDV     graph.ID
-	RankU, RankV int
-	IU, IV       Interval
+// Narrow returns i with 32-bit ends; callers keep ends within maxRank.
+func Narrow(i Interval) Interval32 { return Interval32{A: int32(i.A), B: int32(i.B)} }
+
+// Wide returns i as an Interval.
+func (i Interval32) Wide() Interval { return Interval{A: int(i.A), B: int(i.B)} }
+
+// maxRank bounds every rank and interval end an edge certificate can
+// hold: ranks live in [0, 2n], so the prover certifies graphs with
+// 2n <= maxRank only.
+const maxRank = math.MaxInt32
+
+// ranks returns the number of rank slots the certificate uses: four
+// for a tree edge, two for a cotree edge.
+func (e *EdgeCert) ranks() int {
+	if e.IsTree {
+		return 4
+	}
+	return 2
 }
 
 // Involves reports whether id is an endpoint of the certified edge.
-func (e *EdgeCert) Involves(id graph.ID) bool {
-	if e.IsTree {
-		return e.ParentID == id || e.ChildID == id
-	}
-	return e.IDU == id || e.IDV == id
-}
+func (e *EdgeCert) Involves(id graph.ID) bool { return e.U == id || e.V == id }
 
 // Other returns the endpoint different from id.
 func (e *EdgeCert) Other(id graph.ID) graph.ID {
-	if e.IsTree {
-		if e.ParentID == id {
-			return e.ChildID
-		}
-		return e.ParentID
+	if e.U == id {
+		return e.V
 	}
-	if e.IDU == id {
-		return e.IDV
-	}
-	return e.IDU
+	return e.U
 }
 
+// encode writes the certificate: the tree bit, the two endpoint
+// identifiers, then the ranks and each interval's two ends, every rank
+// in rankWidth bits.
 func (e *EdgeCert) encode(w *bits.Writer, rankWidth int) error {
 	w.WriteBit(e.IsTree)
-	if e.IsTree {
-		ranks := [...]int{e.PA, e.CMin, e.CMax, e.PB,
-			e.IPA.A, e.IPA.B, e.ICMin.A, e.ICMin.B, e.ICMax.A, e.ICMax.B, e.IPB.A, e.IPB.B}
-		return encodeEdgeFields(w, rankWidth, e.ParentID, e.ChildID, ranks[:])
-	}
-	ranks := [...]int{e.RankU, e.RankV, e.IU.A, e.IU.B, e.IV.A, e.IV.B}
-	return encodeEdgeFields(w, rankWidth, e.IDU, e.IDV, ranks[:])
-}
-
-// encodeEdgeFields writes an edge certificate's two endpoint identifiers
-// and then its ranks (each rank, then each interval's two ends), every
-// rank in rankWidth bits.
-func encodeEdgeFields(w *bits.Writer, rankWidth int, a, b graph.ID, ranks []int) error {
-	if err := w.WriteVar(uint64(a)); err != nil {
+	if err := w.WriteVar(uint64(e.U)); err != nil {
 		return err
 	}
-	if err := w.WriteVar(uint64(b)); err != nil {
+	if err := w.WriteVar(uint64(e.V)); err != nil {
 		return err
 	}
-	for _, r := range ranks {
+	k := e.ranks()
+	for _, r := range e.Rank[:k] {
 		if err := w.WriteUint(uint64(r), rankWidth); err != nil {
+			return err
+		}
+	}
+	for _, iv := range e.Iv[:k] {
+		if err := w.WriteUint(uint64(iv.A), rankWidth); err != nil {
+			return err
+		}
+		if err := w.WriteUint(uint64(iv.B), rankWidth); err != nil {
 			return err
 		}
 	}
@@ -89,52 +109,15 @@ func encodeEdgeFields(w *bits.Writer, rankWidth int, a, b graph.ID, ranks []int)
 }
 
 // decodeEdgeCertInto reads one edge certificate from r into e, which
-// may be a fresh object or a slab entry about to be reused.
+// may be a fresh object or a slab entry about to be reused. A rank or
+// interval end above maxRank is a decode error: no honest certificate
+// carries one.
 func decodeEdgeCertInto(r *bits.Reader, rankWidth int, e *EdgeCert) error {
 	isTree, err := r.ReadBit()
 	if err != nil {
 		return err
 	}
-	readRank := func() (int, error) {
-		v, err := r.ReadUint(rankWidth)
-		return int(v), err
-	}
-	readIv := func() (Interval, error) {
-		a, err := readRank()
-		if err != nil {
-			return Interval{}, err
-		}
-		b, err := readRank()
-		if err != nil {
-			return Interval{}, err
-		}
-		return Interval{A: a, B: b}, nil
-	}
 	*e = EdgeCert{IsTree: isTree}
-	if isTree {
-		p, err := r.ReadVar()
-		if err != nil {
-			return err
-		}
-		c, err := r.ReadVar()
-		if err != nil {
-			return err
-		}
-		e.ParentID, e.ChildID = graph.ID(p), graph.ID(c)
-		ranks := [...]*int{&e.PA, &e.CMin, &e.CMax, &e.PB}
-		for _, dst := range ranks {
-			if *dst, err = readRank(); err != nil {
-				return err
-			}
-		}
-		ivs := [...]*Interval{&e.IPA, &e.ICMin, &e.ICMax, &e.IPB}
-		for _, dst := range ivs {
-			if *dst, err = readIv(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	u, err := r.ReadVar()
 	if err != nil {
 		return err
@@ -143,18 +126,29 @@ func decodeEdgeCertInto(r *bits.Reader, rankWidth int, e *EdgeCert) error {
 	if err != nil {
 		return err
 	}
-	e.IDU, e.IDV = graph.ID(u), graph.ID(v)
-	if e.RankU, err = readRank(); err != nil {
-		return err
+	e.U, e.V = graph.ID(u), graph.ID(v)
+	k := e.ranks()
+	var hi uint64 // the largest rank or interval end read
+	for i := range e.Rank[:k] {
+		x, err := r.ReadUint(rankWidth)
+		if err != nil {
+			return err
+		}
+		e.Rank[i], hi = int32(x), max(hi, x)
 	}
-	if e.RankV, err = readRank(); err != nil {
-		return err
+	for i := range e.Iv[:k] {
+		a, err := r.ReadUint(rankWidth)
+		if err != nil {
+			return err
+		}
+		b, err := r.ReadUint(rankWidth)
+		if err != nil {
+			return err
+		}
+		e.Iv[i], hi = Interval32{A: int32(a), B: int32(b)}, max(hi, a, b)
 	}
-	if e.IU, err = readIv(); err != nil {
-		return err
-	}
-	if e.IV, err = readIv(); err != nil {
-		return err
+	if hi > maxRank {
+		return fmt.Errorf("core: rank %d exceeds %d", hi, maxRank)
 	}
 	return nil
 }
@@ -164,7 +158,7 @@ func decodeEdgeCertInto(r *bits.Reader, rankWidth int, e *EdgeCert) error {
 // node through the 5-degeneracy ordering.
 type PlanarCert struct {
 	Tree  pls.TreeCert
-	Edges []*EdgeCert
+	Edges []EdgeCert
 }
 
 // rankWidth returns the fixed bit width for ranks, derived from the
@@ -183,8 +177,8 @@ func (c *PlanarCert) Encode(w *bits.Writer) error {
 		return err
 	}
 	rw := rankWidth(c.Tree.N)
-	for _, e := range c.Edges {
-		if err := e.encode(w, rw); err != nil {
+	for k := range c.Edges {
+		if err := c.Edges[k].encode(w, rw); err != nil {
 			return err
 		}
 	}
@@ -215,21 +209,14 @@ func decodePlanarCertInto(r *bits.Reader, c *PlanarCert, arena *edgeArena) error
 	if cnt > MaxEdgeCerts {
 		return fmt.Errorf("core: %d edge certificates exceed the cap %d", cnt, MaxEdgeCerts)
 	}
-	rw := rankWidth(c.Tree.N)
 	if arena == nil {
-		c.Edges = nil
-		for i := uint64(0); i < cnt; i++ {
-			e := new(EdgeCert)
-			if err := decodeEdgeCertInto(r, rw, e); err != nil {
-				return err
-			}
-			c.Edges = append(c.Edges, e)
-		}
-		return nil
+		c.Edges = make([]EdgeCert, cnt)
+	} else {
+		c.Edges = arena.take(int(cnt))
 	}
-	c.Edges = arena.take(int(cnt))
-	for _, e := range c.Edges {
-		if err := decodeEdgeCertInto(r, rw, e); err != nil {
+	rw := rankWidth(c.Tree.N)
+	for k := range c.Edges {
+		if err := decodeEdgeCertInto(r, rw, &c.Edges[k]); err != nil {
 			return err
 		}
 	}
@@ -336,14 +323,26 @@ func certMap(slab []PlanarCert) map[graph.ID]*PlanarCert {
 	return m
 }
 
+// checkRankBound refuses a network whose ranks, which live in [0, 2n],
+// would not fit an EdgeCert's 32-bit fields.
+func checkRankBound(n int) error {
+	if 2*n > maxRank {
+		return fmt.Errorf("core: n=%d is too large to certify: ranks up to 2n exceed %d", n, maxRank)
+	}
+	return nil
+}
+
 // buildPlanarCertSlab is BuildPlanarCertObjects returning the
-// certificates and the holders by node index. The objects live in three
-// slabs (node certificates, edge certificates, and the pointers every
-// node's Edges slice is carved from, sized by a holder pre-count), so
-// the cost is a fixed handful of allocations. A node's edge
-// certificates keep edge-id order, which fixes the encoded bytes.
+// certificates and the holders by node index. The objects live in two
+// slabs: node certificates, and edge certificates grouped by holder
+// (sized by a holder pre-count), from which every node's Edges slice
+// is carved. So the cost is a fixed handful of allocations. A node's
+// edge certificates keep edge-id order, which fixes the encoded bytes.
 func buildPlanarCertSlab(g *graph.Graph, tr *Transform) ([]PlanarCert, []int32, error) {
 	n := g.N()
+	if err := checkRankBound(n); err != nil {
+		return nil, nil, err
+	}
 	// Degeneracy ordering: assign each edge certificate to the endpoint
 	// that comes earlier (which then has at most 5 certified edges).
 	order, degeneracy := g.DegeneracyOrder()
@@ -356,7 +355,7 @@ func buildPlanarCertSlab(g *graph.Graph, tr *Transform) ([]PlanarCert, []int32, 
 	}
 	edges := tr.Edges
 	holderIdx := make([]int32, len(edges))
-	start := make([]int32, n+1) // start[v]: v's first slot in ptrs
+	start := make([]int32, n+1) // start[v]: v's first slot in edgeSlab
 	for e, ge := range edges {
 		h := ge.U
 		if pos[ge.V] < pos[ge.U] {
@@ -370,7 +369,6 @@ func buildPlanarCertSlab(g *graph.Graph, tr *Transform) ([]PlanarCert, []int32, 
 	}
 	certs := make([]PlanarCert, n)
 	edgeSlab := make([]EdgeCert, len(edges))
-	ptrs := make([]*EdgeCert, len(edges))
 	for v := 0; v < n; v++ {
 		copies := tr.Copies[v]
 		certs[v] = PlanarCert{
@@ -382,12 +380,14 @@ func buildPlanarCertSlab(g *graph.Graph, tr *Transform) ([]PlanarCert, []int32, 
 				Parent: g.IDOf(tr.Parent[v]),
 				Size:   uint64(copies[len(copies)-1]-copies[0]+2) / 2,
 			},
-			Edges: ptrs[start[v]:start[v]:start[v+1]],
+			Edges: edgeSlab[start[v]:start[v]:start[v+1]],
 		}
 	}
 	iv := tr.Intervals
 	for e, ge := range edges {
-		ec := &edgeSlab[e]
+		h := &certs[holderIdx[e]]
+		h.Edges = h.Edges[:len(h.Edges)+1]
+		ec := &h.Edges[len(h.Edges)-1]
 		if tr.IsTree(e) {
 			child, parent := ge.U, ge.V
 			if tr.Parent[ge.V] == ge.U {
@@ -395,32 +395,17 @@ func buildPlanarCertSlab(g *graph.Graph, tr *Transform) ([]PlanarCert, []int32, 
 			}
 			cc := tr.Copies[child]
 			cMin, cMax := cc[0], cc[len(cc)-1]
-			*ec = EdgeCert{
-				IsTree:   true,
-				ParentID: g.IDOf(parent),
-				ChildID:  g.IDOf(child),
-				PA:       cMin - 1,
-				CMin:     cMin,
-				CMax:     cMax,
-				PB:       cMax + 1,
-				IPA:      iv[cMin-1],
-				ICMin:    iv[cMin],
-				ICMax:    iv[cMax],
-				IPB:      iv[cMax+1],
+			*ec = EdgeCert{U: g.IDOf(parent), V: g.IDOf(child), IsTree: true}
+			for k, r := range [4]int{cMin - 1, cMin, cMax, cMax + 1} {
+				ec.Rank[k], ec.Iv[k] = int32(r), Narrow(iv[r])
 			}
 		} else {
 			rr := tr.CotreeRanks[e]
-			*ec = EdgeCert{
-				IDU:   g.IDOf(ge.U),
-				IDV:   g.IDOf(ge.V),
-				RankU: rr[0],
-				RankV: rr[1],
-				IU:    iv[rr[0]],
-				IV:    iv[rr[1]],
+			*ec = EdgeCert{U: g.IDOf(ge.U), V: g.IDOf(ge.V)}
+			for k, r := range rr {
+				ec.Rank[k], ec.Iv[k] = int32(r), Narrow(iv[r])
 			}
 		}
-		h := &certs[holderIdx[e]]
-		h.Edges = append(h.Edges, ec)
 	}
 	return certs, holderIdx, nil
 }
@@ -574,7 +559,8 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 	// incident edge {me, y} must have exactly one certificate among those
 	// stored at me and at my neighbors (counted per view position in
 	// sc.edgeCnt, with the first recovered certificate in sc.edgeOne).
-	for _, ec := range self.Edges {
+	for k := range self.Edges {
+		ec := &self.Edges[k]
 		if !ec.Involves(myID) {
 			return none, fmt.Errorf("core: stored certificate for foreign edge")
 		}
@@ -599,12 +585,12 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 		if d.foreign {
 			return none, fmt.Errorf("core: neighbor %d stores certificate for a foreign edge", nbID)
 		}
-		for k, ec := range d.cert.Edges {
+		for k := range d.cert.Edges {
 			if d.others[k] != myID && nbID != myID {
 				continue // about one of the neighbor's other edges
 			}
 			if sc.edgeOne[i] == nil {
-				sc.edgeOne[i] = ec
+				sc.edgeOne[i] = &d.cert.Edges[k]
 			}
 			sc.edgeCnt[i]++
 		}
@@ -646,40 +632,38 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 		if ec.IsTree {
 			switch {
 			case nbIsMyChild:
-				if ec.ParentID != myID || ec.ChildID != nbID {
+				if ec.U != myID || ec.V != nbID {
 					return none, fmt.Errorf("core: tree certificate for child %d has wrong orientation", nbID)
 				}
 			case nbIsMyParent:
-				if ec.ParentID != nbID || ec.ChildID != myID {
+				if ec.U != nbID || ec.V != myID {
 					return none, fmt.Errorf("core: tree certificate for parent %d has wrong orientation", nbID)
 				}
 			default:
 				return none, fmt.Errorf("core: tree certificate for non-tree edge {%d,%d}", myID, nbID)
 			}
-			if ec.PA+1 != ec.CMin || ec.CMax+1 != ec.PB || ec.CMin > ec.CMax {
+			pa, cMin, cMax, pb := int(ec.Rank[0]), int(ec.Rank[1]), int(ec.Rank[2]), int(ec.Rank[3])
+			if pa+1 != cMin || cMax+1 != pb || cMin > cMax {
 				return none, fmt.Errorf("core: tree certificate ranks (%d,%d,%d,%d) inconsistent",
-					ec.PA, ec.CMin, ec.CMax, ec.PB)
+					pa, cMin, cMax, pb)
 			}
 			// Rank span encodes the child's subtree size.
 			childSize := nbCert.Tree.Size
 			if nbIsMyParent {
 				childSize = self.Tree.Size
 			}
-			if withSizes && uint64(ec.CMax-ec.CMin+1) != 2*childSize-1 {
+			if withSizes && uint64(cMax-cMin+1) != 2*childSize-1 {
 				return none, fmt.Errorf("core: rank span [%d,%d] does not match subtree size %d",
-					ec.CMin, ec.CMax, childSize)
+					cMin, cMax, childSize)
 			}
-			for _, ri := range [4]struct {
-				rank int
-				iv   Interval
-			}{{ec.PA, ec.IPA}, {ec.CMin, ec.ICMin}, {ec.CMax, ec.ICMax}, {ec.PB, ec.IPB}} {
-				if err := claim(ri.rank, ri.iv); err != nil {
+			for k, r := range ec.Rank {
+				if err := claim(int(r), ec.Iv[k].Wide()); err != nil {
 					return none, err
 				}
 			}
 			if nbIsMyChild {
 				sc.children = append(sc.children, childInfo{
-					id: nbID, pa: ec.PA, cMin: ec.CMin, cMax: ec.CMax, pb: ec.PB,
+					id: nbID, pa: pa, cMin: cMin, cMax: cMax, pb: pb,
 				})
 			} else {
 				parentEC = ec
@@ -689,18 +673,17 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 				return none, fmt.Errorf("core: cotree certificate for tree edge {%d,%d}", myID, nbID)
 			}
 			wantID := func(id graph.ID) bool { return id == myID || id == nbID }
-			if !wantID(ec.IDU) || !wantID(ec.IDV) || ec.IDU == ec.IDV {
+			if !wantID(ec.U) || !wantID(ec.V) || ec.U == ec.V {
 				return none, fmt.Errorf("core: cotree certificate IDs (%d,%d) mismatch edge {%d,%d}",
-					ec.IDU, ec.IDV, myID, nbID)
+					ec.U, ec.V, myID, nbID)
 			}
-			if ec.RankU == ec.RankV {
-				return none, fmt.Errorf("core: cotree certificate with equal ranks %d", ec.RankU)
+			if ec.Rank[0] == ec.Rank[1] {
+				return none, fmt.Errorf("core: cotree certificate with equal ranks %d", ec.Rank[0])
 			}
-			if err := claim(ec.RankU, ec.IU); err != nil {
-				return none, err
-			}
-			if err := claim(ec.RankV, ec.IV); err != nil {
-				return none, err
+			for k, r := range ec.Rank[:2] {
+				if err := claim(int(r), ec.Iv[k].Wide()); err != nil {
+					return none, err
+				}
 			}
 		}
 	}
@@ -718,7 +701,7 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 	if iAmRoot {
 		first, last = 1, n2
 	} else {
-		first, last = parentEC.CMin, parentEC.CMax
+		first, last = int(parentEC.Rank[1]), int(parentEC.Rank[2])
 	}
 	sc.copies = append(sc.copies, first)
 	cur := first
@@ -751,12 +734,12 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 		if ec.IsTree {
 			continue
 		}
-		myRank, otherRank := ec.RankU, ec.RankV
-		otherIv := ec.IV
-		if ec.IDU != myID {
-			myRank, otherRank = ec.RankV, ec.RankU
-			otherIv = ec.IU
+		mine := 0
+		if ec.U != myID {
+			mine = 1
 		}
+		myRank, otherRank := int(ec.Rank[mine]), int(ec.Rank[1-mine])
+		otherIv := ec.Iv[1-mine].Wide()
 		// (my own interval's consistency is already enforced through claims)
 		j, ok := sc.copyIdx.get(myRank)
 		if !ok {
@@ -781,7 +764,7 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 		if r > 1 {
 			var leftRank int
 			if j == 0 {
-				leftRank = parentEC.PA // first copy: predecessor is a parent copy
+				leftRank = int(parentEC.Rank[0]) // first copy: predecessor is a parent copy
 			} else {
 				leftRank = sc.children[j-1].cMax
 			}
@@ -800,7 +783,7 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 			if j < len(sc.children) {
 				rightRank = sc.children[j].cMin
 			} else {
-				rightRank = parentEC.PB
+				rightRank = int(parentEC.Rank[3])
 			}
 			if rightRank != r+1 {
 				return none, fmt.Errorf("core: right path neighbor of rank %d is %d", r, rightRank)

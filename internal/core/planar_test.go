@@ -304,27 +304,27 @@ func TestPlanarTamperedFieldRejected(t *testing.T) {
 		{"size", func(c *core.PlanarCert) bool { c.Tree.Size += 2; return true }},
 		{"dist", func(c *core.PlanarCert) bool { c.Tree.Dist++; return true }},
 		{"rank shift", func(c *core.PlanarCert) bool {
-			for _, e := range c.Edges {
-				if e.IsTree {
-					e.CMin++
+			for k := range c.Edges {
+				if e := &c.Edges[k]; e.IsTree {
+					e.Rank[1]++ // CMin
 					return true
 				}
 			}
 			return false
 		}},
 		{"interval widen", func(c *core.PlanarCert) bool {
-			for _, e := range c.Edges {
-				if !e.IsTree && e.IU.A > 0 {
-					e.IU.A--
+			for k := range c.Edges {
+				if e := &c.Edges[k]; !e.IsTree && e.Iv[0].A > 0 {
+					e.Iv[0].A--
 					return true
 				}
 			}
 			return false
 		}},
 		{"cotree rank", func(c *core.PlanarCert) bool {
-			for _, e := range c.Edges {
-				if !e.IsTree {
-					e.RankU++
+			for k := range c.Edges {
+				if e := &c.Edges[k]; !e.IsTree {
+					e.Rank[0]++
 					return true
 				}
 			}
@@ -368,6 +368,11 @@ func TestPlanarTamperedFieldRejected(t *testing.T) {
 					t.Fatal(err)
 				}
 				forged[victim] = bits.FromWriter(&w)
+				// A tamper that edits a copy re-encodes the honest bytes
+				// and would pass vacuously below.
+				if forged[victim].Equal(certs[victim]) {
+					t.Fatalf("tamper %q left the encoded certificate unchanged", tc.name)
+				}
 				if pls.RunWithCerts(scheme, g, forged).AllAccept() {
 					t.Fatalf("tamper %q accepted", tc.name)
 				}

@@ -165,28 +165,20 @@ func TestQuickPlanarCertRoundTrip(t *testing.T) {
 			},
 		}
 		n2 := int(2*n - 1)
+		iv := func() Interval32 { return Interval32{A: int32(rng.Intn(n2)), B: int32(rng.Intn(n2 + 2))} }
 		for i := 0; i < rng.Intn(MaxEdgeCerts+1); i++ {
+			ec := EdgeCert{U: graph.ID(rng.Intn(10000)), V: graph.ID(rng.Intn(10000))}
 			if rng.Intn(2) == 0 {
-				pa := 1 + rng.Intn(n2-2)
-				cmax := pa + 1 + rng.Intn(n2-pa-1)
-				c.Edges = append(c.Edges, &EdgeCert{
-					IsTree:   true,
-					ParentID: graph.ID(rng.Intn(10000)),
-					ChildID:  graph.ID(rng.Intn(10000)),
-					PA:       pa, CMin: pa + 1, CMax: cmax, PB: cmax + 1,
-					IPA:   Interval{A: rng.Intn(n2), B: rng.Intn(n2 + 2)},
-					ICMin: Interval{A: rng.Intn(n2), B: rng.Intn(n2 + 2)},
-					ICMax: Interval{A: rng.Intn(n2), B: rng.Intn(n2 + 2)},
-					IPB:   Interval{A: rng.Intn(n2), B: rng.Intn(n2 + 2)},
-				})
+				pa := int32(1 + rng.Intn(n2-2))
+				cmax := pa + 1 + int32(rng.Intn(n2-int(pa)-1))
+				ec.IsTree = true
+				ec.Rank = [4]int32{pa, pa + 1, cmax, cmax + 1}
+				ec.Iv = [4]Interval32{iv(), iv(), iv(), iv()}
 			} else {
-				c.Edges = append(c.Edges, &EdgeCert{
-					IDU: graph.ID(rng.Intn(10000)), IDV: graph.ID(rng.Intn(10000)),
-					RankU: 1 + rng.Intn(n2), RankV: 1 + rng.Intn(n2),
-					IU: Interval{A: rng.Intn(n2), B: rng.Intn(n2 + 2)},
-					IV: Interval{A: rng.Intn(n2), B: rng.Intn(n2 + 2)},
-				})
+				ec.Rank = [4]int32{int32(1 + rng.Intn(n2)), int32(1 + rng.Intn(n2))}
+				ec.Iv = [4]Interval32{iv(), iv()}
 			}
+			c.Edges = append(c.Edges, ec)
 		}
 		var w bits.Writer
 		if err := c.Encode(&w); err != nil {
@@ -200,7 +192,7 @@ func TestQuickPlanarCertRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range c.Edges {
-			if *dec.Edges[i] != *c.Edges[i] {
+			if dec.Edges[i] != c.Edges[i] {
 				return false
 			}
 		}

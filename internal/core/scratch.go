@@ -219,7 +219,8 @@ func (d *planarDecode) decode(r *bits.Reader, arena *edgeArena) error {
 	}
 	holder := d.cert.Tree.SelfID
 	d.foreign = false
-	for k, ec := range d.cert.Edges {
+	for k := range d.cert.Edges {
+		ec := &d.cert.Edges[k]
 		d.foreign = d.foreign || !ec.Involves(holder)
 		d.others[k] = ec.Other(holder)
 	}
@@ -301,12 +302,11 @@ func (m *planarMemo) begin(sweep uint64) {
 
 // edgeArena hands out edge certificates in chunks that are never
 // reallocated, so every certificate carved since the last rewind stays
-// where it is. A chunk is kept as pointers to its slots, so a decoded
-// certificate's Edges slice is carved, not built. Chunks double from 16
-// to 512 slots: a one-view scratch stays small, and a sweep memo's
-// chunks are each allocated once per worker.
+// where it is, and a decoded certificate's Edges slice is carved, not
+// built. Chunks double from 16 to 512 slots: a one-view scratch stays
+// small, and a sweep memo's chunks are each allocated once per worker.
 type edgeArena struct {
-	chunks [][]*EdgeCert
+	chunks [][]EdgeCert
 	cur    int // chunk being carved
 	used   int // slots carved from it
 }
@@ -316,17 +316,12 @@ func (a *edgeArena) rewind() { a.cur, a.used = 0, 0 }
 
 // take returns k consecutive slots; their contents are stale and must
 // be overwritten.
-func (a *edgeArena) take(k int) []*EdgeCert {
+func (a *edgeArena) take(k int) []EdgeCert {
 	if a.cur < len(a.chunks) && a.used+k > len(a.chunks[a.cur]) {
 		a.cur, a.used = a.cur+1, 0
 	}
 	if a.cur == len(a.chunks) {
-		certs := make([]EdgeCert, max(16<<min(a.cur, 5), k))
-		ptrs := make([]*EdgeCert, len(certs))
-		for i := range certs {
-			ptrs[i] = &certs[i]
-		}
-		a.chunks = append(a.chunks, ptrs)
+		a.chunks = append(a.chunks, make([]EdgeCert, max(16<<min(a.cur, 5), k)))
 	}
 	lo := a.used
 	a.used += k

@@ -96,11 +96,12 @@ func newPlanarState(g *graph.Graph, p *core.PlanarProof) *planarState {
 // chordOf returns the chord [lo, hi] of a cotree edge, from the ranks
 // in its edge certificate.
 func (p *planarState) chordOf(ge graph.Edge) (core.Interval, bool) {
-	ec, _, ok := p.edgeCertOf(ge)
-	if !ok || ec.IsTree {
+	h, _, k, ok := p.edgeCertOf(ge)
+	if !ok || h.Edges[k].IsTree {
 		return core.Interval{}, false
 	}
-	return core.Interval{A: min(ec.RankU, ec.RankV), B: max(ec.RankU, ec.RankV)}, true
+	a, b := int(h.Edges[k].Rank[0]), int(h.Edges[k].Rank[1])
+	return core.Interval{A: min(a, b), B: max(a, b)}, true
 }
 
 // repair implements repairState for the planarity scheme.
@@ -148,20 +149,19 @@ func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[graph.I
 	if p.parent[e.U] == e.V || p.parent[e.V] == e.U {
 		return false, "spanning-tree edge removed (ranks renumber globally)"
 	}
-	ec, hid, ok := p.edgeCertOf(e)
-	if !ok || ec.IsTree {
+	chord, ok := p.chordOf(e)
+	if !ok {
 		return false, "no chord recorded for removed edge"
 	}
-	a, b := min(ec.RankU, ec.RankV), max(ec.RankU, ec.RankV)
+	a, b := chord.A, chord.B
 	if *budget -= b - a + 1; *budget < 0 {
 		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", a, b)
 	}
 	// Detach the chord before computing its parent cover.
 	p.byRank[a] = dropEdge(p.byRank[a], e)
 	p.byRank[b] = dropEdge(p.byRank[b], e)
-	if !p.dropEdgeCert(hid, pr) {
-		return false, "certificate holder lost the edge certificate"
-	}
+	h, hid, k, _ := p.edgeCertOf(e) // found by chordOf
+	h.Edges = append(h.Edges[:k], h.Edges[k+1:]...)
 	dirty[hid] = true
 	// Re-cover the ranks whose innermost cover was the removed chord.
 	j := p.coverOf(a, b)
@@ -224,11 +224,9 @@ func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[graph.ID]b
 	if min(cu, cv) >= core.MaxEdgeCerts {
 		return false, "both endpoints at the edge-certificate cap"
 	}
-	ec := &core.EdgeCert{
-		IsTree: false,
-		IDU:    idU, IDV: idV,
-		RankU: rankU, RankV: rankV,
-		IU: p.iv[rankU], IV: p.iv[rankV],
+	ec := core.EdgeCert{U: idU, V: idV}
+	for k, r := range [2]int{rankU, rankV} {
+		ec.Rank[k], ec.Iv[k] = int32(r), core.Narrow(p.iv[r])
 	}
 	p.objs[hid].Edges = append(p.objs[hid].Edges, ec)
 	p.byRank[rankU] = append(p.byRank[rankU], e)
@@ -315,99 +313,55 @@ func (p *planarState) coverOf(a, b int) core.Interval {
 // two path edges at x, plus the chords attached at x.
 func (p *planarState) setRankInterval(x int, niv core.Interval, dirty map[graph.ID]bool) (bool, string) {
 	p.iv[x] = niv
-	if x > 1 {
-		if ok := p.patchPathEdge(x-1, x, x, niv, dirty); !ok {
-			return false, fmt.Sprintf("no tree certificate for path edge (%d,%d)", x-1, x)
-		}
+	if x > 1 && !p.patch(graph.NewEdge(p.f[x-1], p.f[x]), true, x, niv, dirty) {
+		return false, fmt.Sprintf("no tree certificate for path edge (%d,%d)", x-1, x)
 	}
-	if x < p.n2 {
-		if ok := p.patchPathEdge(x, x+1, x, niv, dirty); !ok {
-			return false, fmt.Sprintf("no tree certificate for path edge (%d,%d)", x, x+1)
-		}
+	if x < p.n2 && !p.patch(graph.NewEdge(p.f[x], p.f[x+1]), true, x, niv, dirty) {
+		return false, fmt.Sprintf("no tree certificate for path edge (%d,%d)", x, x+1)
 	}
 	for _, ge := range p.byRank[x] {
-		if ok := p.patchChord(ge, x, niv, dirty); !ok {
+		if !p.patch(ge, false, x, niv, dirty) {
 			return false, "no certificate for chord at rank " + fmt.Sprint(x)
 		}
 	}
 	return true, ""
 }
 
-// patchPathEdge updates the interval fields equal to rank x in the tree
-// certificate of the tree edge underlying path edge (i, i+1).
-func (p *planarState) patchPathEdge(i, j, x int, niv core.Interval, dirty map[graph.ID]bool) bool {
-	ge := graph.NewEdge(p.f[i], p.f[j])
-	ec, hid, ok := p.edgeCertOf(ge)
-	if !ok || !ec.IsTree {
+// patch sets the interval of every rank equal to x in the certificate
+// of ge, which must be a tree certificate iff tree. (A cotree
+// certificate's unused ranks are zero, never a rank x >= 1.)
+func (p *planarState) patch(ge graph.Edge, tree bool, x int, niv core.Interval, dirty map[graph.ID]bool) bool {
+	h, hid, k, ok := p.edgeCertOf(ge)
+	if !ok || h.Edges[k].IsTree != tree {
 		return false
 	}
-	if ec.PA == x {
-		ec.IPA = niv
-	}
-	if ec.CMin == x {
-		ec.ICMin = niv
-	}
-	if ec.CMax == x {
-		ec.ICMax = niv
-	}
-	if ec.PB == x {
-		ec.IPB = niv
+	ec := &h.Edges[k]
+	for i, r := range ec.Rank {
+		if int(r) == x {
+			ec.Iv[i] = core.Narrow(niv)
+		}
 	}
 	dirty[hid] = true
 	return true
 }
 
-// patchChord updates the interval field of the endpoint at rank x in a
-// chord's certificate.
-func (p *planarState) patchChord(ge graph.Edge, x int, niv core.Interval, dirty map[graph.ID]bool) bool {
-	ec, hid, ok := p.edgeCertOf(ge)
-	if !ok || ec.IsTree {
-		return false
-	}
-	if ec.RankU == x {
-		ec.IU = niv
-	}
-	if ec.RankV == x {
-		ec.IV = niv
-	}
-	dirty[hid] = true
-	return true
-}
-
-// edgeCertOf locates the stored certificate of a graph edge and its
-// holder: one of the two endpoints, each storing at most MaxEdgeCerts.
-func (p *planarState) edgeCertOf(ge graph.Edge) (*core.EdgeCert, graph.ID, bool) {
+// edgeCertOf locates the stored certificate of a graph edge: its
+// holder, one of the two endpoints, each storing at most MaxEdgeCerts,
+// with the holder's identifier, and its position in the holder's Edges.
+func (p *planarState) edgeCertOf(ge graph.Edge) (*core.PlanarCert, graph.ID, int, bool) {
 	idU, idV := p.g.IDOf(ge.U), p.g.IDOf(ge.V)
 	for _, hid := range [2]graph.ID{idU, idV} {
 		obj, ok := p.objs[hid]
 		if !ok {
 			continue
 		}
-		for _, ec := range obj.Edges {
-			if ec.Involves(idU) && ec.Involves(idV) {
-				return ec, hid, true
+		for k := range obj.Edges {
+			if ec := &obj.Edges[k]; ec.Involves(idU) && ec.Involves(idV) {
+				return obj, hid, k, true
 			}
 		}
 	}
-	return nil, 0, false
-}
-
-// dropEdgeCert removes the certificate of edge pr from holder hid.
-func (p *planarState) dropEdgeCert(hid graph.ID, pr [2]graph.ID) bool {
-	obj, ok := p.objs[hid]
-	if !ok {
-		return false
-	}
-	for i, ec := range obj.Edges {
-		if ec.IsTree {
-			continue
-		}
-		if (ec.IDU == pr[0] && ec.IDV == pr[1]) || (ec.IDU == pr[1] && ec.IDV == pr[0]) {
-			obj.Edges = append(obj.Edges[:i], obj.Edges[i+1:]...)
-			return true
-		}
-	}
-	return false
+	return nil, 0, 0, false
 }
 
 func dropEdge(s []graph.Edge, e graph.Edge) []graph.Edge {
