@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/dist"
@@ -199,10 +200,8 @@ func BuildNonPlanarProof(g *graph.Graph) (*NonPlanarProof, error) {
 		return nil, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
 	}
 	k5 := witness.Kind == planarity.KindK5
-	branchIdx := make(map[int]uint8, len(witness.Branch))
 	branchIDs := make([]graph.ID, len(witness.Branch))
 	for i, b := range witness.Branch {
-		branchIdx[b] = uint8(i)
 		branchIDs[i] = g.IDOf(b)
 	}
 	// Spanning tree rooted at branch 0.
@@ -219,14 +218,15 @@ func BuildNonPlanarProof(g *graph.Graph) (*NonPlanarProof, error) {
 			Role:      RoleNone,
 		}
 	}
-	for b, idx := range branchIdx {
+	for i, b := range witness.Branch {
 		c := certs[g.IDOf(b)]
 		c.Role = RoleBranch
-		c.BranchIdx = idx
+		c.BranchIdx = uint8(i)
 	}
 	for _, path := range witness.Paths {
-		a := branchIdx[path[0]]
-		b := branchIdx[path[len(path)-1]]
+		// Paths join branch vertices; a scan of the ≤6 beats a map.
+		a := uint8(slices.Index(witness.Branch, path[0]))
+		b := uint8(slices.Index(witness.Branch, path[len(path)-1]))
 		verts := path
 		if a > b {
 			a, b = b, a

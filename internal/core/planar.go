@@ -510,8 +510,7 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 	sc.reset(len(view.Neighbors))
 
 	// Phase 0: decode everything.
-	sweep := view.Scratch.Sweep()
-	selfDec, err := sc.decodeAt(sweep, view.Idx, view.Cert, &sc.self)
+	selfDec, err := sc.decodeAt(view.Scratch, view.Idx, view.Cert, &sc.self)
 	if err != nil {
 		return none, err
 	}
@@ -522,7 +521,7 @@ func verifyPlanarCoreOpts(view dist.View, withSizes bool) (planarVerifyState, er
 	}
 	for i := range view.Neighbors {
 		nb := &view.Neighbors[i]
-		d, err := sc.decodeAt(sweep, nb.Idx, nb.Cert, &sc.nbrs[i])
+		d, err := sc.decodeAt(view.Scratch, nb.Idx, nb.Cert, &sc.nbrs[i])
 		if err != nil {
 			return none, err
 		}

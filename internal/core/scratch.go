@@ -228,27 +228,24 @@ func (d *planarDecode) decode(r *bits.Reader, arena *edgeArena) error {
 }
 
 // decodeAt returns the decode of cert, the certificate of the node with
-// index idx, in the view being verified. Inside an engine sweep
-// (sweep != 0) the decode is memoized by (sweep, idx): the first view
-// that shows the node decodes it, and every later view of the sweep
-// gets the same decode, or the same decode error, without reading a
-// bit. Outside a sweep it decodes into into, with edge certificates
-// from the per-view slab. Both paths run planarDecode.decode, and
-// decoding is a pure function of the certificate's bits, so they
-// cannot disagree.
-func (sc *planarScratch) decodeAt(sweep uint64, idx int32, cert bits.Certificate, into *planarDecode) (*planarDecode, error) {
-	if sweep == 0 {
+// index idx, in the view being verified, whose scratch is ds. Inside an
+// engine sweep (ds.Sweep() != 0) the decode is memoized by (sweep, idx):
+// the first view that shows the node decodes it, and every later view
+// of the sweep gets the same decode, or the same decode error, without
+// reading a bit. Outside a sweep, or for an index the sweep's node
+// count does not cover, it decodes into into, with edge certificates
+// from the per-view slab. Both paths run
+// planarDecode.decode, and decoding is a pure function of the
+// certificate's bits, so they cannot disagree.
+func (sc *planarScratch) decodeAt(ds *dist.Scratch, idx int32, cert bits.Certificate, into *planarDecode) (*planarDecode, error) {
+	sweep := ds.Sweep()
+	m := &sc.memo
+	if sweep != 0 && m.sweep != sweep {
+		m.begin(sweep, ds.Nodes())
+	}
+	if sweep == 0 || int(idx) >= len(m.entries) {
 		cert.ResetReader(&sc.r)
 		return into, into.decode(&sc.r, &sc.slab)
-	}
-	m := &sc.memo
-	if m.sweep != sweep {
-		m.begin(sweep)
-	}
-	if int(idx) >= len(m.entries) {
-		// Growing copies the entries; a decode handed out before keeps
-		// its old copy alive, and stamped decodes never change.
-		m.entries = grow2(m.entries, max(int(idx)+1, 2*len(m.entries)))
 	}
 	e := &m.entries[idx]
 	switch e.stamp {
@@ -292,10 +289,12 @@ type memoEntry struct {
 	dec   planarDecode
 }
 
-// begin starts the memo for a new sweep: entries of older sweeps stop
+// begin starts the memo for a new sweep over a graph of the given node
+// count: the entries are sized to it once, entries of older sweeps stop
 // matching by their stamps, and the edge arena is reused from the top.
-func (m *planarMemo) begin(sweep uint64) {
+func (m *planarMemo) begin(sweep uint64, nodes int) {
 	m.sweep = sweep
+	m.entries = grow2(m.entries, nodes)
 	m.edges.rewind()
 	clear(m.errs)
 }

@@ -409,14 +409,14 @@ func TestEngineAllocationFree(t *testing.T) {
 // node index) relies on: every view and neighbor entry carries the
 // node's index in the engine's graph, every worker of one sweep sees
 // one non-zero sweep id, and no two sweeps share an id — full and
-// frontier sweeps, sequential and parallel, on one reused engine.
-// Scratches outside a sweep report 0.
+// frontier sweeps, sequential and parallel, on one reused engine; and
+// every scratch of a sweep reports the graph's node count, which bounds
+// every index. Scratches outside a sweep report 0 for both.
 func TestViewIndicesAndSweepIDs(t *testing.T) {
-	if id := (*dist.Scratch)(nil).Sweep(); id != 0 {
-		t.Fatalf("nil scratch reports sweep %d", id)
-	}
-	if id := new(dist.Scratch).Sweep(); id != 0 {
-		t.Fatalf("scratch built outside the engine reports sweep %d", id)
+	for _, sc := range []*dist.Scratch{nil, new(dist.Scratch)} {
+		if id, n := sc.Sweep(), sc.Nodes(); id != 0 || n != 0 {
+			t.Fatalf("scratch outside a sweep reports sweep %d, %d nodes", id, n)
+		}
 	}
 	rng := rand.New(rand.NewSource(6))
 	g := gen.ScrambleIDs(gen.Grid(6, 6), rng)
@@ -428,6 +428,9 @@ func TestViewIndicesAndSweepIDs(t *testing.T) {
 			verify := func(v dist.View) error {
 				if g.IDOf(int(v.Idx)) != v.ID {
 					t.Errorf("%s: view of node %d carries index %d", name, v.ID, v.Idx)
+				}
+				if n := v.Scratch.Nodes(); n != g.N() {
+					t.Errorf("%s: scratch reports %d nodes, graph has %d", name, n, g.N())
 				}
 				for _, nb := range v.Neighbors {
 					if g.IDOf(int(nb.Idx)) != nb.ID {

@@ -229,7 +229,7 @@ func (e *Engine) RunPLS(certs map[graph.ID]bits.Certificate, verify func(View) e
 
 func (e *Engine) verifySequential(lay *layout, verify func(View) error) {
 	pool := e.scratchPool()
-	sc := pool.get(sweeps.Add(1))
+	sc := pool.get(sweeps.Add(1), lay.n)
 	defer pool.put(sc)
 	for u := 0; u < lay.n; u++ {
 		if err := verifyNode(lay, u, sc, verify); err != nil {
@@ -285,7 +285,7 @@ func (e *Engine) fanOut(nshards int, sweep *obs.Span, verifyShard func(s int, sc
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	loop := func() {
-		sc := pool.get(id)
+		sc := pool.get(id, e.g.N())
 		defer pool.put(sc)
 		for {
 			if e.failFast && stop.Load() {

@@ -23,9 +23,9 @@ import (
 // for one node influence the verdict of another (the decode-parity and
 // scratch-reuse fuzz suites enforce this). The one exception is the pure
 // decode of a certificate: the engine stamps each borrowed Scratch with
-// its sweep's id (Sweep), and within one sweep a node index names one
-// certificate, so a decode keyed by (Sweep(), node index) may serve
-// every view of that sweep.
+// its sweep's id (Sweep) and node count (Nodes), and within one sweep a
+// node index names one certificate, so a decode keyed by (Sweep(), node
+// index) may serve every view of that sweep, from a table sized once.
 //
 // All methods are nil-safe: a nil *Scratch (a View built outside the
 // engine, e.g. by direct Verify calls or the interactive protocols)
@@ -36,6 +36,7 @@ type Scratch struct {
 	nbrBuf []NeighborCert
 
 	sweep uint64 // id of the sweep holding this scratch; 0 outside one
+	nodes int    // node count of that sweep's graph; 0 outside a sweep
 	slots []scratchSlot
 }
 
@@ -52,6 +53,17 @@ func (s *Scratch) Sweep() uint64 {
 		return 0
 	}
 	return s.sweep
+}
+
+// Nodes returns the node count of the graph of the sweep that currently
+// holds s: every node index a view of that sweep carries (View.Idx,
+// NeighborCert.Idx) is below it, full and frontier sweeps alike. It is
+// 0 wherever Sweep is.
+func (s *Scratch) Nodes() int {
+	if s == nil {
+		return 0
+	}
+	return s.nodes
 }
 
 type scratchSlot struct {
@@ -120,15 +132,16 @@ func NewScratchPool() *ScratchPool {
 	return sp
 }
 
-// get borrows a scratch for the sweep with the given id.
-func (sp *ScratchPool) get(sweep uint64) *Scratch {
+// get borrows a scratch for the sweep with the given id over a graph
+// of the given node count.
+func (sp *ScratchPool) get(sweep uint64, nodes int) *Scratch {
 	s := sp.p.Get().(*Scratch)
-	s.sweep = sweep
+	s.sweep, s.nodes = sweep, nodes
 	return s
 }
 
 func (sp *ScratchPool) put(s *Scratch) {
-	s.sweep = 0
+	s.sweep, s.nodes = 0, 0
 	sp.p.Put(s)
 }
 

@@ -106,7 +106,7 @@ func (e *Engine) subsetView(u int, certs map[graph.ID]bits.Certificate, sc *Scra
 
 func (e *Engine) subsetSequential(sub []int, certs map[graph.ID]bits.Certificate, verify func(View) error, errs []error) {
 	pool := e.scratchPool()
-	sc := pool.get(sweeps.Add(1))
+	sc := pool.get(sweeps.Add(1), e.g.N())
 	defer pool.put(sc)
 	for i, u := range sub {
 		if err := verifyView(e.g.IDOf(u), e.subsetView(u, certs, sc), verify); err != nil {

@@ -44,18 +44,26 @@ type Witness struct {
 }
 
 // Kuratowski extracts a Kuratowski witness from a non-planar graph by
-// block deletion over one masked LR tester. Walking the edges in sorted
-// order, it removes the next step edges. If the graph stays non-planar the
-// removal is committed and step doubles. Otherwise the block holds an edge
-// essential to non-planarity: a binary search over prefixes of the block,
-// committing each removal that keeps the graph non-planar, finds the first
-// one, which is kept, and step restarts at 1. Each kept edge's removal
-// made a supergraph of the final graph planar, and every subgraph of a
-// planar graph is planar, so the final graph is edge-minimal non-planar:
-// exactly a subdivision of K5 or K3,3 (Kuratowski's theorem). A k-edge
-// witness costs O(k log m) LR tests of O(n+m) time each, with no
-// allocation per test.
+// halving block deletion over one masked LR tester. The candidates are
+// the edges still in the tested graph, in sorted order. The first pass
+// tries to remove each half of them, and every later pass halves the
+// block size, down to single edges. A block whose removal keeps the graph
+// non-planar is removed for good; the other blocks stay. In the last pass
+// an edge is kept only if removing it alone made the graph planar, and
+// every subgraph of a planar graph is planar, so the final graph is
+// edge-minimal non-planar: exactly a subdivision of K5 or K3,3
+// (Kuratowski's theorem). Whenever half of the tester's edges are gone,
+// the tester compacts itself onto the rest, so a test costs O(live) time
+// rather than O(n+m) and allocates nothing; a pass with blocks of size s
+// makes about live/s tests. On a maximal planar graph plus one edge an
+// extraction scans a few dozen times m edges in all.
 func Kuratowski(g *graph.Graph) (*Witness, error) {
+	return kuratowski(g, true)
+}
+
+// kuratowski is Kuratowski with the tester's compaction switchable, so
+// tests can check that compaction changes no decision.
+func kuratowski(g *graph.Graph, compact bool) (*Witness, error) {
 	st := newLR(g)
 	planar, err := st.planar()
 	if err != nil {
@@ -64,32 +72,39 @@ func Kuratowski(g *graph.Graph) (*Witness, error) {
 	if planar {
 		return nil, ErrPlanarInput
 	}
-	for lo, step := 0, 1; lo < st.m; {
-		hi := min(lo+step, st.m)
-		removed, err := st.drop(lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		if removed {
-			lo, step = hi, 2*step
-			continue
-		}
-		// Removing [lo, hi) makes the graph planar, and stays so after
-		// committing any prefix of it: search for the first essential edge.
-		for hi-lo > 1 {
-			mid := lo + (hi-lo)/2
-			removed, err := st.drop(lo, mid)
+	cand := make([]int32, st.m)
+	for i := range cand {
+		cand[i] = int32(i)
+	}
+	for size := (len(cand) + 1) / 2; ; size = (size + 1) / 2 {
+		// Kept blocks move down to cand[:w], so cand[:w] and cand[i:] are
+		// always the alive edges in id order.
+		w := 0
+		for i := 0; i < len(cand); {
+			block := cand[i:min(i+size, len(cand))]
+			i += len(block)
+			removed, err := st.drop(block)
 			if err != nil {
 				return nil, err
 			}
-			if removed {
-				lo = mid
-			} else {
-				hi = mid
+			if !removed {
+				w += copy(cand[w:], block)
+				continue
+			}
+			if compact && 2*st.live <= st.m {
+				// Compaction numbers the alive edges, cand[:w] then
+				// cand[i:], 0, 1, ... in order.
+				st.compact()
+				cand, i = cand[:st.live], w
+				for j := range cand {
+					cand[j] = int32(j)
+				}
 			}
 		}
-		// Edge lo is essential: keep it and restart the block size.
-		lo, step = hi, 1
+		cand = cand[:w]
+		if size == 1 {
+			break
+		}
 	}
 	work := graph.NewWithNodes(g.N())
 	for ei, e := range st.elist {

@@ -3,7 +3,9 @@ package planarity_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/planarcert/planarcert/internal/gen"
@@ -226,11 +228,66 @@ func TestKuratowskiOnPlantedHost(t *testing.T) {
 
 // TestKuratowskiOnChurnShape extracts witnesses from the graphs a
 // churning maximal planar network passes through, at the sizes the
-// benchmark and the daemon see.
+// benchmark and the daemon see, and at n=50000.
 func TestKuratowskiOnChurnShape(t *testing.T) {
 	for _, n := range []int{200, 2000} {
 		for seed := int64(1); seed <= 3; seed++ {
 			mustWitness(t, churnGraph(n, seed), fmt.Sprintf("churn n=%d seed %d", n, seed))
+		}
+	}
+	mustWitness(t, churnGraph(50000, 1), "churn n=50000 seed 1")
+}
+
+// TestKuratowskiCompactionParity checks that compacting the LR tester
+// changes no decision: a tester that never compacts returns the same
+// witness.
+func TestKuratowskiCompactionParity(t *testing.T) {
+	type input struct {
+		label string
+		g     *graph.Graph
+	}
+	var inputs []input
+	for _, n := range []int{200, 2000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			inputs = append(inputs, input{fmt.Sprintf("churn n=%d seed %d", n, seed), churnGraph(n, seed)})
+		}
+		for _, k5 := range []bool{true, false} {
+			g, err := gen.PlantSubdivision(n, k5, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, input{fmt.Sprintf("planted n=%d k5=%v", n, k5), g})
+		}
+	}
+	for _, in := range inputs {
+		w := mustWitness(t, in.g, in.label)
+		plain, err := planarity.KuratowskiUncompacted(in.g)
+		if err != nil {
+			t.Fatalf("%s: uncompacted: %v", in.label, err)
+		}
+		if !reflect.DeepEqual(w, plain) {
+			t.Fatalf("%s: compacted and uncompacted testers disagree:\n%+v\n%+v", in.label, w, plain)
+		}
+	}
+}
+
+// TestKuratowskiWorkBudget bounds the work of one extraction on the churn
+// shape: the LR tests together scan fewer than 8·m·log₂m tester edges.
+func TestKuratowskiWorkBudget(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := churnGraph(2000, seed)
+		stop := planarity.CountTests()
+		w, err := planarity.Kuratowski(g)
+		tests, scanned := stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := float64(g.M())
+		budget := 8 * m * math.Log2(m)
+		t.Logf("seed %d: %d-edge %v witness, %d LR tests scanning %d edges (%.1f·m, budget %.0f)",
+			seed, len(w.Edges), w.Kind, tests, scanned, float64(scanned)/m, budget)
+		if float64(scanned) >= budget {
+			t.Fatalf("seed %d: %d LR tests scanned %d edges, budget 8·m·log₂m = %.0f", seed, tests, scanned, budget)
 		}
 	}
 }
@@ -278,7 +335,7 @@ func TestKuratowskiAgreesWithWagner(t *testing.T) {
 //
 //	go test -run '^$' -bench BenchmarkKuratowski -benchmem -count 5 ./internal/planarity/
 func BenchmarkKuratowski(b *testing.B) {
-	for _, n := range []int{200, 2000, 10000} {
+	for _, n := range []int{200, 2000, 10000, 50000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := churnGraph(n, 1)
 			for b.Loop() {

@@ -53,14 +53,16 @@ type halfEdge struct {
 // lr holds the whole algorithm state. Edges are numbered in sorted (U,V)
 // order; vertex v's half-edges are adj[adjStart[v]:adjStart[v+1]], in the
 // graph's adjacency order. The alive mask takes edges out of the tested
-// graph, so one lr tests many subgraphs of g, each in O(n+m) time and
-// without allocating.
+// graph, so one lr tests many subgraphs of g without allocating. A test
+// scans all n vertices and m edges of the tester, dead ones included, so
+// compact shrinks the tester onto its alive edges and their endpoints
+// once enough edges are dead: afterwards a test costs O(live).
 type lr struct {
-	n    int
-	m    int
+	n    int // tester vertices: g's, or after compact the endpoints of alive edges
+	m    int // tester edges: g's, or after compact the alive ones
 	live int // number of alive edges
 
-	elist    []graph.Edge // edge id -> undirected edge
+	elist    []graph.Edge // edge id -> the edge of g it stands for
 	alive    []bool       // edge id -> part of the tested graph
 	adjStart []int32      // vertex -> offset of its half-edges in adj
 	adj      []halfEdge
@@ -192,36 +194,103 @@ func newLR(g *graph.Graph) *lr {
 	return st
 }
 
-// setAlive puts the edges with ids in [lo, hi), all currently in the
-// other state, into the tested graph or takes them out of it.
-func (st *lr) setAlive(lo, hi int, alive bool) {
-	for ei := lo; ei < hi; ei++ {
+// setAlive puts the edges of block, all currently in the other state,
+// into the tested graph or takes them out of it.
+func (st *lr) setAlive(block []int32, alive bool) {
+	for _, ei := range block {
 		st.alive[ei] = alive
 	}
 	if alive {
-		st.live += hi - lo
+		st.live += len(block)
 	} else {
-		st.live -= hi - lo
+		st.live -= len(block)
 	}
 }
 
-// drop takes the alive edges [lo, hi) out of the tested graph and reports
+// drop takes the alive edges of block out of the tested graph and reports
 // whether it stays non-planar. If it does not, the edges are put back.
-func (st *lr) drop(lo, hi int) (bool, error) {
-	st.setAlive(lo, hi, false)
+func (st *lr) drop(block []int32) (bool, error) {
+	st.setAlive(block, false)
 	planar, err := st.planar()
 	if planar {
-		st.setAlive(lo, hi, true)
+		st.setAlive(block, true)
 	}
 	return !planar && err == nil, err
 }
+
+// compact rebuilds the tester over its alive edges and their endpoints,
+// in place: every array only shrinks. Edges and vertices are renumbered
+// in increasing order, so edge ids stay in sorted order, each vertex's
+// half-edges keep their order, and every test decides as before; elist
+// still names the edges of g. Only the masked tests of Kuratowski use
+// it: embed expects an uncompacted tester.
+func (st *lr) compact() {
+	newE, newV := st.ref, st.height // scratch: old id -> new id
+	m := int32(0)
+	for ei := 0; ei < st.m; ei++ {
+		if st.alive[ei] {
+			newE[ei] = m
+			st.elist[m] = st.elist[ei]
+			m++
+		}
+	}
+	n := int32(0)
+	for v := 0; v < st.n; v++ {
+		newV[v] = none
+		for _, h := range st.adj[st.adjStart[v]:st.adjStart[v+1]] {
+			if st.alive[h.edge] {
+				newV[v] = n
+				n++
+				break
+			}
+		}
+	}
+	// Vertex v's kept half-edges move down to adj[k:]; adjStart[newV[v]]
+	// is written only once adjStart[v+1] has been read.
+	k, lo := int32(0), int32(0)
+	for v := 0; v < st.n; v++ {
+		hi := st.adjStart[v+1]
+		if newV[v] != none {
+			st.adjStart[newV[v]] = k
+		}
+		for _, h := range st.adj[lo:hi] {
+			if st.alive[h.edge] {
+				st.adj[k] = halfEdge{to: newV[h.to], edge: newE[h.edge]}
+				k++
+			}
+		}
+		lo = hi
+	}
+	st.adjStart[n] = k
+	st.n, st.m, st.live = int(n), int(m), int(m)
+	st.elist, st.alive, st.adj = st.elist[:m], st.alive[:m], st.adj[:k]
+	for i := range st.alive {
+		st.alive[i] = true
+	}
+	st.from, st.to, st.out, st.byDepth = st.from[:m], st.to[:m], st.out[:m], st.byDepth[:m]
+	st.lowpt, st.lowpt2, st.nesting, st.ref = st.lowpt[:m], st.lowpt2[:m], st.nesting[:m], st.ref[:m]
+	st.side, st.lowptE, st.stackBot = st.side[:m], st.lowptE[:m], st.stackBot[:m]
+	st.adjStart, st.outStart, st.count = st.adjStart[:n+1], st.outStart[:n+1], st.count[:4*n+1]
+	st.height, st.parentEdge = st.height[:n], st.parentEdge[:n]
+}
+
+// testHook, when non-nil, runs at every planarity test with the number
+// of tester edges it scans (0 when the Euler bound decides); tests
+// install it to bound the work of witness extraction.
+var testHook func(scanned int)
 
 // planar runs the orientation and testing phases on the alive edges. It
 // may be called again after changing the mask; every run starts from a
 // clean state.
 func (st *lr) planar() (bool, error) {
 	if st.n > 2 && st.live > 3*st.n-6 {
+		if testHook != nil {
+			testHook(0)
+		}
 		return false, nil // Euler bound
+	}
+	if testHook != nil {
+		testHook(st.m)
 	}
 	for i := 0; i < st.m; i++ {
 		st.from[i] = none
