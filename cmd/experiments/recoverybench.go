@@ -21,9 +21,9 @@ import (
 // recoveryBench measures what durability buys at boot: it builds a
 // large durable session, then times three boots of the same topology.
 // "crash_replay" recovers from a SIGKILL-shaped state (snapshot plus a
-// WAL tail; the first tail batch re-proves because the structured
-// repair state is not persisted, so this costs about one prover run —
-// but loses nothing). "replay" recovers from a clean shutdown (current
+// WAL tail): the verification sweep, then localized repairs absorb the
+// tail on repair state decoded from the restored certificates, and
+// nothing is lost. "replay" recovers from a clean shutdown (current
 // snapshot, empty tail): just the self-validating verification sweep,
 // the fast path every graceful restart takes. "reprove" certifies the
 // same network from scratch — the cost every boot would pay without
@@ -126,9 +126,9 @@ func recoveryBench(args []string) error {
 		return nil
 	}
 
-	// Phase 2: crash boot — snapshot + WAL tail + verification sweep +
-	// one re-prove to absorb the tail. The graceful Close at the end
-	// leaves a current snapshot with an empty tail for phase 3.
+	// Phase 2: crash boot — snapshot + verification sweep + WAL tail,
+	// absorbed by repairs. The graceful Close at the end leaves a current
+	// snapshot with an empty tail for phase 3.
 	srvB := server.New(cfg)
 	t0 := time.Now()
 	if err := srvB.Recover(); err != nil {
@@ -188,7 +188,7 @@ func recoveryBench(args []string) error {
 	speedup := float64(reprove) / float64(replay)
 	fmt.Printf("== recoverybench: n=%d, %d-batch WAL tail ==\n", *n, *tail)
 	fmt.Printf("clean replay:    %s (snapshot + verification sweep only)\n", replay)
-	fmt.Printf("crash replay:    %s (snapshot + tail; one re-prove, nothing lost)\n", crashReplay)
+	fmt.Printf("crash replay:    %s (snapshot + tail absorbed by repairs, nothing lost)\n", crashReplay)
 	fmt.Printf("cold re-prove:   %s\n", reprove)
 	fmt.Printf("speedup:         %.1fx (clean replay vs cold re-prove)\n", speedup)
 
@@ -212,8 +212,8 @@ func recoveryBench(args []string) error {
 	}{
 		Note: fmt.Sprintf("boot recovery vs cold re-prove at n=%d: 'replay' boots from a clean shutdown "+
 			"(current snapshot, empty WAL tail — just the self-validating verification sweep); 'crash_replay' "+
-			"boots from a SIGKILL-shaped state (snapshot + %d-batch WAL tail; the first tail batch re-proves "+
-			"because structured repair state is not persisted); 'reprove' certifies the same network from "+
+			"boots from a SIGKILL-shaped state (snapshot + %d-batch WAL tail, absorbed by localized repairs on "+
+			"repair state decoded from the restored certificates); 'reprove' certifies the same network from "+
 			"scratch; regenerate with `go run ./cmd/experiments recoverybench`", *n, *tail),
 		Date:               time.Now().Format("2006-01-02"),
 		N:                  *n,

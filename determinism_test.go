@@ -77,10 +77,12 @@ func (st *detStream) adjacent(a, b planarcert.NodeID) bool {
 }
 
 // TestAbsorptionDeterministic pins that absorption is a function of the
-// network and the stream alone: two sessions built on one Network, and
-// two sessions restored from one snapshot, absorb a seeded stream in the
-// same mode batch by batch and hold byte-identical certificates after
-// every batch.
+// network and the stream alone: two sessions built on one Network, two
+// sessions restored from one snapshot, and a fresh session and one
+// restored from its snapshot absorb a seeded stream in the same mode
+// batch by batch and hold byte-identical certificates after every batch.
+// The last pair holds because a restored session reads its repair state
+// off the certificates, so its first batch repairs like the fresh one's.
 func TestAbsorptionDeterministic(t *testing.T) {
 	net := triangulationNetwork(120, 11)
 	cfg := planarcert.EngineConfig{Sequential: true}
@@ -101,10 +103,18 @@ func TestAbsorptionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := planarcert.NewSession(net, planarcert.SchemePlanarity, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := planarcert.RestoreSession(c.Snapshot(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pairs := []struct {
 		name string
 		x, y *planarcert.Session
-	}{{"new", a, b}, {"restored", ra, rb}}
+	}{{"new", a, b}, {"restored", ra, rb}, {"fresh-vs-restored", c, rc}}
 	for _, p := range pairs {
 		if !reflect.DeepEqual(p.x.Certificates(), p.y.Certificates()) {
 			t.Fatalf("%s: initial certificates differ", p.name)

@@ -16,8 +16,7 @@
 // node an O(log n)-bit certificate, and a local Verify that decides
 // accept/reject from a 1-round dist.View. Beyond the plain Prove
 // entry points, the structured provers (ProvePlanar,
-// BuildPlanarCertObjects, BuildNonPlanarProof, EncodePlanarCerts,
-// EncodeNonPlanarCerts) expose
+// BuildPlanarCertObjects, BuildNonPlanarProof, EncodePlanarCerts) expose
 // the intermediate proof objects — spanning-path ranks, covering
 // intervals, witness assignments — so internal/dynamic can patch
 // certificates locally instead of re-proving from scratch.

@@ -170,28 +170,25 @@ func (NonPlanarScheme) Name() string { return "non-planarity" }
 
 // Prove implements pls.Scheme.
 func (NonPlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error) {
-	proof, err := BuildNonPlanarProof(g)
+	objs, err := BuildNonPlanarProof(g)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeNonPlanarCerts(proof.Certs)
-}
-
-// NonPlanarProof is the structured output of the non-planarity prover:
-// the per-node certificates plus the witness subgraph and spanning-tree
-// root they were built from. The dynamic subsystem uses the structure to
-// decide which updates leave the certificates valid (any edge addition,
-// and any removal that misses both the witness and the tree).
-type NonPlanarProof struct {
-	Certs map[graph.ID]*NonPlanarCert
-	// WitnessEdges are the edges of the K5/K3,3 subdivision, by index.
-	WitnessEdges []graph.Edge
-	// Root is the spanning-tree root (branch vertex 0), by index.
-	Root int
+	out := make(map[graph.ID]bits.Certificate, len(objs))
+	for id, c := range objs {
+		var w bits.Writer
+		if err := c.Encode(&w); err != nil {
+			return nil, err
+		}
+		out[id] = bits.FromWriter(&w)
+	}
+	return out, nil
 }
 
 // BuildNonPlanarProof computes the structured folklore certificates.
-func BuildNonPlanarProof(g *graph.Graph) (*NonPlanarProof, error) {
+// They name the witness and the spanning tree completely, so the
+// dynamic subsystem reads both back off them.
+func BuildNonPlanarProof(g *graph.Graph) (map[graph.ID]*NonPlanarCert, error) {
 	if g.N() == 0 || !g.Connected() {
 		return nil, fmt.Errorf("%w: need a connected graph", pls.ErrNotInClass)
 	}
@@ -244,24 +241,7 @@ func BuildNonPlanarProof(g *graph.Graph) (*NonPlanarProof, error) {
 			c.NextID = g.IDOf(verts[p+1])
 		}
 	}
-	return &NonPlanarProof{
-		Certs:        certs,
-		WitnessEdges: append([]graph.Edge(nil), witness.Edges...),
-		Root:         witness.Branch[0],
-	}, nil
-}
-
-// EncodeNonPlanarCerts serialises structured non-planarity certificates.
-func EncodeNonPlanarCerts(objs map[graph.ID]*NonPlanarCert) (map[graph.ID]bits.Certificate, error) {
-	out := make(map[graph.ID]bits.Certificate, len(objs))
-	for id, c := range objs {
-		var w bits.Writer
-		if err := c.Encode(&w); err != nil {
-			return nil, err
-		}
-		out[id] = bits.FromWriter(&w)
-	}
-	return out, nil
+	return certs, nil
 }
 
 // requiredPeers lists the branch indices that branch b must reach by a

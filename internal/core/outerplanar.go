@@ -131,11 +131,8 @@ func (OuterplanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, e
 			return nil, fmt.Errorf("core: vertex %d has no outer-face copy (internal error)", v)
 		}
 	}
-	p, err := proveFromTransform(g, tr, nil)
-	if err != nil {
-		return nil, err
-	}
-	return p.Certs, nil
+	_, certs, err := proveFromTransform(g, tr, nil)
+	return certs, err
 }
 
 // Verify implements pls.Scheme: Algorithm 2 plus the sentinel-copy check.

@@ -234,35 +234,25 @@ func (PlanarScheme) Name() string { return "planarity" }
 // (Lemma 3), compute intervals, and distribute edge certificates along a
 // degeneracy ordering so every node stores at most five.
 func (PlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error) {
-	p, err := ProvePlanar(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	return p.Certs, nil
+	_, certs, err := ProvePlanar(g, nil)
+	return certs, err
 }
 
-// PlanarProof is the planarity prover's structured output: the
-// transform, the certificate objects and their encoding.
-type PlanarProof struct {
-	Transform *Transform
-	Objs      map[graph.ID]*PlanarCert
-	Certs     map[graph.ID]bits.Certificate
-}
-
-// ProvePlanar runs the planarity prover, recording its steps — the LR
-// test, the Euler audit, the transform, the certificate objects and the
-// encoding — as children of sp, in that order (nil records nothing).
-// Graphs outside the class fail with pls.ErrNotInClass.
-func ProvePlanar(g *graph.Graph, sp *obs.Span) (*PlanarProof, error) {
+// ProvePlanar runs the planarity prover and returns the certificate
+// objects and their encoding. It records its steps — the LR test, the
+// Euler audit, the transform, the certificate objects and the encoding
+// — as children of sp, in that order (nil records nothing). Graphs
+// outside the class fail with pls.ErrNotInClass.
+func ProvePlanar(g *graph.Graph, sp *obs.Span) (map[graph.ID]*PlanarCert, map[graph.ID]bits.Certificate, error) {
 	if g.N() == 0 {
-		return nil, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
+		return nil, nil, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
 	}
 	if !g.Connected() {
-		return nil, fmt.Errorf("%w: disconnected graph", pls.ErrNotInClass)
+		return nil, nil, fmt.Errorf("%w: disconnected graph", pls.ErrNotInClass)
 	}
 	tr, err := transformOf(g, sp)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
+		return nil, nil, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
 	}
 	return proveFromTransform(g, tr, sp)
 }
@@ -271,7 +261,7 @@ func ProvePlanar(g *graph.Graph, sp *obs.Span) (*PlanarProof, error) {
 // transform (shared by the planarity and outerplanarity provers). It
 // encodes straight from the object slab, in vertex order, so the
 // encoder walks the slabs sequentially instead of in map order.
-func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) (*PlanarProof, error) {
+func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) (map[graph.ID]*PlanarCert, map[graph.ID]bits.Certificate, error) {
 	c := sp.Child(obs.SpanCertObjects)
 	slab, _, err := buildPlanarCertSlab(g, tr)
 	var objs map[graph.ID]*PlanarCert
@@ -280,7 +270,7 @@ func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) (*PlanarPro
 	}
 	c.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c = sp.Child(obs.SpanEncode)
 	defer c.End()
@@ -289,11 +279,11 @@ func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) (*PlanarPro
 	for i := range slab {
 		cert, err := enc.encode(&slab[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		certs[slab[i].Tree.SelfID] = cert
 	}
-	return &PlanarProof{Transform: tr, Objs: objs, Certs: certs}, nil
+	return objs, certs, nil
 }
 
 // BuildPlanarCertObjects computes the structured Theorem 1 certificates

@@ -38,6 +38,16 @@
 // heuristic is: a bad repair is caught on the frontier and demoted to a
 // full re-prove.
 //
+// Repair state is a function of the accepted assignment (Section 3.3):
+// the planarity tree-edge and cotree certificates give f, the copies,
+// the parents, I(·) and the chords at each rank; the tree certificates
+// give the spanning tree, and the non-planarity roles the witness. Each
+// scheme has one constructor taking the graph and the certificate
+// objects. A planarity re-prove passes the prover's objects in; after
+// a cache adoption or a Restore, the first repair attempt decodes the
+// live certificates, so a restored session absorbs batches as a fresh
+// one.
+//
 // Concurrency. A Session is deliberately single-goroutine: it has no
 // internal locking, and callers that share one session across
 // goroutines must serialize every method. The planarcertd server

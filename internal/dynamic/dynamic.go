@@ -1,8 +1,11 @@
 package dynamic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 
 	"github.com/planarcert/planarcert/internal/bits"
@@ -150,8 +153,8 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 // or tampered snapshot that slipped past the storage CRCs is caught
 // semantically. If the sweep rejects (or certs is empty), Restore falls
 // back to re-proving from the restored graph. The session resumes at
-// generation gen; the structured repair state is rebuilt lazily at the
-// next re-prove, exactly as after a cache adoption.
+// generation gen; its first repair attempt decodes the repair state
+// from certs, exactly as after a cache adoption.
 func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs map[graph.ID]bits.Certificate, gen uint64) (*Session, error) {
 	s, err := newSessionShell(g, cfg)
 	if err != nil {
@@ -168,7 +171,6 @@ func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs map[graph.ID]b
 	if len(certs) > 0 {
 		s.certs = certs
 		s.certsOwn = true
-		s.state = nil
 		out := dist.NewEngine(s.g, s.engineOpts...).RunPLS(certs, s.active.Verify)
 		if out.AllAccept() {
 			s.certified = true
@@ -549,15 +551,12 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 	case !s.certified:
 		rep.RepairFallback = "no certified base state"
 		return false
-	case s.state == nil:
-		rep.RepairFallback = "no structured state (cold after cache adoption)"
-		return false
 	case len(nb.addedNodes) > 0:
 		rep.RepairFallback = "node additions change n in every certificate"
 		return false
 	}
 	rsp := s.span.Child("repair")
-	newCerts, changed, ok, reason := s.state.repair(nb, s.threshold)
+	newCerts, changed, ok, reason := s.repair(nb, rsp)
 	rsp.SetInt("changed", int64(len(changed)))
 	if !ok {
 		rsp.SetStr("fallback", reason)
@@ -590,6 +589,21 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 	return true
 }
 
+// repair runs the repair, first decoding the state, as a child of rsp,
+// if the session has none.
+func (s *Session) repair(nb *netBatch, rsp *obs.Span) (map[graph.ID]bits.Certificate, []int, bool, string) {
+	if s.state == nil {
+		c := rsp.Child(obs.SpanRepairState)
+		st, err := s.decodeState()
+		c.End()
+		if err != nil {
+			return nil, nil, false, "repair state: " + err.Error()
+		}
+		s.state = st
+	}
+	return s.state.repair(nb, s.threshold)
+}
+
 // tryCache adopts a previously certified assignment for the current
 // fingerprint. It reports whether the batch was fully absorbed.
 func (s *Session) tryCache(nb *netBatch, rep *Report) bool {
@@ -597,9 +611,8 @@ func (s *Session) tryCache(nb *netBatch, rep *Report) bool {
 	if entry == nil {
 		return false
 	}
-	// Adopt the snapshot copy-on-write; the structured repair state
-	// describes the old assignment and is rebuilt lazily at the next
-	// re-prove.
+	// Adopt the snapshot copy-on-write; the repair state describes the
+	// old assignment, and the next repair decodes the adopted one's.
 	s.certs = entry.certs
 	s.certsOwn = false
 	s.active = entry.scheme
@@ -624,8 +637,8 @@ func (s *Session) tryCache(nb *netBatch, rep *Report) bool {
 
 // reprove runs the full prover (flipping to the counterpart scheme when
 // the active one's class no longer contains the graph), fully
-// re-verifies, rebuilds the structured repair state, and stores the
-// certified assignment in the cache.
+// re-verifies, replaces the repair state, and stores the certified
+// assignment in the cache.
 func (s *Session) reprove(rep *Report) {
 	order := []pls.Scheme{s.active}
 	if other := s.counterpartOf(s.active); other != nil {
@@ -635,7 +648,7 @@ func (s *Session) reprove(rep *Report) {
 	for i, sch := range order {
 		pv := s.span.Child(obs.SpanProve)
 		pv.SetStr("scheme", sch.Name())
-		certs, st, err := s.proveStructured(sch, pv)
+		certs, st, err := s.prove(sch, pv)
 		if err != nil {
 			pv.SetStr("error", err.Error())
 			pv.End()
@@ -694,45 +707,82 @@ func (s *Session) counterpartOf(sch pls.Scheme) pls.Scheme {
 	return s.scheme
 }
 
-// proveStructured runs the scheme's prover, keeping the structured
-// certificate state for schemes that support localized repair. The
-// planarity prover records its steps as children of pv.
-func (s *Session) proveStructured(sch pls.Scheme, pv *obs.Span) (map[graph.ID]bits.Certificate, repairState, error) {
-	switch sch.(type) {
-	case core.PlanarScheme:
-		proof, err := core.ProvePlanar(s.g, pv)
-		if err != nil {
-			return nil, nil, err
-		}
-		c := pv.Child(obs.SpanRepairState)
-		defer c.End()
-		return proof.Certs, newPlanarState(s.g, proof), nil
-	case core.NonPlanarScheme:
-		proof, err := core.BuildNonPlanarProof(s.g)
-		if err != nil {
-			return nil, nil, err
-		}
-		certs, err := core.EncodeNonPlanarCerts(proof.Certs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return certs, newNonPlanarState(s.g, proof), nil
-	case pls.SpanningTreeScheme:
-		if s.g.N() == 0 {
-			return nil, nil, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
-		}
-		ts, err := newTreeState(s.g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
-		}
-		certs, err := ts.encodeAll()
-		if err != nil {
-			return nil, nil, err
-		}
-		return certs, ts, nil
-	default:
+// prove runs the scheme's prover. The planarity prover hands its
+// certificate objects straight to the repair-state constructor, so the
+// re-prove does not decode what it just encoded, and records its steps
+// as children of pv. Other schemes' states are small to decode and are
+// decoded at the first repair attempt, as after a cache adoption.
+func (s *Session) prove(sch pls.Scheme, pv *obs.Span) (map[graph.ID]bits.Certificate, repairState, error) {
+	if _, ok := sch.(core.PlanarScheme); !ok {
 		certs, err := sch.Prove(s.g)
 		return certs, nil, err
+	}
+	objs, certs, err := core.ProvePlanar(s.g, pv)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := pv.Child(obs.SpanRepairState)
+	defer c.End()
+	st, err := newPlanarState(s.g, objs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return certs, st, nil
+}
+
+// decodeState builds the repair state the live assignment implies.
+func (s *Session) decodeState() (repairState, error) {
+	switch s.active.(type) {
+	case core.PlanarScheme:
+		return decodeInto(s, core.DecodePlanarCert, newPlanarState)
+	case core.NonPlanarScheme:
+		return decodeInto(s, core.DecodeNonPlanarCert, newTreeRepair)
+	case pls.SpanningTreeScheme:
+		return decodeInto(s, pls.DecodeTreeCert, newTreeRepair)
+	}
+	return nil, fmt.Errorf("no localized repair under %s", s.active.Name())
+}
+
+// decodeInto decodes every live certificate and builds a repair state
+// from the objects.
+func decodeInto[T any, S repairState](s *Session, decode func(*bits.Reader) (*T, error),
+	build func(*graph.Graph, map[graph.ID]*T) (S, error)) (repairState, error) {
+	objs := make(map[graph.ID]*T, len(s.certs))
+	for id, c := range s.certs {
+		obj, err := decode(c.Reader())
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", id, err)
+		}
+		objs[id] = obj
+	}
+	return build(s.g, objs)
+}
+
+// CheckRepairState reports whether the repair state rebuilt from the
+// live certificates differs from the one patched batch by batch. Each
+// rank's chords are compared as sets: it sorts them in both states,
+// since the certificates do not fix that order and no repair uses it.
+func (s *Session) CheckRepairState() error {
+	if s.state == nil {
+		return nil
+	}
+	rebuilt, err := s.decodeState()
+	if err != nil {
+		return fmt.Errorf("dynamic: rebuilding repair state: %w", err)
+	}
+	sortChords(rebuilt)
+	sortChords(s.state)
+	if !reflect.DeepEqual(rebuilt, s.state) {
+		return errors.New("dynamic: repair state rebuilt from the certificates differs from the live state")
+	}
+	return nil
+}
+
+func sortChords(st repairState) {
+	if p, ok := st.(*planarState); ok {
+		for _, es := range p.byRank {
+			slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+		}
 	}
 }
 

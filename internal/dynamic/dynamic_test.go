@@ -139,8 +139,8 @@ func TestTreeSurgery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cache is disabled so re-adds re-prove and keep the structured
-	// state warm (a cache adoption leaves it cold by design).
+	// The cache is disabled so every fallback re-proves rather than
+	// adopting an earlier assignment.
 	s, err := NewSession(g, Config{Scheme: pls.SpanningTreeScheme{}, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +154,12 @@ func TestTreeSurgery(t *testing.T) {
 			break
 		}
 		u, v := e.U, e.V
-		ts := s.state.(*treeState)
-		_, _, isTree := ts.st.isTreeEdge(u, v)
+		st, err := s.decodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := st.(*treeRepair)
+		isTree := ts.parent[u] == v || ts.parent[v] == u
 		a, b := s.Graph().IDOf(u), s.Graph().IDOf(v)
 		rep, err := s.Apply([]Update{{Op: RemoveEdge, A: a, B: b}})
 		if err != nil {

@@ -9,11 +9,11 @@ import (
 )
 
 // planarState is the structured Theorem 1 certificate assignment kept
-// alongside the planarity scheme: the DFS-mapping of the last full
-// prove (ranks, copies, tree parents), the live interval table of the
-// spanning-path proof, the cotree edges whose chords end at each rank,
-// and the decoded per-node certificates (which carry each chord's
-// ranks).
+// alongside the planarity scheme: the DFS-mapping (ranks, copies, tree
+// parents), the live interval table of the spanning-path proof, the
+// cotree edges whose chords end at each rank, and the decoded per-node
+// certificates (which carry each chord's ranks). All of it is a function
+// of the certificates (see newPlanarState).
 //
 // Localized repair exploits the nesting structure of the chord family
 // over ranks 1..2n-1 (Section 3.1 of the paper): the chords of a
@@ -52,45 +52,107 @@ type planarState struct {
 	objs   map[graph.ID]*core.PlanarCert
 }
 
-// newPlanarState adopts a prove's transform and certificate objects. A
-// chord's ranks and holder are read off its edge certificate when a
-// repair needs them (edgeCertOf), so the only index built here is
-// byRank: one counting pass over the transform's chords, carved from
-// one slab with each rank's run capped so a later append reallocates
-// that run alone.
-func newPlanarState(g *graph.Graph, p *core.PlanarProof) *planarState {
-	tr := p.Transform
-	start := make([]int32, tr.N2+2)
-	for _, rr := range tr.CotreeRanks {
-		if rr[0] != 0 { // tree edges hold [0, 0]
-			start[rr[0]+1]++
-			start[rr[1]+1]++
+// newPlanarState reads the repair state off an accepted planarity
+// assignment (Section 3.3). The tree-edge certificate of parent p and
+// child c maps p to ranks PA and PB and c to CMin and CMax. Every rank
+// is one of these, so the tree-edge certificates fix f, the parents and
+// I(·), and the copies of a node are the ranks f maps to it. Each cotree
+// certificate names the two ranks its chord joins. Two passes over the
+// objects, by node index, fill a fixed handful of slabs; each byRank run
+// is capped so a later append reallocates that run alone. The state
+// takes objs over.
+func newPlanarState(g *graph.Graph, objs map[graph.ID]*core.PlanarCert) (*planarState, error) {
+	n := g.N()
+	n2 := 2*n - 1
+	p := &planarState{
+		g:      g,
+		n2:     n2,
+		f:      make([]int, n2+1),
+		parent: make([]int, n),
+		iv:     make([]core.Interval, n2+1),
+		objs:   objs,
+	}
+	byIdx := make([]*core.PlanarCert, n)
+	start := make([]int32, n2+2) // chord ends per rank, then run starts
+	for v := 0; v < n; v++ {
+		c := objs[g.IDOf(v)]
+		if c == nil {
+			return nil, fmt.Errorf("no certificate for node %d", g.IDOf(v))
+		}
+		byIdx[v] = c
+		for k := range c.Edges {
+			ec := &c.Edges[k]
+			at, ranks := [4]int{-1, -1, -1, -1}, ec.Rank[:2] // a chord fixes no f
+			if ec.IsTree {
+				par, child, ok := v, v, true
+				if ec.U == c.Tree.SelfID {
+					child, ok = g.IndexOf(ec.V)
+				} else {
+					par, ok = g.IndexOf(ec.U)
+				}
+				if !ok {
+					return nil, fmt.Errorf("tree certificate names unknown edge {%d,%d}", ec.U, ec.V)
+				}
+				p.parent[child] = par
+				at, ranks = [4]int{par, child, child, par}, ec.Rank[:]
+			}
+			for i, r := range ranks { // in [1, n2]: the verifier accepted them
+				if at[i] >= 0 {
+					p.f[r] = at[i]
+				}
+				p.iv[r] = ec.Iv[i].Wide()
+			}
+			if !ec.IsTree {
+				start[ec.Rank[0]+1]++
+				start[ec.Rank[1]+1]++
+			}
 		}
 	}
+	if n == 1 {
+		p.iv[1] = core.Sentinel(1) // f[1] = 0, and no certificate claims rank 1
+	}
+
+	// Copies: a counting sort of the ranks by node, ascending per node.
+	off := make([]int32, n+1)
+	for r := 1; r <= n2; r++ {
+		off[p.f[r]+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	copySlab := make([]int, n2)
+	p.copies = make([][]int, n)
+	for v := range p.copies {
+		p.copies[v] = copySlab[off[v]:off[v]:off[v+1]]
+	}
+	for r := 1; r <= n2; r++ {
+		p.copies[p.f[r]] = append(p.copies[p.f[r]], r)
+	}
+	p.parent[p.f[1]] = p.f[1]
+
+	// byRank: each cotree edge at both of its ranks.
 	for r := 1; r < len(start); r++ {
 		start[r] += start[r-1]
 	}
 	slab := make([]graph.Edge, start[len(start)-1])
-	byRank := make([][]graph.Edge, tr.N2+1)
-	for r := range byRank {
-		byRank[r] = slab[start[r]:start[r]:start[r+1]]
+	p.byRank = make([][]graph.Edge, n2+1)
+	for r := range p.byRank {
+		p.byRank[r] = slab[start[r]:start[r]:start[r+1]]
 	}
-	for e, rr := range tr.CotreeRanks {
-		if rr[0] != 0 {
-			byRank[rr[0]] = append(byRank[rr[0]], tr.Edges[e])
-			byRank[rr[1]] = append(byRank[rr[1]], tr.Edges[e])
+	for v, c := range byIdx {
+		for k := range c.Edges {
+			if ec := &c.Edges[k]; !ec.IsTree {
+				w, ok := g.IndexOf(ec.Other(c.Tree.SelfID))
+				if !ok {
+					return nil, fmt.Errorf("cotree certificate names unknown edge {%d,%d}", ec.U, ec.V)
+				}
+				e := graph.NewEdge(v, w)
+				p.byRank[ec.Rank[0]] = append(p.byRank[ec.Rank[0]], e)
+				p.byRank[ec.Rank[1]] = append(p.byRank[ec.Rank[1]], e)
+			}
 		}
 	}
-	return &planarState{
-		g:      g,
-		n2:     tr.N2,
-		f:      tr.F,
-		copies: tr.Copies,
-		parent: tr.Parent,
-		iv:     tr.Intervals,
-		byRank: byRank,
-		objs:   p.Objs,
-	}
+	return p, nil
 }
 
 // chordOf returns the chord [lo, hi] of a cotree edge, from the ranks

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/planarcert/planarcert/internal/bits"
@@ -10,90 +9,119 @@ import (
 	"github.com/planarcert/planarcert/internal/pls"
 )
 
-// spanTree is the mutable spanning-tree structure behind the
-// Korman–Kutten–Peleg tree proof: parents, depths, subtree sizes and
-// children lists, kept patchable under edge updates.
-type spanTree struct {
-	root     int
-	parent   []int
-	depth    []int
-	size     []uint64
-	children [][]int
+// treeRepair is the repair state of the schemes whose certificates carry
+// the Korman–Kutten–Peleg spanning-tree sub-proof: the spanning-tree
+// scheme (a bare pls.TreeCert) and the non-planarity scheme (a
+// core.NonPlanarCert, whose Kuratowski witness it also guards).
+//
+// Edge additions change no certificate: the tree proof ignores cotree
+// edges beyond root/n agreement, which new neighbors satisfy, and an
+// added edge never breaks a witness. Removing a cotree edge off the
+// witness changes none either. Removing a tree edge triggers surgery.
+// Removing a witness edge may restore planarity and always falls back
+// to a full re-prove (which flips the session's scheme if it did).
+type treeRepair struct {
+	g      *graph.Graph
+	parent []int                                     // by index; the root is its own parent
+	tree   []*pls.TreeCert                           // by index; surgery patches Parent, Dist and Size
+	objs   []interface{ Encode(*bits.Writer) error } // by index: the certificate tree[v] belongs to
+	// interior marks the branch pairs (PathA, PathB) whose witness path
+	// has an interior vertex; the other required pairs are joined by a
+	// direct edge. Both indices are 3-bit fields.
+	interior [8][8]bool
 }
 
-// newSpanTree builds the BFS spanning tree rooted at root — the same
-// tree pls.BuildTreeCerts derives, so structured state and encoded
-// certificates agree bit for bit.
-func newSpanTree(g *graph.Graph, root int) (*spanTree, error) {
-	parent, depth := g.BFSFrom(root)
+// newTreeRepair reads the tree off the certificates' Parent, Dist and
+// Size — no BFS, so a tree that surgery reshaped comes back as it is —
+// and, under the non-planarity scheme, the witness off the roles, in
+// one pass by node index.
+func newTreeRepair[C interface {
+	*pls.TreeCert | *core.NonPlanarCert
+	Encode(*bits.Writer) error
+}](g *graph.Graph, objs map[graph.ID]C) (*treeRepair, error) {
 	n := g.N()
-	t := &spanTree{
-		root:     root,
-		parent:   parent,
-		depth:    depth,
-		size:     make([]uint64, n),
-		children: make([][]int, n),
-	}
-	maxD := 0
+	t := &treeRepair{g: g, parent: make([]int, n), tree: make([]*pls.TreeCert, n), objs: make([]interface{ Encode(*bits.Writer) error }, n)}
 	for v := 0; v < n; v++ {
-		if parent[v] == -1 {
-			return nil, errors.New("dynamic: graph is disconnected")
+		c, ok := objs[g.IDOf(v)]
+		if !ok {
+			return nil, fmt.Errorf("no certificate for node %d", g.IDOf(v))
 		}
-		if v != root {
-			t.children[parent[v]] = append(t.children[parent[v]], v)
+		t.objs[v] = c
+		switch c := any(c).(type) {
+		case *pls.TreeCert:
+			t.tree[v] = c
+		case *core.NonPlanarCert:
+			t.tree[v] = &c.Tree
+			if c.Role == core.RoleInterior {
+				t.interior[c.PathA][c.PathB] = true
+			}
 		}
-		if depth[v] > maxD {
-			maxD = depth[v]
-		}
-		t.size[v] = 1
-	}
-	byDepth := make([][]int, maxD+1)
-	for v := 0; v < n; v++ {
-		byDepth[depth[v]] = append(byDepth[depth[v]], v)
-	}
-	for d := maxD; d > 0; d-- {
-		for _, v := range byDepth[d] {
-			t.size[parent[v]] += t.size[v]
+		if t.parent[v], ok = g.IndexOf(t.tree[v].Parent); !ok {
+			return nil, fmt.Errorf("node %d names unknown parent %d", g.IDOf(v), t.tree[v].Parent)
 		}
 	}
 	return t, nil
 }
 
-// isTreeEdge reports whether {u, v} is a tree edge, returning the
-// (parent, child) orientation.
-func (t *spanTree) isTreeEdge(u, v int) (p, c int, ok bool) {
-	if t.parent[u] == v && u != t.root {
-		return v, u, true
+// inWitness reports whether {a, b} is an edge of the certified
+// Kuratowski subdivision: an interior vertex's edge to its predecessor
+// or successor, or the direct edge of a required branch pair whose path
+// has no interior vertex.
+func (t *treeRepair) inWitness(a, b int) bool {
+	ca, ok := t.objs[a].(*core.NonPlanarCert)
+	if !ok {
+		return false
 	}
-	if t.parent[v] == u && v != t.root {
-		return u, v, true
+	cb := t.objs[b].(*core.NonPlanarCert)
+	switch {
+	case ca.Role == core.RoleInterior:
+		return ca.PrevID == cb.Tree.SelfID || ca.NextID == cb.Tree.SelfID
+	case cb.Role == core.RoleInterior:
+		return cb.PrevID == ca.Tree.SelfID || cb.NextID == ca.Tree.SelfID
+	case ca.Role == core.RoleBranch && cb.Role == core.RoleBranch:
+		lo, hi := min(ca.BranchIdx, cb.BranchIdx), max(ca.BranchIdx, cb.BranchIdx)
+		return (ca.K5 || lo < 3 && hi >= 3) && !t.interior[lo][hi]
 	}
-	return 0, 0, false
+	return false
+}
+
+// subtree lists the tree below v, v first, in BFS order over g's
+// adjacency (a tree child is a neighbor whose parent is its parent; tree
+// edges are graph edges). It stops early, returning ok=false, once the
+// list outgrows limit.
+func (t *treeRepair) subtree(v, limit int) (sub []int, ok bool) {
+	sub = []int{v}
+	for i := 0; i < len(sub); i++ {
+		for _, w := range t.g.Neighbors(sub[i]) {
+			if t.parent[w] == sub[i] {
+				if sub = append(sub, w); len(sub) > limit {
+					return nil, false
+				}
+			}
+		}
+	}
+	return sub, true
 }
 
 // surgery repairs the tree after the tree edge {p, c} was removed from
 // g: it finds a replacement edge (x, y) leaving c's old subtree S,
 // re-roots S at x by reversing the parent chain x..c, hangs x under y,
-// and patches depths inside S plus subtree sizes along both
-// root paths. The dirty indices are every node whose (Dist, Parent,
-// Size) triple may have changed. ok=false leaves the tree untouched.
-func (t *spanTree) surgery(g *graph.Graph, p, c int, budget *int) (dirty []int, ok bool, reason string) {
-	// Collect S, the subtree hanging below the removed edge.
-	sub := []int{c}
-	inSub := map[int]bool{c: true}
-	for i := 0; i < len(sub); i++ {
-		for _, w := range t.children[sub[i]] {
-			sub = append(sub, w)
-			inSub[w] = true
-			if len(sub) > *budget {
-				return nil, false, "subtree scope exceeds repair threshold"
-			}
-		}
+// and patches depths inside S plus subtree sizes along both root paths.
+// The dirty indices are every node whose (Dist, Parent, Size) triple
+// may have changed. ok=false leaves the tree untouched.
+func (t *treeRepair) surgery(p, c int, budget *int) (dirty []int, ok bool, reason string) {
+	sub, ok := t.subtree(c, *budget)
+	if !ok {
+		return nil, false, "subtree scope exceeds repair threshold"
 	}
-	// Deterministic replacement: first exit edge in subtree DFS order.
+	inSub := make(map[int]bool, len(sub))
+	for _, v := range sub {
+		inSub[v] = true
+	}
+	// Deterministic replacement: first exit edge in subtree BFS order.
 	x, y := -1, -1
 	for _, v := range sub {
-		for _, w := range g.Neighbors(v) {
+		for _, w := range t.g.Neighbors(v) {
 			if !inSub[w] {
 				x, y = v, w
 				break
@@ -106,229 +134,87 @@ func (t *spanTree) surgery(g *graph.Graph, p, c int, budget *int) (dirty []int, 
 	if x < 0 {
 		return nil, false, "tree-edge removal disconnects the graph"
 	}
-	cost := len(sub) + t.depth[p] + t.depth[y] + 2
+	cost := len(sub) + int(t.tree[p].Dist) + int(t.tree[y].Dist) + 2
 	if *budget -= cost; *budget < 0 {
 		return nil, false, "surgery scope exceeds repair threshold"
 	}
 
-	// Re-root S at x: detach c from p, reverse the chain x -> ... -> c,
-	// hang x under y.
-	t.children[p] = dropInt(t.children[p], c)
-	chain := []int{x}
-	for z := x; z != c; z = t.parent[z] {
-		chain = append(chain, t.parent[z])
+	// Re-root S at x: reverse the chain x -> ... -> c, hang x under y.
+	for z, up := x, y; ; {
+		next := t.parent[z]
+		t.parent[z], t.tree[z].Parent = up, t.g.IDOf(up)
+		if z == c {
+			break
+		}
+		z, up = next, z
 	}
-	for i := 0; i+1 < len(chain); i++ {
-		t.children[chain[i+1]] = dropInt(t.children[chain[i+1]], chain[i])
-	}
-	t.parent[x] = y
-	t.children[y] = append(t.children[y], x)
-	for i := 0; i+1 < len(chain); i++ {
-		t.parent[chain[i+1]] = chain[i]
-		t.children[chain[i]] = append(t.children[chain[i]], chain[i+1])
-	}
-
 	// Depths top-down and sizes bottom-up inside S (now x's subtree).
-	t.depth[x] = t.depth[y] + 1
-	order := make([]int, 0, len(sub))
-	stack := []int{x}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, v)
-		for _, w := range t.children[v] {
-			t.depth[w] = t.depth[v] + 1
-			stack = append(stack, w)
-		}
-	}
+	order, _ := t.subtree(x, len(sub))
 	for _, v := range order {
-		t.size[v] = 1
+		t.tree[v].Dist = t.tree[t.parent[v]].Dist + 1
+		t.tree[v].Size = 1
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		if v := order[i]; v != x {
-			t.size[t.parent[v]] += t.size[v]
-		}
+	for i := len(order) - 1; i > 0; i-- {
+		t.tree[t.parent[order[i]]].Size += t.tree[order[i]].Size
 	}
 
-	// Subtree sizes along the two root paths (the shared suffix above
-	// the LCA nets to zero but is re-encoded harmlessly).
+	// Subtree sizes along the two root paths: p's lose S, y's gain it
+	// (the shared suffix above the LCA nets to zero but is re-encoded
+	// harmlessly; the unsigned sum wraps back).
 	dirty = append(dirty, sub...)
 	sz := uint64(len(sub))
-	for z := p; ; z = t.parent[z] {
-		t.size[z] -= sz
-		dirty = append(dirty, z)
-		if z == t.root {
-			break
-		}
-	}
-	for z := y; ; z = t.parent[z] {
-		t.size[z] += sz
-		dirty = append(dirty, z)
-		if z == t.root {
-			break
+	for _, walk := range [2]struct {
+		z int
+		d uint64
+	}{{p, -sz}, {y, sz}} {
+		for z := walk.z; ; z = t.parent[z] {
+			t.tree[z].Size += walk.d
+			dirty = append(dirty, z)
+			if t.parent[z] == z {
+				break
+			}
 		}
 	}
 	return dirty, true, ""
 }
 
-func dropInt(s []int, x int) []int {
-	for i, v := range s {
-		if v == x {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-// treeState maintains the spanning-tree scheme: non-tree edge updates
-// leave every certificate untouched (the tree proof ignores cotree
-// edges beyond root/n agreement, which new neighbors satisfy); tree
-// edge removals trigger surgery.
-type treeState struct {
-	g    *graph.Graph
-	st   *spanTree
-	objs map[graph.ID]*pls.TreeCert
-}
-
-func newTreeState(g *graph.Graph) (*treeState, error) {
-	st, err := newSpanTree(g, 0)
-	if err != nil {
-		return nil, err
-	}
-	t := &treeState{g: g, st: st, objs: make(map[graph.ID]*pls.TreeCert, g.N())}
-	n := uint64(g.N())
-	for v := 0; v < g.N(); v++ {
-		t.objs[g.IDOf(v)] = &pls.TreeCert{
-			SelfID: g.IDOf(v),
-			RootID: g.IDOf(st.root),
-			N:      n,
-			Dist:   uint64(st.depth[v]),
-			Parent: g.IDOf(st.parent[v]),
-			Size:   st.size[v],
-		}
-	}
-	return t, nil
-}
-
-func (t *treeState) encodeAll() (map[graph.ID]bits.Certificate, error) {
-	out := make(map[graph.ID]bits.Certificate, len(t.objs))
-	for id, tc := range t.objs {
-		var w bits.Writer
-		if err := tc.Encode(&w); err != nil {
-			return nil, err
-		}
-		out[id] = bits.FromWriter(&w)
-	}
-	return out, nil
-}
-
-// repair implements repairState for the spanning-tree scheme.
-func (t *treeState) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
-	dirtyIdx := make(map[int]bool)
+// repair implements repairState.
+func (t *treeRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
+	dirty := make(map[int]bool)
 	for _, pr := range nb.removedEdges {
 		ia, ok1 := t.g.IndexOf(pr[0])
 		ib, ok2 := t.g.IndexOf(pr[1])
 		if !ok1 || !ok2 {
 			return nil, nil, false, "unknown endpoint"
 		}
-		p, c, isTree := t.st.isTreeEdge(ia, ib)
-		if !isTree {
-			continue // cotree edges never appear in tree certificates
-		}
-		d, ok, reason := t.st.surgery(t.g, p, c, &budget)
-		if !ok {
-			return nil, nil, false, reason
-		}
-		for _, z := range d {
-			dirtyIdx[z] = true
-		}
-	}
-	// Additions change no certificate at all.
-	certs := make(map[graph.ID]bits.Certificate, len(dirtyIdx))
-	changed := make([]int, 0, len(dirtyIdx))
-	for z := range dirtyIdx {
-		id := t.g.IDOf(z)
-		tc := t.objs[id]
-		tc.Dist = uint64(t.st.depth[z])
-		tc.Parent = t.g.IDOf(t.st.parent[z])
-		tc.Size = t.st.size[z]
-		var w bits.Writer
-		if err := tc.Encode(&w); err != nil {
-			return nil, nil, false, "re-encode: " + err.Error()
-		}
-		certs[id] = bits.FromWriter(&w)
-		changed = append(changed, z)
-	}
-	return certs, changed, true, ""
-}
-
-var _ repairState = (*treeState)(nil)
-
-// nonplanarState maintains the Kuratowski-witness scheme: additions
-// never invalidate a non-planarity witness, and removals that miss both
-// the witness subgraph and the spanning tree change no certificate;
-// tree-edge removals trigger surgery on the embedded tree sub-proof.
-// Removing a witness edge may restore planarity and always falls back
-// to a full re-prove (which flips the session's scheme if it did).
-type nonplanarState struct {
-	g       *graph.Graph
-	st      *spanTree
-	witness map[graph.Edge]bool
-	objs    map[graph.ID]*core.NonPlanarCert
-}
-
-func newNonPlanarState(g *graph.Graph, proof *core.NonPlanarProof) repairState {
-	st, err := newSpanTree(g, proof.Root)
-	if err != nil {
-		return nil
-	}
-	w := make(map[graph.Edge]bool, len(proof.WitnessEdges))
-	for _, e := range proof.WitnessEdges {
-		w[e] = true
-	}
-	return &nonplanarState{g: g, st: st, witness: w, objs: proof.Certs}
-}
-
-// repair implements repairState for the non-planarity scheme.
-func (t *nonplanarState) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
-	dirtyIdx := make(map[int]bool)
-	for _, pr := range nb.removedEdges {
-		ia, ok1 := t.g.IndexOf(pr[0])
-		ib, ok2 := t.g.IndexOf(pr[1])
-		if !ok1 || !ok2 {
-			return nil, nil, false, "unknown endpoint"
-		}
-		if t.witness[graph.NewEdge(ia, ib)] {
+		if t.inWitness(ia, ib) {
 			return nil, nil, false, fmt.Sprintf("witness edge {%d,%d} removed", pr[0], pr[1])
 		}
-		p, c, isTree := t.st.isTreeEdge(ia, ib)
-		if !isTree {
-			continue
+		if t.parent[ib] == ia {
+			ia, ib = ib, ia
 		}
-		d, ok, reason := t.st.surgery(t.g, p, c, &budget)
+		if t.parent[ia] != ib {
+			continue // cotree edges never appear in tree certificates
+		}
+		d, ok, reason := t.surgery(ib, ia, &budget)
 		if !ok {
 			return nil, nil, false, reason
 		}
 		for _, z := range d {
-			dirtyIdx[z] = true
+			dirty[z] = true
 		}
 	}
-	certs := make(map[graph.ID]bits.Certificate, len(dirtyIdx))
-	changed := make([]int, 0, len(dirtyIdx))
-	for z := range dirtyIdx {
-		id := t.g.IDOf(z)
-		obj := t.objs[id]
-		obj.Tree.Dist = uint64(t.st.depth[z])
-		obj.Tree.Parent = t.g.IDOf(t.st.parent[z])
-		obj.Tree.Size = t.st.size[z]
+	certs := make(map[graph.ID]bits.Certificate, len(dirty))
+	changed := make([]int, 0, len(dirty))
+	for z := range dirty {
 		var w bits.Writer
-		if err := obj.Encode(&w); err != nil {
+		if err := t.objs[z].Encode(&w); err != nil {
 			return nil, nil, false, "re-encode: " + err.Error()
 		}
-		certs[id] = bits.FromWriter(&w)
+		certs[t.g.IDOf(z)] = bits.FromWriter(&w)
 		changed = append(changed, z)
 	}
 	return certs, changed, true, ""
 }
 
-var _ repairState = (*nonplanarState)(nil)
+var _ repairState = (*treeRepair)(nil)

@@ -59,7 +59,7 @@ const (
 	SpanCertObjects = "core.cert_objects"
 	// SpanEncode serialises the certificates to bit strings.
 	SpanEncode = "core.encode"
-	// SpanRepairState builds the localized-repair state of the session.
+	// SpanRepairState builds a session's localized-repair state.
 	SpanRepairState = "dynamic.state"
 )
 

@@ -3,6 +3,7 @@ package planarity
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/planarcert/planarcert/internal/graph"
 )
@@ -106,13 +107,37 @@ func kuratowski(g *graph.Graph, compact bool) (*Witness, error) {
 			break
 		}
 	}
-	work := graph.NewWithNodes(g.N())
+	// Classify over the witness's own vertices, numbered in g's order, so
+	// every list maps back to g's indices in the same order.
+	var verts []int
 	for ei, e := range st.elist {
 		if st.alive[ei] {
-			work.MustAddEdge(e.U, e.V)
+			verts = append(verts, e.U, e.V)
 		}
 	}
-	return classifyMinimal(work)
+	slices.Sort(verts)
+	verts = slices.Compact(verts)
+	work := graph.NewWithNodes(len(verts))
+	for ei, e := range st.elist {
+		if st.alive[ei] {
+			u, _ := slices.BinarySearch(verts, e.U)
+			v, _ := slices.BinarySearch(verts, e.V)
+			work.MustAddEdge(u, v)
+		}
+	}
+	w, err := classifyMinimal(work)
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range w.Edges {
+		w.Edges[i] = graph.Edge{U: verts[e.U], V: verts[e.V]}
+	}
+	for _, vs := range append([][]int{w.Branch}, w.Paths...) {
+		for i, v := range vs {
+			vs[i] = verts[v]
+		}
+	}
+	return w, nil
 }
 
 // classifyMinimal decomposes an edge-minimal non-planar graph into a

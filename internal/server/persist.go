@@ -105,10 +105,10 @@ func (s *Server) recoverSession(dir string) error {
 	}
 
 	// Replay the WAL tail through the live session, exactly as when each
-	// batch was acked. The first tail batch re-proves (the structured
-	// repair state is not persisted), later ones repair incrementally —
-	// so a crash boot pays one prover run, while a clean-shutdown boot
-	// (empty tail) restores on the verification sweep alone.
+	// batch was acked. The first tail batch decodes the repair state from
+	// the restored certificates, so the tail repairs incrementally as it
+	// did live, and a clean-shutdown boot (empty tail) restores on the
+	// verification sweep alone.
 	applied, tailCorrupt := 0, false
 	for _, b := range rec.Tail {
 		if _, err := ps.Apply(wal.ToGraph(b.Updates)); err != nil {

@@ -53,8 +53,9 @@ func FuzzEdgeListRoundTrip(f *testing.F) {
 // FuzzSessionApply drives a Session with an arbitrary update stream on
 // a small identifier space and checks the determinism-parity invariant
 // after every absorbed batch: the session verifies iff it claims to be
-// certified, and a certified state verifies exactly like a fresh
-// Certify+Verify of the same graph.
+// certified, a certified state verifies exactly like a fresh
+// Certify+Verify of the same graph, and the repair state rebuilt from
+// the certificates equals the live one.
 func FuzzSessionApply(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 2, 3, 1, 0, 3})
 	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1})
@@ -92,6 +93,9 @@ func FuzzSessionApply(f *testing.F) {
 			}
 			if got := s.Verify().Accepted; got != s.Certified() {
 				t.Fatalf("step %d: Verify=%v but Certified=%v", i, got, s.Certified())
+			}
+			if err := planarcert.CheckRepairState(s); err != nil {
+				t.Fatalf("step %d: %v", i, err)
 			}
 			if s.Certified() {
 				fresh, err := planarcert.CertifyAndVerify(s.Network(), s.ActiveScheme())
