@@ -15,7 +15,7 @@
 // Each scheme is a pls.Scheme: a centralized Prove that assigns every
 // node an O(log n)-bit certificate, and a local Verify that decides
 // accept/reject from a 1-round dist.View. Beyond the plain Prove
-// entry points, the structured provers (ProvePlanar,
+// entry points, the structured provers (ProvePlanar, ProveNonPlanar,
 // BuildPlanarCertObjects, BuildNonPlanarProof, EncodePlanarCerts) expose
 // the intermediate proof objects — spanning-path ranks, covering
 // intervals, witness assignments — so internal/dynamic can patch

@@ -170,25 +170,32 @@ func (NonPlanarScheme) Name() string { return "non-planarity" }
 
 // Prove implements pls.Scheme.
 func (NonPlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error) {
-	objs, err := BuildNonPlanarProof(g)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[graph.ID]bits.Certificate, len(objs))
-	for id, c := range objs {
-		var w bits.Writer
-		if err := c.Encode(&w); err != nil {
-			return nil, err
-		}
-		out[id] = bits.FromWriter(&w)
-	}
-	return out, nil
+	_, certs, err := ProveNonPlanar(g)
+	return certs, err
 }
 
-// BuildNonPlanarProof computes the structured folklore certificates.
-// They name the witness and the spanning tree completely, so the
-// dynamic subsystem reads both back off them.
-func BuildNonPlanarProof(g *graph.Graph) (map[graph.ID]*NonPlanarCert, error) {
+// ProveNonPlanar runs the non-planarity prover and returns the
+// certificate objects, by node index, together with their encodings.
+func ProveNonPlanar(g *graph.Graph) ([]NonPlanarCert, map[graph.ID]bits.Certificate, error) {
+	objs, err := BuildNonPlanarProof(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	certs := make(map[graph.ID]bits.Certificate, len(objs))
+	for i := range objs {
+		var w bits.Writer
+		if err := objs[i].Encode(&w); err != nil {
+			return nil, nil, err
+		}
+		certs[objs[i].Tree.SelfID] = bits.FromWriter(&w)
+	}
+	return objs, certs, nil
+}
+
+// BuildNonPlanarProof computes the structured folklore certificates, by
+// node index. They name the witness and the spanning tree completely,
+// so the dynamic subsystem reads both back off them.
+func BuildNonPlanarProof(g *graph.Graph) ([]NonPlanarCert, error) {
 	if g.N() == 0 || !g.Connected() {
 		return nil, fmt.Errorf("%w: need a connected graph", pls.ErrNotInClass)
 	}
@@ -206,9 +213,9 @@ func BuildNonPlanarProof(g *graph.Graph) (map[graph.ID]*NonPlanarCert, error) {
 	if err != nil {
 		return nil, err
 	}
-	certs := make(map[graph.ID]*NonPlanarCert, g.N())
-	for v := 0; v < g.N(); v++ {
-		certs[g.IDOf(v)] = &NonPlanarCert{
+	certs := make([]NonPlanarCert, g.N())
+	for v := range certs {
+		certs[v] = NonPlanarCert{
 			Tree:      *tcs[g.IDOf(v)],
 			K5:        k5,
 			BranchIDs: branchIDs,
@@ -216,7 +223,7 @@ func BuildNonPlanarProof(g *graph.Graph) (map[graph.ID]*NonPlanarCert, error) {
 		}
 	}
 	for i, b := range witness.Branch {
-		c := certs[g.IDOf(b)]
+		c := &certs[b]
 		c.Role = RoleBranch
 		c.BranchIdx = uint8(i)
 	}
@@ -233,7 +240,7 @@ func BuildNonPlanarProof(g *graph.Graph) (map[graph.ID]*NonPlanarCert, error) {
 			}
 		}
 		for p := 1; p < len(verts)-1; p++ {
-			c := certs[g.IDOf(verts[p])]
+			c := &certs[verts[p]]
 			c.Role = RoleInterior
 			c.PathA, c.PathB = a, b
 			c.Pos = uint64(p)

@@ -239,11 +239,11 @@ func (PlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error)
 }
 
 // ProvePlanar runs the planarity prover and returns the certificate
-// objects and their encoding. It records its steps — the LR test, the
-// Euler audit, the transform, the certificate objects and the encoding
-// — as children of sp, in that order (nil records nothing). Graphs
-// outside the class fail with pls.ErrNotInClass.
-func ProvePlanar(g *graph.Graph, sp *obs.Span) (map[graph.ID]*PlanarCert, map[graph.ID]bits.Certificate, error) {
+// objects, by node index, and their encoding. It records its steps —
+// the LR test, the Euler audit, the transform, the certificate objects
+// and the encoding — as children of sp, in that order (nil records
+// nothing). Graphs outside the class fail with pls.ErrNotInClass.
+func ProvePlanar(g *graph.Graph, sp *obs.Span) ([]PlanarCert, map[graph.ID]bits.Certificate, error) {
 	if g.N() == 0 {
 		return nil, nil, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
 	}
@@ -261,13 +261,9 @@ func ProvePlanar(g *graph.Graph, sp *obs.Span) (map[graph.ID]*PlanarCert, map[gr
 // transform (shared by the planarity and outerplanarity provers). It
 // encodes straight from the object slab, in vertex order, so the
 // encoder walks the slabs sequentially instead of in map order.
-func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) (map[graph.ID]*PlanarCert, map[graph.ID]bits.Certificate, error) {
+func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) ([]PlanarCert, map[graph.ID]bits.Certificate, error) {
 	c := sp.Child(obs.SpanCertObjects)
 	slab, _, err := buildPlanarCertSlab(g, tr)
-	var objs map[graph.ID]*PlanarCert
-	if err == nil {
-		objs = certMap(slab)
-	}
 	c.End()
 	if err != nil {
 		return nil, nil, err
@@ -283,7 +279,7 @@ func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) (map[graph.
 		}
 		certs[slab[i].Tree.SelfID] = cert
 	}
-	return objs, certs, nil
+	return slab, certs, nil
 }
 
 // BuildPlanarCertObjects computes the structured Theorem 1 certificates

@@ -43,10 +43,10 @@
 // the parents, I(·) and the chords at each rank; the tree certificates
 // give the spanning tree, and the non-planarity roles the witness. Each
 // scheme has one constructor taking the graph and the certificate
-// objects. A planarity re-prove passes the prover's objects in; after
-// a cache adoption or a Restore, the first repair attempt decodes the
-// live certificates, so a restored session absorbs batches as a fresh
-// one.
+// objects by node index. A planarity or non-planarity re-prove passes
+// the prover's objects in; after a cache adoption or a Restore, the
+// first repair attempt decodes the live certificates, so a restored
+// session absorbs batches as a fresh one.
 //
 // Concurrency. A Session is deliberately single-goroutine: it has no
 // internal locking, and callers that share one session across

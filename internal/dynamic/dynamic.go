@@ -707,27 +707,32 @@ func (s *Session) counterpartOf(sch pls.Scheme) pls.Scheme {
 	return s.scheme
 }
 
-// prove runs the scheme's prover. The planarity prover hands its
-// certificate objects straight to the repair-state constructor, so the
-// re-prove does not decode what it just encoded, and records its steps
-// as children of pv. Other schemes' states are small to decode and are
-// decoded at the first repair attempt, as after a cache adoption.
-func (s *Session) prove(sch pls.Scheme, pv *obs.Span) (map[graph.ID]bits.Certificate, repairState, error) {
-	if _, ok := sch.(core.PlanarScheme); !ok {
-		certs, err := sch.Prove(s.g)
-		return certs, nil, err
+// prove runs the scheme's prover. The planarity and non-planarity
+// provers hand their certificate objects straight to the repair-state
+// constructor, so a re-prove does not decode what it just encoded; the
+// planarity prover records its steps as children of pv. The
+// spanning-tree scheme's state is decoded at its first repair attempt,
+// as after a cache adoption.
+func (s *Session) prove(sch pls.Scheme, pv *obs.Span) (certs map[graph.ID]bits.Certificate, st repairState, err error) {
+	switch sch.(type) {
+	case core.PlanarScheme:
+		var objs []core.PlanarCert
+		if objs, certs, err = core.ProvePlanar(s.g, pv); err == nil {
+			c := pv.Child(obs.SpanRepairState)
+			st, err = newPlanarState(s.g, objs)
+			c.End()
+		}
+	case core.NonPlanarScheme:
+		var objs []core.NonPlanarCert
+		if objs, certs, err = core.ProveNonPlanar(s.g); err == nil {
+			c := pv.Child(obs.SpanRepairState)
+			st, err = newTreeRepair(s.g, objs)
+			c.End()
+		}
+	default:
+		certs, err = sch.Prove(s.g)
 	}
-	objs, certs, err := core.ProvePlanar(s.g, pv)
-	if err != nil {
-		return nil, nil, err
-	}
-	c := pv.Child(obs.SpanRepairState)
-	defer c.End()
-	st, err := newPlanarState(s.g, objs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return certs, st, nil
+	return certs, st, err
 }
 
 // decodeState builds the repair state the live assignment implies.
@@ -743,25 +748,27 @@ func (s *Session) decodeState() (repairState, error) {
 	return nil, fmt.Errorf("no localized repair under %s", s.active.Name())
 }
 
-// decodeInto decodes every live certificate and builds a repair state
-// from the objects.
+// decodeInto decodes every live certificate, by node index, and builds
+// a repair state from the objects.
 func decodeInto[T any, S repairState](s *Session, decode func(*bits.Reader) (*T, error),
-	build func(*graph.Graph, map[graph.ID]*T) (S, error)) (repairState, error) {
-	objs := make(map[graph.ID]*T, len(s.certs))
-	for id, c := range s.certs {
-		obj, err := decode(c.Reader())
+	build func(*graph.Graph, []T) (S, error)) (repairState, error) {
+	objs := make([]T, s.g.N())
+	for v := range objs {
+		id := s.g.IDOf(v)
+		obj, err := decode(s.certs[id].Reader())
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
-		objs[id] = obj
+		objs[v] = *obj
 	}
 	return build(s.g, objs)
 }
 
 // CheckRepairState reports whether the repair state rebuilt from the
-// live certificates differs from the one patched batch by batch. Each
-// rank's chords are compared as sets: it sorts them in both states,
-// since the certificates do not fix that order and no repair uses it.
+// live certificates differs from the one patched batch by batch. It
+// exists for tests. Each rank's chords are compared as sets, on sorted
+// copies, since the certificates do not fix that order and no repair
+// uses it; the live state is not modified.
 func (s *Session) CheckRepairState() error {
 	if s.state == nil {
 		return nil
@@ -770,20 +777,27 @@ func (s *Session) CheckRepairState() error {
 	if err != nil {
 		return fmt.Errorf("dynamic: rebuilding repair state: %w", err)
 	}
-	sortChords(rebuilt)
-	sortChords(s.state)
-	if !reflect.DeepEqual(rebuilt, s.state) {
+	if !reflect.DeepEqual(sortedChords(rebuilt), sortedChords(s.state)) {
 		return errors.New("dynamic: repair state rebuilt from the certificates differs from the live state")
 	}
 	return nil
 }
 
-func sortChords(st repairState) {
-	if p, ok := st.(*planarState); ok {
-		for _, es := range p.byRank {
-			slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
-		}
+// sortedChords returns a planarity state whose byRank runs are sorted
+// copies of st's (sharing everything else), and any other state as is.
+func sortedChords(st repairState) repairState {
+	p, ok := st.(*planarState)
+	if !ok {
+		return st
 	}
+	q := *p
+	q.byRank = make([][]graph.Edge, len(p.byRank))
+	for r, es := range p.byRank {
+		q.byRank[r] = slices.SortedFunc(slices.Values(es), func(a, b graph.Edge) int {
+			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+		})
+	}
+	return &q
 }
 
 func (s *Session) cacheKey() cacheKey {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/core"
 	"github.com/planarcert/planarcert/internal/gen"
 	"github.com/planarcert/planarcert/internal/graph"
@@ -201,6 +202,112 @@ func TestTreeSurgery(t *testing.T) {
 	}
 	if noops == 0 {
 		t.Fatal("no cotree removal exercised the zero-dirty path")
+	}
+}
+
+// TestNestedTreeEdgeRemovals removes, in one batch, a tree edge {p, c}
+// and a tree edge {c, d} below it. The graph already lacks {c, d} when
+// the first surgery runs, yet d's subtree still hangs below c and must
+// move with it; hanging c's subtree under one of d's descendants would
+// close a parent cycle. The tree is the path r-p-c-d-e with cotree
+// edges c-e and e-r, installed by Restore; under the non-planarity
+// scheme the path hangs off a K5.
+func TestNestedTreeEdgeRemovals(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		k5   bool
+	}{
+		{"spanning-tree", Config{Scheme: pls.SpanningTreeScheme{}}, false},
+		{"non-planarity", Config{Scheme: core.NonPlanarScheme{}, Counterpart: core.PlanarScheme{}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Path nodes r, p, c, d, e are indices 0, off+1, ..., off+4.
+			off := 0
+			if tc.k5 {
+				off = 4
+			}
+			g := graph.NewWithNodes(off + 5)
+			if tc.k5 {
+				for u := 0; u < 5; u++ {
+					for v := u + 1; v < 5; v++ {
+						g.MustAddEdge(u, v)
+					}
+				}
+			}
+			r, p, c, d, e := 0, off+1, off+2, off+3, off+4
+			for _, uv := range [][2]int{{r, p}, {p, c}, {c, d}, {d, e}, {c, e}, {e, r}} {
+				g.MustAddEdge(uv[0], uv[1])
+			}
+			var tree func(v int) *pls.TreeCert
+			var objs []interface{ Encode(*bits.Writer) error }
+			if tc.k5 {
+				np, err := core.BuildNonPlanarProof(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree = func(v int) *pls.TreeCert { return &np[v].Tree }
+				for v := range np {
+					objs = append(objs, &np[v])
+				}
+			} else {
+				tcs := make([]pls.TreeCert, g.N())
+				tree = func(v int) *pls.TreeCert { return &tcs[v] }
+				for v := range tcs {
+					tcs[v] = pls.TreeCert{SelfID: g.IDOf(v), RootID: g.IDOf(r), N: uint64(g.N()), Parent: g.IDOf(r)}
+					objs = append(objs, &tcs[v])
+				}
+			}
+			parent := make([]int, g.N())
+			for v := range parent {
+				parent[v], _ = g.IndexOf(tree(v).Parent)
+			}
+			parent[p], parent[c], parent[d], parent[e] = r, p, c, d
+			for v := range parent {
+				tv := tree(v)
+				tv.Parent, tv.Dist, tv.Size = g.IDOf(parent[v]), 0, 0
+			}
+			for v := range parent {
+				for z := v; ; z = parent[z] {
+					tree(z).Size++
+					if parent[z] == z {
+						break
+					}
+					tree(v).Dist++
+				}
+			}
+			certs := make(map[graph.ID]bits.Certificate, g.N())
+			for v, o := range objs {
+				var w bits.Writer
+				if err := o.Encode(&w); err != nil {
+					t.Fatal(err)
+				}
+				certs[g.IDOf(v)] = bits.FromWriter(&w)
+			}
+			s, err := Restore(g, tc.cfg, tc.cfg.Scheme, certs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Last().Mode != ModeRestore {
+				t.Fatalf("crafted assignment not restored: %+v", s.Last())
+			}
+			rep, err := s.Apply([]Update{
+				{Op: RemoveEdge, A: g.IDOf(p), B: g.IDOf(c)},
+				{Op: RemoveEdge, A: g.IDOf(c), B: g.IDOf(d)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Mode != ModeRepair || !rep.Accepted {
+				t.Fatalf("nested tree-edge removals absorbed as %s (%s)", rep.Mode, rep.RepairFallback)
+			}
+			if out := s.VerifyFull(); !out.AllAccept() {
+				t.Fatalf("full verify rejected: %v", out.Reasons)
+			}
+			if err := s.CheckRepairState(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -44,25 +44,28 @@ import (
 type planarState struct {
 	g      *graph.Graph
 	n2     int
-	f      []int           // rank -> node index (1..n2)
-	copies [][]int         // node index -> ranks, ascending
-	parent []int           // spanning-tree parent by index
-	iv     []core.Interval // rank -> I(rank)
-	byRank [][]graph.Edge  // rank -> cotree edges whose chord ends there
-	objs   map[graph.ID]*core.PlanarCert
+	f      []int             // rank -> node index (1..n2)
+	copies [][]int           // node index -> ranks, ascending
+	parent []int             // spanning-tree parent by index
+	iv     []core.Interval   // rank -> I(rank)
+	byRank [][]graph.Edge    // rank -> cotree edges whose chord ends there
+	objs   []core.PlanarCert // node index -> certificate
 }
 
 // newPlanarState reads the repair state off an accepted planarity
-// assignment (Section 3.3). The tree-edge certificate of parent p and
-// child c maps p to ranks PA and PB and c to CMin and CMax. Every rank
-// is one of these, so the tree-edge certificates fix f, the parents and
-// I(·), and the copies of a node are the ranks f maps to it. Each cotree
-// certificate names the two ranks its chord joins. Two passes over the
-// objects, by node index, fill a fixed handful of slabs; each byRank run
-// is capped so a later append reallocates that run alone. The state
-// takes objs over.
-func newPlanarState(g *graph.Graph, objs map[graph.ID]*core.PlanarCert) (*planarState, error) {
+// assignment (Section 3.3), given as certificate objects by node index.
+// The tree-edge certificate of parent p and child c maps p to ranks PA
+// and PB and c to CMin and CMax. Every rank is one of these, so the
+// tree-edge certificates fix f, the parents and I(·), and the copies of
+// a node are the ranks f maps to it. Each cotree certificate names the
+// two ranks its chord joins. Two passes over the objects fill a fixed
+// handful of slabs; each byRank run is capped so a later append
+// reallocates that run alone. The state takes objs over.
+func newPlanarState(g *graph.Graph, objs []core.PlanarCert) (*planarState, error) {
 	n := g.N()
+	if len(objs) != n {
+		return nil, fmt.Errorf("%d certificates for %d nodes", len(objs), n)
+	}
 	n2 := 2*n - 1
 	p := &planarState{
 		g:      g,
@@ -72,39 +75,30 @@ func newPlanarState(g *graph.Graph, objs map[graph.ID]*core.PlanarCert) (*planar
 		iv:     make([]core.Interval, n2+1),
 		objs:   objs,
 	}
-	byIdx := make([]*core.PlanarCert, n)
 	start := make([]int32, n2+2) // chord ends per rank, then run starts
-	for v := 0; v < n; v++ {
-		c := objs[g.IDOf(v)]
-		if c == nil {
-			return nil, fmt.Errorf("no certificate for node %d", g.IDOf(v))
-		}
-		byIdx[v] = c
+	for v := range objs {
+		c := &objs[v]
 		for k := range c.Edges {
 			ec := &c.Edges[k]
-			at, ranks := [4]int{-1, -1, -1, -1}, ec.Rank[:2] // a chord fixes no f
-			if ec.IsTree {
-				par, child, ok := v, v, true
-				if ec.U == c.Tree.SelfID {
-					child, ok = g.IndexOf(ec.V)
-				} else {
-					par, ok = g.IndexOf(ec.U)
+			if !ec.IsTree { // ranks in [1, n2]: the verifier accepted them
+				for i, r := range ec.Rank[:2] {
+					p.iv[r] = ec.Iv[i].Wide()
+					start[r+1]++
 				}
-				if !ok {
-					return nil, fmt.Errorf("tree certificate names unknown edge {%d,%d}", ec.U, ec.V)
-				}
-				p.parent[child] = par
-				at, ranks = [4]int{par, child, child, par}, ec.Rank[:]
+				continue
 			}
-			for i, r := range ranks { // in [1, n2]: the verifier accepted them
-				if at[i] >= 0 {
-					p.f[r] = at[i]
-				}
-				p.iv[r] = ec.Iv[i].Wide()
+			w, err := otherEnd(g, v, ec)
+			if err != nil {
+				return nil, err
 			}
-			if !ec.IsTree {
-				start[ec.Rank[0]+1]++
-				start[ec.Rank[1]+1]++
+			par, child := v, w // ec.U is the parent
+			if ec.U != c.Tree.SelfID {
+				par, child = w, v
+			}
+			p.parent[child] = par
+			for i, u := range [4]int{par, child, child, par} {
+				p.f[ec.Rank[i]] = u
+				p.iv[ec.Rank[i]] = ec.Iv[i].Wide()
 			}
 		}
 	}
@@ -139,20 +133,35 @@ func newPlanarState(g *graph.Graph, objs map[graph.ID]*core.PlanarCert) (*planar
 	for r := range p.byRank {
 		p.byRank[r] = slab[start[r]:start[r]:start[r+1]]
 	}
-	for v, c := range byIdx {
+	for v := range objs {
+		c := &objs[v]
 		for k := range c.Edges {
+			// A chord's ranks are copies of its endpoints U and V.
 			if ec := &c.Edges[k]; !ec.IsTree {
-				w, ok := g.IndexOf(ec.Other(c.Tree.SelfID))
-				if !ok {
-					return nil, fmt.Errorf("cotree certificate names unknown edge {%d,%d}", ec.U, ec.V)
-				}
-				e := graph.NewEdge(v, w)
+				e := graph.NewEdge(p.f[ec.Rank[0]], p.f[ec.Rank[1]])
 				p.byRank[ec.Rank[0]] = append(p.byRank[ec.Rank[0]], e)
 				p.byRank[ec.Rank[1]] = append(p.byRank[ec.Rank[1]], e)
 			}
 		}
 	}
 	return p, nil
+}
+
+// otherEnd returns the index of the endpoint of the tree edge ec other
+// than its holder v. That is a neighbor of v, found by a scan of v's
+// adjacency, which is cheaper than the identifier map, unless the
+// pending batch removed the edge.
+func otherEnd(g *graph.Graph, v int, ec *core.EdgeCert) (int, error) {
+	id := ec.Other(g.IDOf(v))
+	for _, w := range g.Neighbors(v) {
+		if g.IDOf(w) == id {
+			return w, nil
+		}
+	}
+	if w, ok := g.IndexOf(id); ok {
+		return w, nil
+	}
+	return 0, fmt.Errorf("node %d certifies an edge to unknown node %d", g.IDOf(v), id)
 }
 
 // chordOf returns the chord [lo, hi] of a cotree edge, from the ranks
@@ -168,7 +177,7 @@ func (p *planarState) chordOf(ge graph.Edge) (core.Interval, bool) {
 
 // repair implements repairState for the planarity scheme.
 func (p *planarState) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
-	dirty := make(map[graph.ID]bool)
+	dirty := make(map[int]bool)
 	for _, pr := range nb.removedEdges {
 		if ok, reason := p.removeChord(pr, &budget, dirty); !ok {
 			return nil, nil, false, reason
@@ -181,15 +190,13 @@ func (p *planarState) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certif
 	}
 	certs := make(map[graph.ID]bits.Certificate, len(dirty))
 	changed := make([]int, 0, len(dirty))
-	for id := range dirty {
+	for v := range dirty {
 		var w bits.Writer
-		if err := p.objs[id].Encode(&w); err != nil {
+		if err := p.objs[v].Encode(&w); err != nil {
 			return nil, nil, false, "re-encode: " + err.Error()
 		}
-		certs[id] = bits.FromWriter(&w)
-		if idx, ok := p.g.IndexOf(id); ok {
-			changed = append(changed, idx)
-		}
+		certs[p.g.IDOf(v)] = bits.FromWriter(&w)
+		changed = append(changed, v)
 	}
 	return certs, changed, true, ""
 }
@@ -203,7 +210,7 @@ func (p *planarState) idxPair(pr [2]graph.ID) (graph.Edge, bool) {
 	return graph.NewEdge(ia, ib), true
 }
 
-func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[graph.ID]bool) (bool, string) {
+func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[int]bool) (bool, string) {
 	e, ok := p.idxPair(pr)
 	if !ok {
 		return false, "unknown endpoint"
@@ -222,9 +229,9 @@ func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[graph.I
 	// Detach the chord before computing its parent cover.
 	p.byRank[a] = dropEdge(p.byRank[a], e)
 	p.byRank[b] = dropEdge(p.byRank[b], e)
-	h, hid, k, _ := p.edgeCertOf(e) // found by chordOf
+	h, hv, k, _ := p.edgeCertOf(e) // found by chordOf
 	h.Edges = append(h.Edges[:k], h.Edges[k+1:]...)
-	dirty[hid] = true
+	dirty[hv] = true
 	// Re-cover the ranks whose innermost cover was the removed chord.
 	j := p.coverOf(a, b)
 	chordIv := core.Interval{A: a, B: b}
@@ -238,7 +245,7 @@ func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[graph.I
 	return true, ""
 }
 
-func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[graph.ID]bool) (bool, string) {
+func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[int]bool) (bool, string) {
 	e, ok := p.idxPair(pr)
 	if !ok {
 		return false, "unknown endpoint"
@@ -276,24 +283,23 @@ func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[graph.ID]b
 	if *budget -= bestB - bestA + 1; *budget < 0 {
 		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", bestA, bestB)
 	}
-	idU, idV := p.g.IDOf(e.U), p.g.IDOf(e.V)
-	cu := len(p.objs[idU].Edges)
-	cv := len(p.objs[idV].Edges)
-	hid := idU
+	cu := len(p.objs[e.U].Edges)
+	cv := len(p.objs[e.V].Edges)
+	hv := e.U
 	if cv < cu {
-		hid = idV
+		hv = e.V
 	}
 	if min(cu, cv) >= core.MaxEdgeCerts {
 		return false, "both endpoints at the edge-certificate cap"
 	}
-	ec := core.EdgeCert{U: idU, V: idV}
+	ec := core.EdgeCert{U: p.g.IDOf(e.U), V: p.g.IDOf(e.V)}
 	for k, r := range [2]int{rankU, rankV} {
 		ec.Rank[k], ec.Iv[k] = int32(r), core.Narrow(p.iv[r])
 	}
-	p.objs[hid].Edges = append(p.objs[hid].Edges, ec)
+	p.objs[hv].Edges = append(p.objs[hv].Edges, ec)
 	p.byRank[rankU] = append(p.byRank[rankU], e)
 	p.byRank[rankV] = append(p.byRank[rankV], e)
-	dirty[hid] = true
+	dirty[hv] = true
 	chordIv := core.Interval{A: bestA, B: bestB}
 	for x := bestA + 1; x < bestB; x++ {
 		if p.iv[x] == bestJ {
@@ -373,7 +379,7 @@ func (p *planarState) coverOf(a, b int) core.Interval {
 // setRankInterval updates I(x) and propagates the new value into every
 // edge certificate claiming rank x: the tree-edge certificates of the
 // two path edges at x, plus the chords attached at x.
-func (p *planarState) setRankInterval(x int, niv core.Interval, dirty map[graph.ID]bool) (bool, string) {
+func (p *planarState) setRankInterval(x int, niv core.Interval, dirty map[int]bool) (bool, string) {
 	p.iv[x] = niv
 	if x > 1 && !p.patch(graph.NewEdge(p.f[x-1], p.f[x]), true, x, niv, dirty) {
 		return false, fmt.Sprintf("no tree certificate for path edge (%d,%d)", x-1, x)
@@ -392,8 +398,8 @@ func (p *planarState) setRankInterval(x int, niv core.Interval, dirty map[graph.
 // patch sets the interval of every rank equal to x in the certificate
 // of ge, which must be a tree certificate iff tree. (A cotree
 // certificate's unused ranks are zero, never a rank x >= 1.)
-func (p *planarState) patch(ge graph.Edge, tree bool, x int, niv core.Interval, dirty map[graph.ID]bool) bool {
-	h, hid, k, ok := p.edgeCertOf(ge)
+func (p *planarState) patch(ge graph.Edge, tree bool, x int, niv core.Interval, dirty map[int]bool) bool {
+	h, hv, k, ok := p.edgeCertOf(ge)
 	if !ok || h.Edges[k].IsTree != tree {
 		return false
 	}
@@ -403,23 +409,20 @@ func (p *planarState) patch(ge graph.Edge, tree bool, x int, niv core.Interval, 
 			ec.Iv[i] = core.Narrow(niv)
 		}
 	}
-	dirty[hid] = true
+	dirty[hv] = true
 	return true
 }
 
 // edgeCertOf locates the stored certificate of a graph edge: its
 // holder, one of the two endpoints, each storing at most MaxEdgeCerts,
-// with the holder's identifier, and its position in the holder's Edges.
-func (p *planarState) edgeCertOf(ge graph.Edge) (*core.PlanarCert, graph.ID, int, bool) {
+// with the holder's index, and its position in the holder's Edges.
+func (p *planarState) edgeCertOf(ge graph.Edge) (*core.PlanarCert, int, int, bool) {
 	idU, idV := p.g.IDOf(ge.U), p.g.IDOf(ge.V)
-	for _, hid := range [2]graph.ID{idU, idV} {
-		obj, ok := p.objs[hid]
-		if !ok {
-			continue
-		}
+	for _, hv := range [2]int{ge.U, ge.V} {
+		obj := &p.objs[hv]
 		for k := range obj.Edges {
 			if ec := &obj.Edges[k]; ec.Involves(idU) && ec.Involves(idV) {
-				return obj, hid, k, true
+				return obj, hv, k, true
 			}
 		}
 	}

@@ -65,10 +65,9 @@ func TestPlanarStateMatchesTransform(t *testing.T) {
 					want.byRank[rr[1]] = append(want.byRank[rr[1]], tr.Edges[e])
 				}
 			}
-			sortChords(p)
-			sortChords(want)
+			got, want := sortedChords(p).(*planarState), sortedChords(want).(*planarState)
 			for r := range want.byRank {
-				if !slices.Equal(p.byRank[r], want.byRank[r]) {
+				if !slices.Equal(got.byRank[r], want.byRank[r]) {
 					t.Fatalf("chords at rank %d differ from the transform's cotree ranks", r)
 				}
 			}

@@ -34,28 +34,25 @@ type treeRepair struct {
 // newTreeRepair reads the tree off the certificates' Parent, Dist and
 // Size — no BFS, so a tree that surgery reshaped comes back as it is —
 // and, under the non-planarity scheme, the witness off the roles, in
-// one pass by node index.
-func newTreeRepair[C interface {
-	*pls.TreeCert | *core.NonPlanarCert
-	Encode(*bits.Writer) error
-}](g *graph.Graph, objs map[graph.ID]C) (*treeRepair, error) {
+// one pass over the certificate objects, given by node index. The
+// state takes objs over.
+func newTreeRepair[C pls.TreeCert | core.NonPlanarCert](g *graph.Graph, objs []C) (*treeRepair, error) {
 	n := g.N()
+	if len(objs) != n {
+		return nil, fmt.Errorf("%d certificates for %d nodes", len(objs), n)
+	}
 	t := &treeRepair{g: g, parent: make([]int, n), tree: make([]*pls.TreeCert, n), objs: make([]interface{ Encode(*bits.Writer) error }, n)}
-	for v := 0; v < n; v++ {
-		c, ok := objs[g.IDOf(v)]
-		if !ok {
-			return nil, fmt.Errorf("no certificate for node %d", g.IDOf(v))
-		}
-		t.objs[v] = c
-		switch c := any(c).(type) {
+	for v := range objs {
+		switch c := any(&objs[v]).(type) {
 		case *pls.TreeCert:
-			t.tree[v] = c
+			t.tree[v], t.objs[v] = c, c
 		case *core.NonPlanarCert:
-			t.tree[v] = &c.Tree
+			t.tree[v], t.objs[v] = &c.Tree, c
 			if c.Role == core.RoleInterior {
 				t.interior[c.PathA][c.PathB] = true
 			}
 		}
+		var ok bool
 		if t.parent[v], ok = g.IndexOf(t.tree[v].Parent); !ok {
 			return nil, fmt.Errorf("node %d names unknown parent %d", g.IDOf(v), t.tree[v].Parent)
 		}
@@ -86,16 +83,21 @@ func (t *treeRepair) inWitness(a, b int) bool {
 }
 
 // subtree lists the tree below v, v first, in BFS order over g's
-// adjacency (a tree child is a neighbor whose parent is its parent; tree
-// edges are graph edges). It stops early, returning ok=false, once the
-// list outgrows limit.
-func (t *treeRepair) subtree(v, limit int) (sub []int, ok bool) {
+// adjacency plus the batch's removed edges cut (a tree child is a
+// neighbor whose parent is its parent). The batch is already applied to
+// g, so a tree edge it removes but whose surgery is still pending is
+// found in cut alone. It stops early, returning ok=false, once the list
+// outgrows limit.
+func (t *treeRepair) subtree(v, limit int, cut map[int][]int) (sub []int, ok bool) {
 	sub = []int{v}
 	for i := 0; i < len(sub); i++ {
-		for _, w := range t.g.Neighbors(sub[i]) {
-			if t.parent[w] == sub[i] {
-				if sub = append(sub, w); len(sub) > limit {
-					return nil, false
+		u := sub[i]
+		for _, ws := range [2][]int{t.g.Neighbors(u), cut[u]} {
+			for _, w := range ws {
+				if t.parent[w] == u {
+					if sub = append(sub, w); len(sub) > limit {
+						return nil, false
+					}
 				}
 			}
 		}
@@ -104,13 +106,16 @@ func (t *treeRepair) subtree(v, limit int) (sub []int, ok bool) {
 }
 
 // surgery repairs the tree after the tree edge {p, c} was removed from
-// g: it finds a replacement edge (x, y) leaving c's old subtree S,
+// g: it finds a replacement edge (x, y) of g leaving c's old subtree S,
 // re-roots S at x by reversing the parent chain x..c, hangs x under y,
 // and patches depths inside S plus subtree sizes along both root paths.
-// The dirty indices are every node whose (Dist, Parent, Size) triple
-// may have changed. ok=false leaves the tree untouched.
-func (t *treeRepair) surgery(p, c int, budget *int) (dirty []int, ok bool, reason string) {
-	sub, ok := t.subtree(c, *budget)
+// S is every descendant of c, also below tree edges in cut that await
+// their own surgery; the reversed chain may keep such an edge, which
+// that surgery then replaces. The dirty indices are every node whose
+// (Dist, Parent, Size) triple may have changed. ok=false before the
+// re-rooting leaves the tree untouched.
+func (t *treeRepair) surgery(p, c int, budget *int, cut map[int][]int) (dirty []int, ok bool, reason string) {
+	sub, ok := t.subtree(c, *budget, cut)
 	if !ok {
 		return nil, false, "subtree scope exceeds repair threshold"
 	}
@@ -149,7 +154,7 @@ func (t *treeRepair) surgery(p, c int, budget *int) (dirty []int, ok bool, reaso
 		z, up = next, z
 	}
 	// Depths top-down and sizes bottom-up inside S (now x's subtree).
-	order, _ := t.subtree(x, len(sub))
+	order, _ := t.subtree(x, len(sub), cut)
 	for _, v := range order {
 		t.tree[v].Dist = t.tree[t.parent[v]].Dist + 1
 		t.tree[v].Size = 1
@@ -167,7 +172,10 @@ func (t *treeRepair) surgery(p, c int, budget *int) (dirty []int, ok bool, reaso
 		z int
 		d uint64
 	}{{p, -sz}, {y, sz}} {
-		for z := walk.z; ; z = t.parent[z] {
+		for z, steps := walk.z, 0; ; z, steps = t.parent[z], steps+1 {
+			if steps == len(t.parent) {
+				return nil, false, "parent cycle in the spanning tree"
+			}
 			t.tree[z].Size += walk.d
 			dirty = append(dirty, z)
 			if t.parent[z] == z {
@@ -178,15 +186,20 @@ func (t *treeRepair) surgery(p, c int, budget *int) (dirty []int, ok bool, reaso
 	return dirty, true, ""
 }
 
-// repair implements repairState.
+// repair implements repairState. A failed surgery may leave earlier
+// surgeries of the batch applied; the session then replaces the state.
 func (t *treeRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
+	cut := make(map[int][]int, 2*len(nb.removedEdges))
+	for _, pr := range nb.removedEdges { // the batch removed edges between known nodes
+		ia, _ := t.g.IndexOf(pr[0])
+		ib, _ := t.g.IndexOf(pr[1])
+		cut[ia] = append(cut[ia], ib)
+		cut[ib] = append(cut[ib], ia)
+	}
 	dirty := make(map[int]bool)
 	for _, pr := range nb.removedEdges {
-		ia, ok1 := t.g.IndexOf(pr[0])
-		ib, ok2 := t.g.IndexOf(pr[1])
-		if !ok1 || !ok2 {
-			return nil, nil, false, "unknown endpoint"
-		}
+		ia, _ := t.g.IndexOf(pr[0])
+		ib, _ := t.g.IndexOf(pr[1])
 		if t.inWitness(ia, ib) {
 			return nil, nil, false, fmt.Sprintf("witness edge {%d,%d} removed", pr[0], pr[1])
 		}
@@ -196,7 +209,7 @@ func (t *treeRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certifi
 		if t.parent[ia] != ib {
 			continue // cotree edges never appear in tree certificates
 		}
-		d, ok, reason := t.surgery(ib, ia, &budget)
+		d, ok, reason := t.surgery(ib, ia, &budget, cut)
 		if !ok {
 			return nil, nil, false, reason
 		}
