@@ -21,6 +21,11 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		AllocsPerOp   int64   `json:"allocs_per_op"`
 		NodesPerS     float64 `json:"nodes_per_s"`
 		AllocsPerNode float64 `json:"allocs_per_node"`
+		// The leaf-attach session: LR tests per batch, the read of the
+		// kept rotation, and one planarity.Check of the same graph.
+		LRPerOp    *float64 `json:"lr_per_op"`
+		RotationMs float64  `json:"rotation_ms"`
+		LRCheckMs  float64  `json:"lrcheck_ms"`
 	}
 	type snapshot struct {
 		Note       string  `json:"note"`
@@ -33,6 +38,8 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		"BENCH_dynamic.json": {
 			"BenchmarkDynamicUpdate/n=50000/session",
 			"BenchmarkDynamicUpdate/n=50000/full",
+			"BenchmarkDynamicLeafAttach/n=30000/session",
+			"BenchmarkDynamicLeafAttach/n=30000/full",
 			"BenchmarkDynamicCacheOscillation",
 		},
 		"BENCH_server.json": {
@@ -152,6 +159,25 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	}
 	if full < 10*session {
 		t.Fatalf("committed snapshot violates the 10x bar: session %d ns, full %d ns", session, full)
+	}
+	// The bar of re-proving from the certified embedding: a leaf attach
+	// at n=30000 runs no LR test, and reading the kept rotation costs at
+	// most a third of one planarity.Check of the same graph, both
+	// measured in the same run.
+	var leaf *entry
+	for i := range snap.Benchmarks {
+		if snap.Benchmarks[i].Name == "BenchmarkDynamicLeafAttach/n=30000/session" {
+			leaf = &snap.Benchmarks[i]
+		}
+	}
+	switch {
+	case leaf == nil || leaf.LRPerOp == nil || leaf.RotationMs <= 0 || leaf.LRCheckMs <= 0:
+		t.Fatal("BENCH_dynamic.json: the n=30000 leaf-attach session lacks lr_per_op, rotation_ms or lrcheck_ms")
+	case *leaf.LRPerOp != 0:
+		t.Fatalf("BENCH_dynamic.json: leaf attaches at n=30000 ran %.2f LR tests per batch, bar is 0", *leaf.LRPerOp)
+	case 3*leaf.RotationMs > leaf.LRCheckMs:
+		t.Fatalf("BENCH_dynamic.json: reading the rotation took %.2f ms, more than a third of planarity.Check's %.2f ms",
+			leaf.RotationMs, leaf.LRCheckMs)
 	}
 
 	// The acceptance bar of the server subsystem: the committed load run

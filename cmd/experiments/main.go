@@ -12,6 +12,7 @@
 //	experiments crashloop       # SIGKILL fault injection against the durable daemon
 //	experiments recoverybench   # boot replay vs cold re-prove (BENCH_recovery.json)
 //	experiments tracebench      # tracing overhead + latency-tail attribution (BENCH_obs.json)
+//	experiments fallbacks       # repair-stream absorption modes and repair fallback reasons
 package main
 
 import (
@@ -42,6 +43,7 @@ func main() {
 			"crashloop":     crashLoop,
 			"recoverybench": recoveryBench,
 			"tracebench":    traceBench,
+			"fallbacks":     fallbacks,
 		}
 		if fn, ok := sub[os.Args[1]]; ok {
 			if err := fn(os.Args[2:]); err != nil {

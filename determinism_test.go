@@ -76,57 +76,33 @@ func (st *detStream) adjacent(a, b planarcert.NodeID) bool {
 	return false
 }
 
-// TestAbsorptionDeterministic pins that absorption is a function of the
-// network and the stream alone: two sessions built on one Network, two
-// sessions restored from one snapshot, and a fresh session and one
-// restored from its snapshot absorb a seeded stream in the same mode
-// batch by batch and hold byte-identical certificates after every batch.
-// The last pair holds because a restored session reads its repair state
-// off the certificates, so its first batch repairs like the fresh one's.
-func TestAbsorptionDeterministic(t *testing.T) {
-	net := triangulationNetwork(120, 11)
-	cfg := planarcert.EngineConfig{Sequential: true}
-	a, err := planarcert.NewSession(net, planarcert.SchemePlanarity, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := planarcert.NewSession(net, planarcert.SchemePlanarity, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := a.Snapshot()
-	ra, err := planarcert.RestoreSession(snap, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := planarcert.RestoreSession(snap, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := planarcert.NewSession(net, planarcert.SchemePlanarity, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := planarcert.RestoreSession(c.Snapshot(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := []struct {
-		name string
-		x, y *planarcert.Session
-	}{{"new", a, b}, {"restored", ra, rb}, {"fresh-vs-restored", c, rc}}
+// sessionPair is two sessions that must absorb one stream alike.
+type sessionPair struct {
+	name string
+	x, y *planarcert.Session
+}
+
+// absorbAlike applies batches from next to every pair and fails unless
+// both sessions of a pair absorb each batch in the same mode, with the
+// same repair fallback, and hold byte-identical certificates after it.
+// It returns the modes of the first pair's x session and the embedding
+// attribute of each of its prove spans.
+func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []planarcert.Update) (modes, embeddings map[string]int) {
+	t.Helper()
 	for _, p := range pairs {
 		if !reflect.DeepEqual(p.x.Certificates(), p.y.Certificates()) {
 			t.Fatalf("%s: initial certificates differ", p.name)
 		}
 	}
-
-	st := newDetStream(net, 5)
-	modes := map[string]int{}
-	for i := 0; i < 150; i++ {
-		batch := st.next()
-		for _, p := range pairs {
+	modes, embeddings = map[string]int{}, map[string]int{}
+	tracer := planarcert.NewTracer(planarcert.TracerConfig{})
+	for i := 0; i < batches; i++ {
+		batch := next()
+		for k, p := range pairs {
+			root := tracer.Start(p.name, "batch")
+			p.x.Trace(root)
 			rx, err := p.x.Apply(batch)
+			root.End()
 			if err != nil {
 				t.Fatalf("batch %d: %v", i, err)
 			}
@@ -141,17 +117,105 @@ func TestAbsorptionDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(p.x.Certificates(), p.y.Certificates()) {
 				t.Fatalf("%s: batch %d (%s): certificates differ", p.name, i, rx.Mode)
 			}
-			if p.name == "new" {
-				modes[rx.Mode]++
+			if k > 0 {
+				continue
+			}
+			modes[rx.Mode]++
+			for _, c := range root.Children() {
+				if e, ok := c.StrAttr("embedding"); ok && c.Name() == "prove" {
+					embeddings[e]++
+				}
 			}
 		}
 	}
+	return modes, embeddings
+}
+
+// TestAbsorptionDeterministic pins that absorption is a function of the
+// network and the stream alone: two sessions built on one Network, two
+// sessions restored from one snapshot, and a fresh session and one
+// restored from its snapshot absorb a seeded stream in the same mode
+// batch by batch and hold byte-identical certificates after every batch.
+// The last pair holds because a restored session reads its repair state
+// off the certificates, so its first batch repairs like the fresh one's.
+// A leaf-attach stream pins the re-proves that keep the certified
+// embedding: the restored session's first batch adds a node, so it
+// re-proves from an embedding read off the restored certificates
+// without a repair attempt before it.
+func TestAbsorptionDeterministic(t *testing.T) {
+	cfg := planarcert.EngineConfig{Sequential: true}
+	newSession := func(net *planarcert.Network) *planarcert.Session {
+		s, err := planarcert.NewSession(net, planarcert.SchemePlanarity, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	restore := func(s *planarcert.Session) *planarcert.Session {
+		r, err := planarcert.RestoreSession(s.Snapshot(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	net := triangulationNetwork(120, 11)
+	a, b, c := newSession(net), newSession(net), newSession(net)
+	st := newDetStream(net, 5)
+	modes, _ := absorbAlike(t, []sessionPair{
+		{"new", a, b}, {"restored", restore(a), restore(a)}, {"fresh-vs-restored", c, restore(c)},
+	}, 150, st.next)
 	// The stream must reach the paths whose choices could leak order.
 	for _, m := range []string{"repair", "reprove", "flip"} {
 		if modes[m] == 0 {
 			t.Fatalf("stream never absorbed a batch as %q: %v", m, modes)
 		}
 	}
+
+	big := triangulationNetwork(2000, 12)
+	a, c = newSession(big), newSession(big)
+	leaves := newLeafStream(big, 6)
+	modes, embeddings := absorbAlike(t, []sessionPair{
+		{"leaf-new", a, newSession(big)}, {"leaf-fresh-vs-restored", c, restore(c)},
+	}, 24, leaves.next)
+	if modes["reprove"] != 24 || embeddings["kept"] == 0 || embeddings["lr"] == 0 {
+		t.Fatalf("leaf stream: modes %v, embeddings %v; want every batch re-proved, both kept and LR embeddings", modes, embeddings)
+	}
+}
+
+// leafStream attaches one new node per batch to a seeded random node,
+// the shape of a growing network whose every batch re-proves. Every
+// third batch also removes a triangulation edge, or re-adds the one it
+// removed, so the stream re-proves from the kept embedding across edge
+// removals and from a new one when an edge joins two existing nodes.
+type leafStream struct {
+	rng     *rand.Rand
+	base    [][2]planarcert.NodeID
+	ids     []planarcert.NodeID // the nodes so far
+	removed *[2]planarcert.NodeID
+	batches int
+}
+
+func newLeafStream(net *planarcert.Network, seed int64) *leafStream {
+	return &leafStream{rng: rand.New(rand.NewSource(seed)), base: net.Edges(), ids: net.IDs()}
+}
+
+func (st *leafStream) next() []planarcert.Update {
+	leaf := slices.Max(st.ids) + 1
+	batch := []planarcert.Update{
+		planarcert.NodeAdd(leaf),
+		planarcert.EdgeAdd(leaf, st.ids[st.rng.Intn(len(st.ids))]),
+	}
+	st.ids = append(st.ids, leaf)
+	if st.batches++; st.batches%3 == 0 {
+		if e := st.removed; e != nil {
+			batch, st.removed = append(batch, planarcert.EdgeAdd(e[0], e[1])), nil
+		} else {
+			e := st.base[st.rng.Intn(len(st.base))]
+			batch, st.removed = append(batch, planarcert.EdgeRemove(e[0], e[1])), &e
+		}
+	}
+	return batch
 }
 
 // TestKuratowskiDeterministic pins that witness extraction is a function

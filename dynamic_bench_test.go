@@ -2,11 +2,15 @@ package planarcert_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	planarcert "github.com/planarcert/planarcert"
 	"github.com/planarcert/planarcert/internal/gen"
+	"github.com/planarcert/planarcert/internal/obs"
+	"github.com/planarcert/planarcert/internal/planarity"
 )
 
 // findOscillationEdge locates an edge whose removal the session absorbs
@@ -108,6 +112,77 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(net.N()), "verified/op")
+		})
+	}
+}
+
+// BenchmarkDynamicLeafAttach measures one batch that attaches a new leaf
+// to a random node, absorbed by the incremental session, against the
+// one-shot pipeline (Certify + full Verify) on the same triangulation. A
+// new node changes n in every certificate, so every batch re-proves
+// and fully verifies. The re-prove starts from the embedding the live
+// certificates encode: lr/op counts the batches whose prove ran the LR
+// test instead, and rotation_ms, the mean read of that embedding, is set
+// beside lrcheck_ms, the best of three planarity.Check runs on the
+// final graph in the same run.
+func BenchmarkDynamicLeafAttach(b *testing.B) {
+	for _, n := range []int{2000, 30000} {
+		net := func() *planarcert.Network {
+			return planarcert.FromGraph(gen.StackedTriangulation(n, rand.New(rand.NewSource(42))))
+		}
+		b.Run(fmt.Sprintf("n=%d/session", n), func(b *testing.B) {
+			s, err := planarcert.NewSession(net(), planarcert.SchemePlanarity, planarcert.EngineConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			tracer := planarcert.NewTracer(planarcert.TracerConfig{})
+			lr, read := 0, time.Duration(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				leaf := planarcert.NodeID(s.N())
+				to := planarcert.NodeID(rng.Intn(s.N()))
+				root := tracer.Start("bench", obs.SpanBatch)
+				s.Trace(root)
+				rep, err := s.Apply([]planarcert.Update{planarcert.NodeAdd(leaf), planarcert.EdgeAdd(leaf, to)})
+				root.End()
+				if err != nil || !rep.Accepted {
+					b.Fatalf("leaf attach %d: %+v, %v", i, rep, err)
+				}
+				for _, pv := range root.Children() {
+					if e, _ := pv.StrAttr("embedding"); pv.Name() == obs.SpanProve && e != "kept" {
+						lr++
+					}
+					for _, c := range pv.Children() {
+						if c.Name() == obs.SpanRotation {
+							read += c.Duration()
+						}
+					}
+				}
+			}
+			b.StopTimer()
+			g := s.Network().Graph()
+			check := time.Duration(math.MaxInt64)
+			for range 3 {
+				start := time.Now()
+				if ok, _, err := planarity.Check(g); !ok || err != nil {
+					b.Fatalf("planarity.Check: %v, %v", ok, err)
+				}
+				check = min(check, time.Since(start))
+			}
+			b.ReportMetric(float64(lr)/float64(b.N), "lr/op")
+			b.ReportMetric(float64(read.Microseconds())/1e3/float64(b.N), "rotation_ms")
+			b.ReportMetric(float64(check.Microseconds())/1e3, "lrcheck_ms")
+		})
+		b.Run(fmt.Sprintf("n=%d/full", n), func(b *testing.B) {
+			net := net()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := planarcert.CertifyAndVerify(net, planarcert.SchemePlanarity)
+				if err != nil || !rep.Accepted {
+					b.Fatalf("full pipeline failed: %v", err)
+				}
+			}
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/dist"
+	"github.com/planarcert/planarcert/internal/embedding"
 	"github.com/planarcert/planarcert/internal/graph"
 	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/pls"
@@ -194,6 +195,24 @@ func DecodePlanarCert(r *bits.Reader) (*PlanarCert, error) {
 	return c, nil
 }
 
+// DecodePlanarCerts decodes the certificates of the first n nodes of g,
+// by node index. The edge certificates are carved out of a few shared
+// chunks, each node's capped at its length, so appending to one node's
+// reallocates that node's alone.
+func DecodePlanarCerts(g *graph.Graph, n int, certs map[graph.ID]bits.Certificate) ([]PlanarCert, error) {
+	objs := make([]PlanarCert, n)
+	var arena edgeArena
+	var r bits.Reader
+	for v := range objs {
+		id := g.IDOf(v)
+		certs[id].ResetReader(&r)
+		if err := decodePlanarCertInto(&r, &objs[v], &arena); err != nil {
+			return nil, fmt.Errorf("node %d: %w", id, err)
+		}
+	}
+	return objs, nil
+}
+
 // decodePlanarCertInto reads a PlanarCert into c, carving the edge
 // certificates out of arena when it is non-nil and allocating them
 // fresh otherwise. Both paths run the identical decode logic, so pooled
@@ -244,17 +263,34 @@ func (PlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error)
 // and the encoding — as children of sp, in that order (nil records
 // nothing). Graphs outside the class fail with pls.ErrNotInClass.
 func ProvePlanar(g *graph.Graph, sp *obs.Span) ([]PlanarCert, map[graph.ID]bits.Certificate, error) {
+	objs, certs, _, err := ProvePlanarFrom(g, nil, sp)
+	return objs, certs, err
+}
+
+// ProvePlanarFrom is ProvePlanar starting from rot, a rotation system
+// of g, instead of the one the LR test picks. The steps after the LR
+// test are unchanged: rot must pass the Euler audit and yield a
+// path-outerplanar transform. If it fails either, or is nil, the LR test
+// runs after all; kept reports whether the certificates rest on rot.
+func ProvePlanarFrom(g *graph.Graph, rot *embedding.Rotation, sp *obs.Span) (objs []PlanarCert, certs map[graph.ID]bits.Certificate, kept bool, err error) {
 	if g.N() == 0 {
-		return nil, nil, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
+		return nil, nil, false, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
 	}
 	if !g.Connected() {
-		return nil, nil, fmt.Errorf("%w: disconnected graph", pls.ErrNotInClass)
+		return nil, nil, false, fmt.Errorf("%w: disconnected graph", pls.ErrNotInClass)
 	}
-	tr, err := transformOf(g, sp)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
+	var tr *Transform
+	if rot != nil {
+		tr, err = auditedTransform(g, rot, sp)
+		kept = err == nil
 	}
-	return proveFromTransform(g, tr, sp)
+	if !kept {
+		if tr, err = transformOf(g, sp); err != nil {
+			return nil, nil, false, fmt.Errorf("%w: %v", pls.ErrNotInClass, err)
+		}
+	}
+	objs, certs, err = proveFromTransform(g, tr, sp)
+	return objs, certs, kept, err
 }
 
 // proveFromTransform builds the Theorem 1 certificates from a completed

@@ -241,7 +241,14 @@ func transformOf(g *graph.Graph, sp *obs.Span) (*Transform, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: graph is not planar")
 	}
-	c = sp.Child(obs.SpanEulerAudit)
+	return auditedTransform(g, rot, sp)
+}
+
+// auditedTransform checks that rot is a planar rotation system of g
+// and builds the transform from it, rooted at vertex 0. It records the
+// Euler audit and the transform as children of sp.
+func auditedTransform(g *graph.Graph, rot *embedding.Rotation, sp *obs.Span) (*Transform, error) {
+	c := sp.Child(obs.SpanEulerAudit)
 	d, err := rot.Index(g)
 	planar := err == nil && d.Genus() == 0
 	c.End()

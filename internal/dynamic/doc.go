@@ -25,6 +25,21 @@
 //     an incremental graph fingerprint short-circuits re-proves for
 //     previously-certified topologies (oscillating overlay workloads).
 //
+// A planarity re-prove starts from the embedding the live certificates
+// encode. The certificates fix the DFS-mapping f and each chord's two
+// ranks, and these fix a rotation system (the §3.2 cut read backwards).
+// The session drops the batch's removed edges from it and hangs each new
+// node whose only edge goes to an existing node at that node. The prover
+// then runs its usual steps on it: the Euler audit, the transform with
+// its path-outerplanarity check, the certificates, and the full sweep
+// after them. The LR test runs instead when the batch adds an edge
+// between two existing nodes (the kept embedding may have no face for
+// it), when the session holds no certified planarity assignment (as on
+// every flip), and when the kept embedding fails any of those steps. No
+// rotation is kept between batches: it is read afresh from the state,
+// which a restored session decodes first, so the re-prove is a function
+// of the certificates and the batch.
+//
 // Frontier soundness. A proof-labeling verifier is local: node u's
 // verdict depends only on its 1-round view (its own identifier, degree
 // and certificate, plus each neighbor's identifier and certificate).

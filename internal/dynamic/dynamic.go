@@ -140,7 +140,7 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	rep := &Report{Generation: 0, Scheme: s.active.Name()}
-	s.reprove(rep)
+	s.reprove(rep, nil)
 	s.last = rep
 	return s, nil
 }
@@ -153,7 +153,8 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 // or tampered snapshot that slipped past the storage CRCs is caught
 // semantically. If the sweep rejects (or certs is empty), Restore falls
 // back to re-proving from the restored graph. The session resumes at
-// generation gen; its first repair attempt decodes the repair state
+// generation gen; its first repair attempt, or its first planarity
+// re-prove that keeps the certified embedding, decodes the repair state
 // from certs, exactly as after a cache adoption.
 func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs map[graph.ID]bits.Certificate, gen uint64) (*Session, error) {
 	s, err := newSessionShell(g, cfg)
@@ -185,7 +186,7 @@ func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs map[graph.ID]b
 			return s, nil
 		}
 	}
-	s.reprove(rep)
+	s.reprove(rep, nil)
 	s.last = rep
 	return s, nil
 }
@@ -329,7 +330,7 @@ func (s *Session) Flush() (*Report, error) {
 
 	if done := s.tryRepair(nb, rep); !done {
 		if done = s.tryCache(nb, rep); !done {
-			s.reprove(rep)
+			s.reprove(rep, nb)
 		}
 	}
 	s.last = rep
@@ -638,17 +639,22 @@ func (s *Session) tryCache(nb *netBatch, rep *Report) bool {
 // reprove runs the full prover (flipping to the counterpart scheme when
 // the active one's class no longer contains the graph), fully
 // re-verifies, replaces the repair state, and stores the certified
-// assignment in the cache.
-func (s *Session) reprove(rep *Report) {
+// assignment in the cache. A planarity re-prove of the batch nb starts
+// from the embedding the live certificates encode when nb allows it
+// (see keptRotation); if the sweep rejects what it yields, the scheme
+// is proved again from the LR test's embedding.
+func (s *Session) reprove(rep *Report, nb *netBatch) {
 	order := []pls.Scheme{s.active}
 	if other := s.counterpartOf(s.active); other != nil {
 		order = append(order, other)
 	}
 	var firstErr error
-	for i, sch := range order {
+	for i := 0; i < len(order); i++ {
+		sch := order[i]
 		pv := s.span.Child(obs.SpanProve)
 		pv.SetStr("scheme", sch.Name())
-		certs, st, err := s.prove(sch, pv)
+		certs, st, kept, err := s.prove(sch, pv, nb)
+		nb = nil // only the active scheme's first attempt keeps the embedding
 		if err != nil {
 			pv.SetStr("error", err.Error())
 			pv.End()
@@ -662,11 +668,15 @@ func (s *Session) reprove(rep *Report) {
 		}
 		pv.SetInt("certs", int64(len(certs)))
 		pv.End()
+		out := dist.NewEngine(s.g, s.flushOpts()...).RunPLS(certs, sch.Verify)
+		if kept && !out.AllAccept() {
+			i-- // prove sch again, from the LR test's embedding
+			continue
+		}
 		s.active = sch
 		s.certs = certs
 		s.certsOwn = true
 		s.state = st
-		out := dist.NewEngine(s.g, s.flushOpts()...).RunPLS(certs, sch.Verify)
 		rep.Mode = ModeReprove
 		if i > 0 {
 			rep.Mode = ModeFlip
@@ -710,14 +720,21 @@ func (s *Session) counterpartOf(sch pls.Scheme) pls.Scheme {
 // prove runs the scheme's prover. The planarity and non-planarity
 // provers hand their certificate objects straight to the repair-state
 // constructor, so a re-prove does not decode what it just encoded; the
-// planarity prover records its steps as children of pv. The
-// spanning-tree scheme's state is decoded at its first repair attempt,
-// as after a cache adoption.
-func (s *Session) prove(sch pls.Scheme, pv *obs.Span) (certs map[graph.ID]bits.Certificate, st repairState, err error) {
+// planarity prover records its steps as children of pv, and whether it
+// kept the certified embedding for nb or ran the LR test as pv's
+// embedding attribute. The spanning-tree scheme's state is decoded at
+// its first repair attempt, as after a cache adoption.
+func (s *Session) prove(sch pls.Scheme, pv *obs.Span, nb *netBatch) (certs map[graph.ID]bits.Certificate, st repairState, kept bool, err error) {
 	switch sch.(type) {
 	case core.PlanarScheme:
 		var objs []core.PlanarCert
-		if objs, certs, err = core.ProvePlanar(s.g, pv); err == nil {
+		objs, certs, kept, err = core.ProvePlanarFrom(s.g, s.keptRotation(nb, pv), pv)
+		embedding := "lr"
+		if kept {
+			embedding = "kept"
+		}
+		pv.SetStr("embedding", embedding)
+		if err == nil {
 			c := pv.Child(obs.SpanRepairState)
 			st, err = newPlanarState(s.g, objs)
 			c.End()
@@ -732,20 +749,34 @@ func (s *Session) prove(sch pls.Scheme, pv *obs.Span) (certs map[graph.ID]bits.C
 	default:
 		certs, err = sch.Prove(s.g)
 	}
-	return certs, st, err
+	return certs, st, kept, err
 }
 
 // decodeState builds the repair state the live assignment implies.
 func (s *Session) decodeState() (repairState, error) {
 	switch s.active.(type) {
 	case core.PlanarScheme:
-		return decodeInto(s, core.DecodePlanarCert, newPlanarState)
+		p, err := s.decodePlanarState(s.g.N())
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
 	case core.NonPlanarScheme:
 		return decodeInto(s, core.DecodeNonPlanarCert, newTreeRepair)
 	case pls.SpanningTreeScheme:
 		return decodeInto(s, pls.DecodeTreeCert, newTreeRepair)
 	}
 	return nil, fmt.Errorf("no localized repair under %s", s.active.Name())
+}
+
+// decodePlanarState builds the planarity repair state from the live
+// certificates of nodes 0..n-1.
+func (s *Session) decodePlanarState(n int) (*planarState, error) {
+	objs, err := core.DecodePlanarCerts(s.g, n, s.certs)
+	if err != nil {
+		return nil, err
+	}
+	return newPlanarState(s.g, objs)
 }
 
 // decodeInto decodes every live certificate, by node index, and builds

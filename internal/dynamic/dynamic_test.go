@@ -507,43 +507,81 @@ func TestNodeAdditions(t *testing.T) {
 // TestReproveTraceSteps checks that a traced planarity re-prove records
 // its six steps, in order, as the only children of the prove span, and
 // that Phases still books the whole prove span (steps included) once.
+// A leaf attach and a tree-edge removal keep the certified embedding:
+// the read of the rotation stands in for the LR test. A batch that adds
+// an edge between two existing nodes runs the LR test.
 func TestReproveTraceSteps(t *testing.T) {
 	s, err := NewSession(gen.StackedTriangulation(60, rand.New(rand.NewSource(2))), planarCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := obs.New(obs.Config{}).Start("s", obs.SpanBatch)
-	s.TraceNext(root)
-	rep, err := s.Apply([]Update{{Op: AddNode, A: 1000}, {Op: AddEdge, A: 1000, B: 0}})
-	if err != nil || rep.Mode != ModeReprove || !rep.Accepted {
-		t.Fatalf("leaf attach: %+v, %v", rep, err)
-	}
-	root.End()
-	var prove *obs.Span
-	for _, c := range root.Children() {
-		if c.Name() == obs.SpanProve {
-			prove = c
+	treeEdge := func(skip [2]graph.ID) [2]graph.ID {
+		p := s.state.(*planarState)
+		for v, par := range p.parent {
+			e := normPair(s.g.IDOf(v), s.g.IDOf(par))
+			if v != par && s.g.Degree(v) > 1 && e != skip {
+				return e
+			}
 		}
+		t.Fatal("no tree edge")
+		return [2]graph.ID{}
 	}
-	if prove == nil {
-		t.Fatal("no prove span")
-	}
-	want := []string{obs.SpanLRCheck, obs.SpanEulerAudit, obs.SpanTransform,
-		obs.SpanCertObjects, obs.SpanEncode, obs.SpanRepairState}
-	var got []string
-	var sum time.Duration
-	for _, c := range prove.Children() {
-		got = append(got, c.Name())
-		sum += c.Duration()
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("prove children = %v, want %v", got, want)
-	}
-	if sum > prove.Duration() {
-		t.Fatalf("steps add up to %v, more than the prove span's %v", sum, prove.Duration())
-	}
-	if ph := obs.Phases(root); ph[obs.PhaseProve] != prove.Duration() {
-		t.Fatalf("Phases books %v as prove, span lasted %v", ph[obs.PhaseProve], prove.Duration())
+	var first [2]graph.ID
+	for _, tc := range []struct {
+		name      string
+		batch     func() []Update
+		embedding string
+		lr        string // the first step
+	}{
+		{"leaf attach", func() []Update {
+			return []Update{{Op: AddNode, A: 1000}, {Op: AddEdge, A: 1000, B: 0}}
+		}, "kept", obs.SpanRotation},
+		{"tree-edge removal", func() []Update {
+			first = treeEdge([2]graph.ID{})
+			return []Update{{Op: RemoveEdge, A: first[0], B: first[1]}}
+		}, "kept", obs.SpanRotation},
+		{"edge between existing nodes", func() []Update {
+			e := treeEdge(first)
+			return []Update{{Op: RemoveEdge, A: e[0], B: e[1]}, {Op: AddEdge, A: first[0], B: first[1]}}
+		}, "lr", obs.SpanLRCheck},
+	} {
+		root := obs.New(obs.Config{}).Start("s", obs.SpanBatch)
+		s.TraceNext(root)
+		rep, err := s.Apply(tc.batch())
+		if err != nil || rep.Mode != ModeReprove || !rep.Accepted {
+			t.Fatalf("%s: %+v, %v", tc.name, rep, err)
+		}
+		root.End()
+		var prove *obs.Span
+		for _, c := range root.Children() {
+			if c.Name() == obs.SpanProve {
+				prove = c
+			}
+		}
+		if prove == nil {
+			t.Fatalf("%s: no prove span", tc.name)
+		}
+		if got, _ := prove.StrAttr("embedding"); got != tc.embedding {
+			t.Fatalf("%s: embedding %q, want %q", tc.name, got, tc.embedding)
+		}
+		want := []string{tc.lr, obs.SpanEulerAudit, obs.SpanTransform,
+			obs.SpanCertObjects, obs.SpanEncode, obs.SpanRepairState}
+		var got []string
+		var sum time.Duration
+		for _, c := range prove.Children() {
+			got = append(got, c.Name())
+			sum += c.Duration()
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: prove children = %v, want %v", tc.name, got, want)
+		}
+		if sum > prove.Duration() {
+			t.Fatalf("%s: steps add up to %v, more than the prove span's %v", tc.name, sum, prove.Duration())
+		}
+		if ph := obs.Phases(root); ph[obs.PhaseProve] != prove.Duration() {
+			t.Fatalf("%s: Phases books %v as prove, span lasted %v", tc.name, ph[obs.PhaseProve], prove.Duration())
+		}
+		checkParity(t, s)
 	}
 }
 

@@ -40,7 +40,10 @@ import (
 // rank -> interval claims stay globally consistent.
 //
 // Tree-edge removals and node additions renumber ranks globally and are
-// out of repair scope.
+// out of repair scope. Their re-prove still starts from the embedding
+// the state encodes (see rotation and keptRotation), minus the removed
+// edges and with new leaves hung at their neighbors, and runs the LR
+// test only when the batch adds an edge between two existing nodes.
 type planarState struct {
 	g      *graph.Graph
 	n2     int
@@ -54,6 +57,8 @@ type planarState struct {
 
 // newPlanarState reads the repair state off an accepted planarity
 // assignment (Section 3.3), given as certificate objects by node index.
+// They may cover only the first nodes of g: a re-prove reads the state
+// of the graph before a batch that added nodes.
 // The tree-edge certificate of parent p and child c maps p to ranks PA
 // and PB and c to CMin and CMax. Every rank is one of these, so the
 // tree-edge certificates fix f, the parents and I(·), and the copies of
@@ -62,9 +67,9 @@ type planarState struct {
 // handful of slabs; each byRank run is capped so a later append
 // reallocates that run alone. The state takes objs over.
 func newPlanarState(g *graph.Graph, objs []core.PlanarCert) (*planarState, error) {
-	n := g.N()
-	if len(objs) != n {
-		return nil, fmt.Errorf("%d certificates for %d nodes", len(objs), n)
+	n := len(objs)
+	if n == 0 || n > g.N() {
+		return nil, fmt.Errorf("%d certificates for %d nodes", n, g.N())
 	}
 	n2 := 2*n - 1
 	p := &planarState{
@@ -311,37 +316,33 @@ func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[int]bool) 
 	return true, ""
 }
 
-// facesOf lists the faces bordering rank x that could host a chord
-// spanning past x on both sides of the containment filter: the chords
-// anchored at x plus I(x). The laminar structure makes this a chain.
-func (p *planarState) facesOf(x int) []core.Interval {
-	out := []core.Interval{p.iv[x]}
-	for _, ge := range p.byRank[x] {
-		if c, ok := p.chordOf(ge); ok {
-			out = append(out, c)
-		}
+// faceAt returns the i-th face bordering rank x that could host a
+// chord spanning past x: I(x) for i = -1, else the chord of the i-th
+// cotree edge anchored at x. The laminar structure makes these a chain.
+func (p *planarState) faceAt(x, i int) (core.Interval, bool) {
+	if i < 0 {
+		return p.iv[x], true
 	}
-	return out
+	return p.chordOf(p.byRank[x][i])
 }
 
 // commonFace returns the innermost face bordering both rank a and rank
 // b that contains [a, b] — the parent a new chord [a, b] would have. A
 // miss means the chord cannot be drawn without crossings under the
-// current embedding.
+// current embedding. The face chains hold a handful of intervals, so
+// they are scanned in place.
 func (p *planarState) commonFace(a, b int) (core.Interval, bool) {
-	fb := make(map[core.Interval]bool)
-	for _, f := range p.facesOf(b) {
-		if f.A <= a && f.B >= b {
-			fb[f] = true
-		}
-	}
 	best, found := core.Interval{}, false
-	for _, f := range p.facesOf(a) {
-		if f.A > a || f.B < b || !fb[f] {
+	for i := -1; i < len(p.byRank[a]); i++ {
+		f, ok := p.faceAt(a, i)
+		if !ok || f.A > a || f.B < b || (found && (f.A < best.A || (f.A == best.A && f.B >= best.B))) {
 			continue
 		}
-		if !found || f.A > best.A || (f.A == best.A && f.B < best.B) {
-			best, found = f, true
+		for j := -1; j < len(p.byRank[b]); j++ {
+			if h, ok := p.faceAt(b, j); ok && h == f {
+				best, found = f, true
+				break
+			}
 		}
 	}
 	return best, found

@@ -285,3 +285,69 @@ func TestRestoredSurgeryRepairs(t *testing.T) {
 	}
 	t.Fatal("no seed produced a surgery followed by a second tree edge in the reshaped subtree")
 }
+
+// TestCommonFaceMatchesReference pins the in-place face-chain scan of
+// commonFace to the set-based form it replaced (every face bordering b
+// that contains [a, b] into a set, then the innermost face of a's chain
+// in it), on rank pairs of a session patched by a seeded stream.
+func TestCommonFaceMatchesReference(t *testing.T) {
+	s, err := NewSession(gen.StackedTriangulation(300, rand.New(rand.NewSource(4))), planarCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newEdgeStream(s.Graph(), 3)
+	for i := 0; i < 40; i++ {
+		if _, err := s.Apply(st.next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.state == nil {
+		if s.state, err = s.decodeState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := s.state.(*planarState)
+	facesOf := func(x int) []core.Interval {
+		out := []core.Interval{p.iv[x]}
+		for _, ge := range p.byRank[x] {
+			if c, ok := p.chordOf(ge); ok {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	reference := func(a, b int) (core.Interval, bool) {
+		fb := make(map[core.Interval]bool)
+		for _, f := range facesOf(b) {
+			if f.A <= a && f.B >= b {
+				fb[f] = true
+			}
+		}
+		best, found := core.Interval{}, false
+		for _, f := range facesOf(a) {
+			if f.A > a || f.B < b || !fb[f] {
+				continue
+			}
+			if !found || f.A > best.A || (f.A == best.A && f.B < best.B) {
+				best, found = f, true
+			}
+		}
+		return best, found
+	}
+	hits := 0
+	for a := 1; a <= p.n2; a++ {
+		for b := a + 2; b <= p.n2; b += 1 + b%7 {
+			want, wok := reference(a, b)
+			got, ok := p.commonFace(a, b)
+			if got != want || ok != wok {
+				t.Fatalf("commonFace(%d, %d) = %v, %v; reference %v, %v", a, b, got, ok, want, wok)
+			}
+			if ok {
+				hits++
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no rank pair shares a face")
+	}
+}

@@ -42,8 +42,10 @@ const (
 
 // The steps of a planarity re-prove, recorded as the children of its
 // SpanProve span in this order and named after the package doing the
-// work. Phases does not descend into SpanProve, so they refine the
-// prove phase without changing the decomposition.
+// work; a re-prove that keeps the certified embedding records
+// SpanRotation in place of SpanLRCheck. Phases does not descend into
+// SpanProve, so they refine the prove phase without changing the
+// decomposition.
 const (
 	// SpanLRCheck is the class checks (non-empty, connected) and the
 	// left-right planarity test that yields a rotation system.
@@ -61,6 +63,9 @@ const (
 	SpanEncode = "core.encode"
 	// SpanRepairState builds a session's localized-repair state.
 	SpanRepairState = "dynamic.state"
+	// SpanRotation reads the rotation system the live planarity
+	// certificates encode and edits it by the batch.
+	SpanRotation = "dynamic.rotation"
 )
 
 // Attr is one span attribute: either a string or an int64 value under a

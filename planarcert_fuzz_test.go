@@ -55,7 +55,8 @@ func FuzzEdgeListRoundTrip(f *testing.F) {
 // after every absorbed batch: the session verifies iff it claims to be
 // certified, a certified state verifies exactly like a fresh
 // Certify+Verify of the same graph, and the repair state rebuilt from
-// the certificates equals the live one.
+// the certificates equals the live one. A third of the ops attach a new
+// leaf, so re-proves that keep the certified embedding are driven too.
 func FuzzSessionApply(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 2, 3, 1, 0, 3})
 	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1})
@@ -79,16 +80,21 @@ func FuzzSessionApply(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		leaf := planarcert.NodeID(nodes)
 		for i := 0; i+2 < len(data); i += 3 {
 			a := planarcert.NodeID(data[i+1] % nodes)
 			b := planarcert.NodeID(data[i+2] % nodes)
-			var u planarcert.Update
-			if data[i]%2 == 0 {
-				u = planarcert.EdgeAdd(a, b)
-			} else {
-				u = planarcert.EdgeRemove(a, b)
+			var batch []planarcert.Update
+			switch data[i] % 3 {
+			case 0:
+				batch = []planarcert.Update{planarcert.EdgeAdd(a, b)}
+			case 1:
+				batch = []planarcert.Update{planarcert.EdgeRemove(a, b)}
+			default:
+				batch = []planarcert.Update{planarcert.NodeAdd(leaf), planarcert.EdgeAdd(leaf, a)}
+				leaf++
 			}
-			if _, err := s.Apply([]planarcert.Update{u}); err != nil {
+			if _, err := s.Apply(batch); err != nil {
 				continue // structurally invalid update, rejected wholesale
 			}
 			if got := s.Verify().Accepted; got != s.Certified() {
