@@ -26,6 +26,8 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		LRPerOp    *float64 `json:"lr_per_op"`
 		RotationMs float64  `json:"rotation_ms"`
 		LRCheckMs  float64  `json:"lrcheck_ms"`
+		// Nodes whose verifier re-ran per batch.
+		VerifiedPerOp *float64 `json:"verified_per_op"`
 	}
 	type snapshot struct {
 		Note       string  `json:"note"`
@@ -40,6 +42,7 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			"BenchmarkDynamicUpdate/n=50000/full",
 			"BenchmarkDynamicLeafAttach/n=30000/session",
 			"BenchmarkDynamicLeafAttach/n=30000/full",
+			"BenchmarkDynamicReprove",
 			"BenchmarkDynamicCacheOscillation",
 		},
 		"BENCH_server.json": {
@@ -178,6 +181,22 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	case 3*leaf.RotationMs > leaf.LRCheckMs:
 		t.Fatalf("BENCH_dynamic.json: reading the rotation took %.2f ms, more than a third of planarity.Check's %.2f ms",
 			leaf.RotationMs, leaf.LRCheckMs)
+	}
+	// The bar of verifying a re-prove on its certificate diff: re-proves
+	// of single-edge batches at n=2000 verify at most n/4 nodes each.
+	const reproveN = 2000
+	var dynReprove *entry
+	for i := range snap.Benchmarks {
+		if snap.Benchmarks[i].Name == "BenchmarkDynamicReprove" {
+			dynReprove = &snap.Benchmarks[i]
+		}
+	}
+	switch {
+	case dynReprove == nil || dynReprove.VerifiedPerOp == nil:
+		t.Fatal("BENCH_dynamic.json: BenchmarkDynamicReprove lacks verified_per_op")
+	case *dynReprove.VerifiedPerOp > reproveN/4:
+		t.Fatalf("BENCH_dynamic.json: re-proves at n=%d verified %.1f nodes per batch, bar is %d",
+			reproveN, *dynReprove.VerifiedPerOp, reproveN/4)
 	}
 
 	// The acceptance bar of the server subsystem: the committed load run

@@ -21,6 +21,9 @@ import (
 // a removed one, with at most 64 edges out at a time. It prints the
 // absorption modes, the reasons repairs fell back (numbers masked), and
 // how many re-proves kept the certified embedding or ran the LR test.
+// For the re-proves behind each fallback reason it prints the mean share
+// of certificates the batch changed (diffed here, against a copy taken
+// before the batch) and of nodes the re-prove's sweep verified.
 func fallbacks(args []string) error {
 	fs := flag.NewFlagSet("fallbacks", flag.ContinueOnError)
 	sessions := fs.Int("sessions", 4, "sessions, each on its own triangulation and stream")
@@ -33,6 +36,11 @@ func fallbacks(args []string) error {
 	const maxRemoved = 64
 	digits := regexp.MustCompile(`\d+`)
 	modes, reasons, embeddings := map[string]int{}, map[string]int{}, map[string]int{}
+	type shares struct {
+		count             int
+		changed, verified float64
+	}
+	reproves := map[string]*shares{}
 	tracer := obs.New(obs.Config{})
 	for i := 0; i < *sessions; i++ {
 		g := gen.StackedTriangulation(*n, rand.New(rand.NewSource(int64(i)+1)))
@@ -64,6 +72,7 @@ func fallbacks(args []string) error {
 					}
 				}
 			}
+			before := maps.Clone(s.Certificates())
 			root := tracer.Start("fallbacks", obs.SpanBatch)
 			s.TraceNext(root)
 			rep, err := s.Apply([]dynamic.Update{u})
@@ -75,8 +84,26 @@ func fallbacks(args []string) error {
 				return fmt.Errorf("session %d, batch %d: not accepted (%s)", i, b, rep.Mode)
 			}
 			modes[string(rep.Mode)]++
-			if rep.RepairFallback != "" {
-				reasons[digits.ReplaceAllString(rep.RepairFallback, "#")]++
+			reason := digits.ReplaceAllString(rep.RepairFallback, "#")
+			if reason != "" {
+				reasons[reason]++
+			}
+			if rep.Mode == dynamic.ModeReprove || rep.Mode == dynamic.ModeFlip {
+				changed := 0
+				for id, c := range s.Certificates() {
+					if !c.Equal(before[id]) {
+						changed++
+					}
+				}
+				sh := reproves[reason]
+				if sh == nil {
+					sh = &shares{}
+					reproves[reason] = sh
+				}
+				n := float64(s.Graph().N())
+				sh.count++
+				sh.changed += float64(changed) / n
+				sh.verified += float64(rep.Verified) / n
 			}
 			for _, c := range root.Children() {
 				if e, ok := c.StrAttr("embedding"); ok && c.Name() == obs.SpanProve {
@@ -95,6 +122,11 @@ func fallbacks(args []string) error {
 	}
 	for _, e := range slices.Sorted(maps.Keys(embeddings)) {
 		fmt.Printf("  re-prove embedding %-4s %5d\n", e, embeddings[e])
+	}
+	for _, r := range slices.Sorted(maps.Keys(reproves)) {
+		sh := reproves[r]
+		fmt.Printf("  re-prove %5d  changed %5.1f%%  verified %5.1f%%  %s\n", sh.count,
+			100*sh.changed/float64(sh.count), 100*sh.verified/float64(sh.count), r)
 	}
 	return nil
 }

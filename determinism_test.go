@@ -84,10 +84,12 @@ type sessionPair struct {
 
 // absorbAlike applies batches from next to every pair and fails unless
 // both sessions of a pair absorb each batch in the same mode, with the
-// same repair fallback, and hold byte-identical certificates after it.
-// It returns the modes of the first pair's x session and the embedding
-// attribute of each of its prove spans.
-func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []planarcert.Update) (modes, embeddings map[string]int) {
+// same repair fallback, the same dirty and verified counts and the same
+// kind of sweep, and hold byte-identical certificates after it. It
+// returns the modes of the first pair's x session, the embedding
+// attribute of each of its prove spans, and how many of its batches ran
+// a full sweep.
+func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []planarcert.Update) (modes, embeddings map[string]int, full int) {
 	t.Helper()
 	for _, p := range pairs {
 		if !reflect.DeepEqual(p.x.Certificates(), p.y.Certificates()) {
@@ -114,6 +116,10 @@ func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []p
 				t.Fatalf("%s: batch %d %v absorbed as %q (%q) by one session and %q (%q) by the other",
 					p.name, i, batch, rx.Mode, rx.RepairFallback, ry.Mode, ry.RepairFallback)
 			}
+			if rx.Dirty != ry.Dirty || rx.Verified != ry.Verified || rx.FullVerify != ry.FullVerify {
+				t.Fatalf("%s: batch %d (%s): dirty/verified/full %d/%d/%v by one session and %d/%d/%v by the other",
+					p.name, i, rx.Mode, rx.Dirty, rx.Verified, rx.FullVerify, ry.Dirty, ry.Verified, ry.FullVerify)
+			}
 			if !reflect.DeepEqual(p.x.Certificates(), p.y.Certificates()) {
 				t.Fatalf("%s: batch %d (%s): certificates differ", p.name, i, rx.Mode)
 			}
@@ -121,6 +127,9 @@ func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []p
 				continue
 			}
 			modes[rx.Mode]++
+			if rx.FullVerify {
+				full++
+			}
 			for _, c := range root.Children() {
 				if e, ok := c.StrAttr("embedding"); ok && c.Name() == "prove" {
 					embeddings[e]++
@@ -128,7 +137,7 @@ func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []p
 			}
 		}
 	}
-	return modes, embeddings
+	return modes, embeddings, full
 }
 
 // TestAbsorptionDeterministic pins that absorption is a function of the
@@ -141,7 +150,8 @@ func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []p
 // A leaf-attach stream pins the re-proves that keep the certified
 // embedding: the restored session's first batch adds a node, so it
 // re-proves from an embedding read off the restored certificates
-// without a repair attempt before it.
+// without a repair attempt before it; every one of its batches adds a
+// node, so every sweep is full.
 func TestAbsorptionDeterministic(t *testing.T) {
 	cfg := planarcert.EngineConfig{Sequential: true}
 	newSession := func(net *planarcert.Network) *planarcert.Session {
@@ -162,7 +172,7 @@ func TestAbsorptionDeterministic(t *testing.T) {
 	net := triangulationNetwork(120, 11)
 	a, b, c := newSession(net), newSession(net), newSession(net)
 	st := newDetStream(net, 5)
-	modes, _ := absorbAlike(t, []sessionPair{
+	modes, _, _ := absorbAlike(t, []sessionPair{
 		{"new", a, b}, {"restored", restore(a), restore(a)}, {"fresh-vs-restored", c, restore(c)},
 	}, 150, st.next)
 	// The stream must reach the paths whose choices could leak order.
@@ -175,11 +185,12 @@ func TestAbsorptionDeterministic(t *testing.T) {
 	big := triangulationNetwork(2000, 12)
 	a, c = newSession(big), newSession(big)
 	leaves := newLeafStream(big, 6)
-	modes, embeddings := absorbAlike(t, []sessionPair{
+	modes, embeddings, full := absorbAlike(t, []sessionPair{
 		{"leaf-new", a, newSession(big)}, {"leaf-fresh-vs-restored", c, restore(c)},
 	}, 24, leaves.next)
-	if modes["reprove"] != 24 || embeddings["kept"] == 0 || embeddings["lr"] == 0 {
-		t.Fatalf("leaf stream: modes %v, embeddings %v; want every batch re-proved, both kept and LR embeddings", modes, embeddings)
+	if modes["reprove"] != 24 || full != 24 || embeddings["kept"] == 0 || embeddings["lr"] == 0 {
+		t.Fatalf("leaf stream: modes %v, %d full sweeps, embeddings %v; want every batch re-proved with a full sweep, both kept and LR embeddings",
+			modes, full, embeddings)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -185,6 +186,71 @@ func BenchmarkDynamicLeafAttach(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDynamicReprove measures one re-prove of a batch that adds no
+// node: repair and the certificate cache are off, so every batch of a
+// seeded stream over an n=2000 triangulation re-proves. Each batch
+// removes one edge that is not a bridge, or re-adds one of the at most
+// four removed. The sweep after the re-prove verifies the frontier of
+// its certificate diff against the last accepted assignment:
+// verified/op counts the nodes it verified and changed/op the
+// certificates the re-prove rewrote, both per batch.
+func BenchmarkDynamicReprove(b *testing.B) {
+	const n = 2000
+	net := planarcert.FromGraph(gen.StackedTriangulation(n, rand.New(rand.NewSource(42))))
+	s, err := planarcert.NewSession(net, planarcert.SchemePlanarity, planarcert.EngineConfig{},
+		planarcert.WithRepairThreshold(-1), planarcert.WithCacheSize(-1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	base, mirror := net.Edges(), net.Clone()
+	var removed [][2]planarcert.NodeID
+	batches := make([][]planarcert.Update, b.N)
+	for i := range batches {
+		if len(removed) == 4 || (len(removed) > 0 && rng.Intn(2) == 0) {
+			j := rng.Intn(len(removed))
+			e := removed[j]
+			removed = slices.Delete(removed, j, j+1)
+			if err := mirror.AddEdge(e[0], e[1]); err != nil {
+				b.Fatal(err)
+			}
+			batches[i] = []planarcert.Update{planarcert.EdgeAdd(e[0], e[1])}
+			continue
+		}
+		for {
+			e := base[rng.Intn(len(base))]
+			if slices.Contains(removed, e) {
+				continue
+			}
+			mirror.RemoveEdge(e[0], e[1])
+			if mirror.Connected() {
+				removed = append(removed, e)
+				batches[i] = []planarcert.Update{planarcert.EdgeRemove(e[0], e[1])}
+				break
+			}
+			if err := mirror.AddEdge(e[0], e[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	verified, changed := 0, 0
+	b.ResetTimer()
+	for _, batch := range batches {
+		rep, err := s.Apply(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Mode != "reprove" || !rep.Accepted {
+			b.Fatalf("batch %v absorbed as %s, accepted %v", batch, rep.Mode, rep.Accepted)
+		}
+		verified += rep.Verified
+		changed += rep.Dirty
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
+	b.ReportMetric(float64(changed)/float64(b.N), "changed/op")
 }
 
 // BenchmarkDynamicCacheOscillation pins the cache path: repair is

@@ -24,6 +24,8 @@
 //     by the frontier; a generation-stamped certificate cache keyed by
 //     an incremental graph fingerprint short-circuits re-proves for
 //     previously-certified topologies (oscillating overlay workloads).
+//     A re-prove under the same scheme of a batch that adds no node is
+//     verified on the frontier of its certificate diff, like a repair.
 //
 // A planarity re-prove starts from the embedding the live certificates
 // encode. The certificates fix the DFS-mapping f and each chord's two
@@ -31,8 +33,8 @@
 // The session drops the batch's removed edges from it and hangs each new
 // node whose only edge goes to an existing node at that node. The prover
 // then runs its usual steps on it: the Euler audit, the transform with
-// its path-outerplanarity check, the certificates, and the full sweep
-// after them. The LR test runs instead when the batch adds an edge
+// its path-outerplanarity check, the certificates, and the sweep after
+// them. The LR test runs instead when the batch adds an edge
 // between two existing nodes (the kept embedding may have no face for
 // it), when the session holds no certified planarity assignment (as on
 // every flip), and when the kept embedding fails any of those steps. No
@@ -52,6 +54,20 @@
 // maintenance sound regardless of how clever (or wrong) the repair
 // heuristic is: a bad repair is caught on the frontier and demoted to a
 // full re-prove.
+//
+// A re-prove uses the same argument. When the session holds an accepted
+// assignment, the new certificates are for the same scheme and the
+// batch adds no node (a new node changes n in every certificate), D is
+// the set of nodes whose new certificates differ byte for byte from the
+// accepted ones, and the re-prove verifies D ∪ N(D) plus the endpoints
+// of the batch's edges. A re-prove that rewrites most certificates (a
+// frontier over more than half of the nodes), a flip, and a batch that
+// adds a node run the full sweep instead. A kept embedding whose sweep
+// rejects is still proved again from the LR test. The argument needs
+// one invariant: a certified session's certificates were accepted, at
+// every node, on the graph before the batch. A repair whose frontier
+// rejects therefore puts the certificates it replaced back before the
+// batch falls through to the re-prove.
 //
 // Repair state is a function of the accepted assignment (Section 3.3):
 // the planarity tree-edge and cotree certificates give f, the copies,

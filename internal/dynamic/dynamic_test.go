@@ -1,8 +1,10 @@
 package dynamic
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -339,8 +341,8 @@ func TestPlanarityFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != ModeFlip || s.ActiveScheme().Name() != "non-planarity" || !rep.Accepted {
-		t.Fatalf("completing K5 did not flip: %+v", rep)
+	if rep.Mode != ModeFlip || s.ActiveScheme().Name() != "non-planarity" || !rep.Accepted || !rep.FullVerify {
+		t.Fatalf("completing K5 did not flip with a full sweep: %+v", rep)
 	}
 	checkParity(t, s)
 	rep, err = s.Apply([]Update{{Op: RemoveEdge, A: last[0], B: last[1]}})
@@ -509,7 +511,9 @@ func TestNodeAdditions(t *testing.T) {
 // that Phases still books the whole prove span (steps included) once.
 // A leaf attach and a tree-edge removal keep the certified embedding:
 // the read of the rotation stands in for the LR test. A batch that adds
-// an edge between two existing nodes runs the LR test.
+// an edge between two existing nodes runs the LR test. The prove span's
+// changed attribute is the report's Dirty; the leaf attach, which adds
+// a node, changes every certificate and runs the full sweep.
 func TestReproveTraceSteps(t *testing.T) {
 	s, err := NewSession(gen.StackedTriangulation(60, rand.New(rand.NewSource(2))), planarCfg())
 	if err != nil {
@@ -532,18 +536,19 @@ func TestReproveTraceSteps(t *testing.T) {
 		batch     func() []Update
 		embedding string
 		lr        string // the first step
+		full      bool   // whether the sweep must be full
 	}{
 		{"leaf attach", func() []Update {
 			return []Update{{Op: AddNode, A: 1000}, {Op: AddEdge, A: 1000, B: 0}}
-		}, "kept", obs.SpanRotation},
+		}, "kept", obs.SpanRotation, true},
 		{"tree-edge removal", func() []Update {
 			first = treeEdge([2]graph.ID{})
 			return []Update{{Op: RemoveEdge, A: first[0], B: first[1]}}
-		}, "kept", obs.SpanRotation},
+		}, "kept", obs.SpanRotation, false},
 		{"edge between existing nodes", func() []Update {
 			e := treeEdge(first)
 			return []Update{{Op: RemoveEdge, A: e[0], B: e[1]}, {Op: AddEdge, A: first[0], B: first[1]}}
-		}, "lr", obs.SpanLRCheck},
+		}, "lr", obs.SpanLRCheck, false},
 	} {
 		root := obs.New(obs.Config{}).Start("s", obs.SpanBatch)
 		s.TraceNext(root)
@@ -563,6 +568,12 @@ func TestReproveTraceSteps(t *testing.T) {
 		}
 		if got, _ := prove.StrAttr("embedding"); got != tc.embedding {
 			t.Fatalf("%s: embedding %q, want %q", tc.name, got, tc.embedding)
+		}
+		if got, _ := prove.IntAttr("changed"); got != int64(rep.Dirty) {
+			t.Fatalf("%s: prove span changed=%d, report Dirty=%d", tc.name, got, rep.Dirty)
+		}
+		if tc.full && (!rep.FullVerify || rep.Dirty != s.g.N() || rep.Verified != s.g.N()) {
+			t.Fatalf("%s: want a full sweep over n=%d, got %+v", tc.name, s.g.N(), rep)
 		}
 		want := []string{tc.lr, obs.SpanEulerAudit, obs.SpanTransform,
 			obs.SpanCertObjects, obs.SpanEncode, obs.SpanRepairState}
@@ -698,4 +709,112 @@ func TestThresholdZeroScopeFallsBack(t *testing.T) {
 		t.Fatalf("threshold 1 should not allow chord repairs: %+v", rep)
 	}
 	checkParity(t, s)
+}
+
+// TestReproveEveryScheme re-proves a chord added to a cycle under every
+// scheme a session can be configured with, repair and cache off, from
+// an accepted assignment of the same scheme, so each re-prove diffs its
+// certificates against that assignment. The path-outerplanar scheme's
+// type holds a slice, so a re-prove must not compare scheme values.
+func TestReproveEveryScheme(t *testing.T) {
+	for _, sch := range []pls.Scheme{core.PlanarScheme{}, core.OuterplanarScheme{}, core.POScheme{}, pls.SpanningTreeScheme{}} {
+		s, err := NewSession(gen.Cycle(40), Config{Scheme: sch, RepairThreshold: -1, CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Apply([]Update{{Op: AddEdge, A: 0, B: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Mode != ModeReprove || !rep.Accepted || rep.Dirty > s.g.N() {
+			t.Fatalf("%s: %+v", sch.Name(), rep)
+		}
+		if out := s.VerifyFull(); !out.AllAccept() {
+			t.Fatalf("%s: full verification rejected: %v", sch.Name(), out.Reasons)
+		}
+	}
+}
+
+// corruptingRepair wraps a session's repair state and, while armed,
+// flips the last bit (the low bit of an interval end) of the
+// certificate it returns for the smallest node identifier, so the
+// frontier rejects the repair.
+type corruptingRepair struct {
+	repairState
+	armed  bool
+	victim graph.ID
+}
+
+func (c *corruptingRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
+	certs, changed, ok, reason := c.repairState.repair(nb, budget)
+	if ok && c.armed && len(certs) > 0 {
+		c.armed = false
+		c.victim = slices.Min(slices.Collect(maps.Keys(certs)))
+		cert := certs[c.victim]
+		data := slices.Clone(cert.Data)
+		last := cert.Bits - 1
+		data[last/8] ^= 1 << (7 - last%8)
+		certs[c.victim] = bits.Certificate{Data: data, Bits: cert.Bits}
+	}
+	return certs, changed, ok, reason
+}
+
+// TestRejectedRepairKeepsAcceptedBaseline corrupts one certificate of a
+// chord-removal repair, so the frontier rejects it and the batch falls
+// through to a re-prove. The re-prove must diff its certificates
+// against the assignment accepted before the batch, not against the
+// rejected repair's: its Dirty is that diff, and its sweep verifies
+// exactly that diff's frontier, which holds the corrupted node, or is
+// full. Afterwards the whole network accepts.
+func TestRejectedRepairKeepsAcceptedBaseline(t *testing.T) {
+	s, err := NewSession(gen.StackedTriangulation(300, rand.New(rand.NewSource(5))),
+		Config{Scheme: core.PlanarScheme{}, Counterpart: core.NonPlanarScheme{}, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected, frontier := 0, 0
+	for _, e := range s.Graph().Edges() {
+		if rejected == 8 {
+			break
+		}
+		wrap, ok := s.state.(*corruptingRepair)
+		if !ok {
+			wrap = &corruptingRepair{repairState: s.state}
+			s.state = wrap
+		}
+		wrap.armed = true
+		before := maps.Clone(s.certs)
+		a, b := s.g.IDOf(e.U), s.g.IDOf(e.V)
+		rep, err := s.Apply([]Update{{Op: RemoveEdge, A: a, B: b}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := s.VerifyFull(); !out.AllAccept() || !s.Certified() {
+			t.Fatalf("removing {%d,%d} (%s, %s): full verification rejected", a, b, rep.Mode, rep.RepairFallback)
+		}
+		if wrap.armed { // no repair returned certificates
+			continue
+		}
+		rejected++
+		if rep.Mode != ModeReprove || !strings.HasPrefix(rep.RepairFallback, "frontier rejected") {
+			t.Fatalf("corrupted repair of {%d,%d} absorbed as %s (%s)", a, b, rep.Mode, rep.RepairFallback)
+		}
+		changed := s.changedIdxs(before, s.certs)
+		if rep.Dirty != len(changed) {
+			t.Fatalf("re-prove reports %d changed certificates, %d differ from the accepted assignment", rep.Dirty, len(changed))
+		}
+		if rep.FullVerify {
+			continue
+		}
+		frontier++
+		want := s.frontierOf(changed, []int{e.U, e.V})
+		victim, _ := s.g.IndexOf(wrap.victim)
+		if rep.Verified != len(want) || !slices.Contains(want, victim) {
+			t.Fatalf("re-prove verified %d nodes; the frontier of its diff against the accepted assignment has %d (corrupted node in it: %v)",
+				rep.Verified, len(want), slices.Contains(want, victim))
+		}
+	}
+	if frontier == 0 {
+		t.Fatalf("no corrupted repair fell through to a frontier-verified re-prove (%d rejected)", rejected)
+	}
 }

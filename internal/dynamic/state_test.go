@@ -156,7 +156,9 @@ func (st *edgeStream) next() []Update {
 // equals the live, incrementally patched one. The planar stream runs at
 // n=2000; the churn stream adds one chord to a triangulation, so
 // removing and re-adding that chord crosses planarity both ways, and
-// tree-edge removals under the non-planarity scheme run surgery.
+// tree-edge removals under the non-planarity scheme run surgery. The
+// planar stream must also re-prove on a frontier smaller than n; the
+// full verification after every batch checks that frontier's verdict.
 func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 	churn := gen.StackedTriangulation(200, rand.New(rand.NewSource(3)))
 	for u, v := 0, 1; ; v++ {
@@ -171,9 +173,10 @@ func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 		cfg     Config
 		batches int
 		want    string // the scheme whose repairs must be exercised
+		subset  bool   // whether a re-prove must verify a frontier only
 	}{
-		{"planar-2000", gen.StackedTriangulation(2000, rand.New(rand.NewSource(1))), planarCfg(), 200, "planarity"},
-		{"nonplanar-churn", churn, Config{Scheme: core.NonPlanarScheme{}, Counterpart: core.PlanarScheme{}}, 400, "non-planarity"},
+		{"planar-2000", gen.StackedTriangulation(2000, rand.New(rand.NewSource(1))), planarCfg(), 200, "planarity", true},
+		{"nonplanar-churn", churn, Config{Scheme: core.NonPlanarScheme{}, Counterpart: core.PlanarScheme{}}, 400, "non-planarity", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewSession(tc.g, tc.cfg)
@@ -182,7 +185,7 @@ func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 			}
 			st := newEdgeStream(s.Graph(), 9)
 			modes := map[Mode]int{}
-			repairs := 0
+			repairs, subsets := 0, 0
 			for i := 0; i < tc.batches; i++ {
 				rep, err := s.Apply(st.next())
 				if err != nil {
@@ -191,6 +194,9 @@ func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 				modes[rep.Mode]++
 				if rep.Mode == ModeRepair && rep.Dirty > 0 && rep.Scheme == tc.want {
 					repairs++
+				}
+				if rep.Mode == ModeReprove && !rep.FullVerify && rep.Verified < s.Graph().N() {
+					subsets++
 				}
 				if err := s.CheckRepairState(); err != nil {
 					t.Fatalf("batch %d (%s): %v", i, rep.Mode, err)
@@ -201,6 +207,9 @@ func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 			}
 			if repairs == 0 {
 				t.Fatalf("no batch changed certificates by a %s repair: %v", tc.want, modes)
+			}
+			if tc.subset && subsets == 0 {
+				t.Fatalf("no re-prove verified a frontier smaller than n: %v", modes)
 			}
 		})
 	}

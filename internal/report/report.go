@@ -42,18 +42,23 @@ type SessionReport struct {
 	Generation uint64 `json:"generation"`
 	// Mode is how the batch was absorbed: "noop", "repair" (localized
 	// repair + frontier verification), "cache" (certificate cache hit),
-	// "reprove" (full re-prove), "flip" (re-prove under the counterpart
-	// scheme after planarity flipped), or "uncertified".
+	// "reprove" (full re-prove, verified on the frontier of its
+	// certificate diff against the last accepted assignment when the
+	// batch adds no node, else by a full sweep), "flip" (re-prove under
+	// the counterpart scheme after planarity flipped, full sweep), or
+	// "uncertified".
 	Mode string `json:"mode"`
 	// ActiveScheme is the scheme certifying the network after the batch.
 	ActiveScheme SchemeName `json:"active_scheme"`
 	// Updates is the number of log entries absorbed.
 	Updates int `json:"updates"`
-	// Dirty counts the nodes whose certificates changed.
+	// Dirty counts the nodes whose certificates changed; a re-prove with
+	// no accepted assignment to diff against counts every node.
 	Dirty int `json:"dirty"`
 	// Verified counts the nodes whose verifier re-ran.
 	Verified int `json:"verified"`
-	// FullVerify reports whether the whole network was re-verified.
+	// FullVerify reports whether a full sweep re-verified the network; a
+	// frontier sweep (repairs, most re-proves) leaves it false.
 	FullVerify bool `json:"full_verify"`
 	// Accepted is the verification verdict.
 	Accepted bool `json:"accepted"`

@@ -27,8 +27,8 @@ var waitBuckets = []float64{
 }
 
 // frontierBuckets are the per-batch verified-frontier size bounds, in
-// nodes: a repair re-verifies a handful of nodes, a full re-prove all of
-// them.
+// nodes: a repair re-verifies a handful of nodes, a re-prove the
+// frontier of its certificate diff or, with a full sweep, all of them.
 var frontierBuckets = []float64{
 	1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144,
 }
