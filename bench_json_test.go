@@ -257,9 +257,10 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		t.Fatalf("committed snapshot violates the wire bar: binary %.0f updates/s < 2500/s absolute floor", binPS)
 	}
 
-	// The acceptance bar of the durability layer: a clean-shutdown boot
+	// The acceptance bars of the durability layer: a clean-shutdown boot
 	// restores certificates on the verification sweep alone, so it must
-	// beat re-proving the same network from scratch.
+	// beat re-proving the same network from scratch, and so must a crash
+	// boot, which adds only the repairs of its WAL tail.
 	raw, err = os.ReadFile("BENCH_recovery.json")
 	if err != nil {
 		t.Fatal(err)
@@ -268,20 +269,25 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatal(err)
 	}
-	var replay, reprove int64
+	var replay, crashReplay, reprove int64
 	for _, b := range rec.Benchmarks {
 		switch b.Name {
 		case "Recovery/n=50000/replay":
 			replay = b.NsPerOp
+		case "Recovery/n=50000/crash_replay":
+			crashReplay = b.NsPerOp
 		case "Recovery/n=50000/reprove":
 			reprove = b.NsPerOp
 		}
 	}
-	if replay == 0 || reprove == 0 {
-		t.Fatal("BENCH_recovery.json: missing the n=50000 replay/reprove pair")
+	if replay == 0 || crashReplay == 0 || reprove == 0 {
+		t.Fatal("BENCH_recovery.json: missing an n=50000 replay/crash_replay/reprove entry")
 	}
 	if replay >= reprove {
 		t.Fatalf("committed snapshot violates the recovery bar: clean replay %d ns not faster than cold re-prove %d ns", replay, reprove)
+	}
+	if crashReplay >= reprove {
+		t.Fatalf("committed snapshot violates the recovery bar: crash replay %d ns not faster than cold re-prove %d ns", crashReplay, reprove)
 	}
 
 	// The acceptance bars of Kuratowski extraction by halving block

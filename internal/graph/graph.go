@@ -55,6 +55,63 @@ func New(n int) *Graph {
 	}
 }
 
+// Build returns the graph that AddNode over ids, then AddEdge over
+// edges (identifier pairs) in order, would build, in one pass: the same
+// indices and the same adjacency order. The identifier map and edge set
+// are sized up front, and the adjacency lists are carved from one
+// degree-counted slab, each capped at its degree so that a later
+// AddEdge reallocates instead of running into a neighbour's list. A
+// duplicate identifier, an unknown endpoint, a self-loop or a duplicate
+// edge is rejected.
+func Build[T ~int64](ids []T, edges [][2]T) (*Graph, error) {
+	g := &Graph{
+		adj:   make([][]int, len(ids)),
+		ids:   make([]ID, len(ids)),
+		byID:  make(map[ID]int, len(ids)),
+		edges: make(map[Edge]bool, len(edges)),
+	}
+	for i, id := range ids {
+		if _, dup := g.byID[ID(id)]; dup {
+			return nil, fmt.Errorf("%w: %d", ErrDuplicateID, id)
+		}
+		g.ids[i] = ID(id)
+		g.byID[ID(id)] = i
+	}
+	ends := make([][2]int, len(edges)) // endpoint indices, as listed
+	deg := make([]int, len(ids))
+	for k, e := range edges {
+		u, ok1 := g.byID[ID(e[0])]
+		v, ok2 := g.byID[ID(e[1])]
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("%w: edge {%d,%d}", ErrNoSuchNode, e[0], e[1])
+		}
+		if u == v {
+			return nil, fmt.Errorf("graph: self-loop at index %d", u)
+		}
+		ne := NewEdge(u, v)
+		if g.edges[ne] {
+			return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
+		}
+		g.edges[ne] = true
+		ends[k] = [2]int{u, v}
+		deg[u]++
+		deg[v]++
+	}
+	slab := make([]int, 2*len(edges))
+	off := 0
+	for u, d := range deg {
+		if d > 0 {
+			g.adj[u] = slab[off : off : off+d]
+			off += d
+		}
+	}
+	for _, e := range ends {
+		g.adj[e[0]] = append(g.adj[e[0]], e[1])
+		g.adj[e[1]] = append(g.adj[e[1]], e[0])
+	}
+	return g, nil
+}
+
 // NewWithNodes returns a graph with nodes 0..n-1 whose identifiers equal
 // their indices. Tests and generators can rescramble IDs afterwards.
 func NewWithNodes(n int) *Graph {

@@ -198,6 +198,123 @@ func TestCopiesKeepAdjacencyOrder(t *testing.T) {
 	}
 }
 
+// buildByAdds is Build's reference: AddNode over ids, then AddEdge
+// over edges in order.
+func buildByAdds(ids []ID, edges [][2]ID) (*Graph, error) {
+	g := New(0)
+	for _, id := range ids {
+		if _, err := g.AddNode(id); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range edges {
+		u, ok1 := g.IndexOf(e[0])
+		v, ok2 := g.IndexOf(e[1])
+		if !ok1 || !ok2 {
+			return nil, ErrNoSuchNode
+		}
+		if err := g.AddEdge(u, v); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// sameGraph fails unless a and b have the same identifiers, the same
+// adjacency order at every node and the same edge set.
+func sameGraph(t *testing.T, a, b *Graph) {
+	t.Helper()
+	if !slices.Equal(a.IDs(), b.IDs()) {
+		t.Fatalf("identifiers %v, want %v", a.IDs(), b.IDs())
+	}
+	for u := 0; u < b.N(); u++ {
+		if !slices.Equal(a.Neighbors(u), b.Neighbors(u)) {
+			t.Fatalf("node %d neighbours %v, want %v", u, a.Neighbors(u), b.Neighbors(u))
+		}
+		if i, _ := a.IndexOf(b.IDOf(u)); i != u {
+			t.Fatalf("IndexOf(%d) = %d, want %d", b.IDOf(u), i, u)
+		}
+	}
+	if !slices.Equal(a.Edges(), b.Edges()) || a.M() != b.M() {
+		t.Fatalf("edge sets differ: %d vs %d edges", a.M(), b.M())
+	}
+}
+
+// TestBuildMatchesAdds pins Build to the AddNode/AddEdge sequence it
+// replaces, on random graphs with scattered identifiers, edges listed in
+// random order with random orientation, and isolated nodes.
+func TestBuildMatchesAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(60)
+		ids := make([]ID, n)
+		for i, p := range rng.Perm(4 * n)[:n] {
+			ids[i] = ID(p) - ID(n)
+		}
+		var edges [][2]ID
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					a, b := ids[u], ids[v]
+					if rng.Intn(2) == 0 {
+						a, b = b, a
+					}
+					edges = append(edges, [2]ID{a, b})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		want, err := buildByAdds(ids, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Build(ids, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGraph(t, got, want)
+		// Lists carved from one slab: growing one must not run into the
+		// next, and the result must still match the reference.
+		if n >= 3 {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v && !got.HasEdge(u, v) {
+				got.MustAddEdge(u, v)
+				want.MustAddEdge(u, v)
+				sameGraph(t, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildRejects pins Build's refusals: a duplicate identifier, an
+// unknown endpoint, a self-loop and a duplicate edge (in either
+// orientation).
+func TestBuildRejects(t *testing.T) {
+	ids := []ID{5, 9, 2}
+	for name, c := range map[string]struct {
+		ids   []ID
+		edges [][2]ID
+	}{
+		"duplicate-id":   {[]ID{5, 9, 5}, nil},
+		"unknown-node":   {ids, [][2]ID{{5, 9}, {9, 4}}},
+		"self-loop":      {ids, [][2]ID{{5, 9}, {2, 2}}},
+		"duplicate-edge": {ids, [][2]ID{{5, 9}, {9, 2}, {9, 5}}},
+	} {
+		if _, err := Build(c.ids, c.edges); err == nil {
+			t.Errorf("%s: Build accepted %v %v", name, c.ids, c.edges)
+		}
+		if _, err := buildByAdds(c.ids, c.edges); err == nil {
+			t.Errorf("%s: the AddNode/AddEdge reference accepted %v %v", name, c.ids, c.edges)
+		}
+	}
+	if _, err := Build([]ID{1}, [][2]ID{{1, 3}}); !errors.Is(err, ErrNoSuchNode) {
+		t.Errorf("unknown endpoint: %v, want ErrNoSuchNode", err)
+	}
+	if _, err := Build([]ID{1, 1}, nil); !errors.Is(err, ErrDuplicateID) {
+		t.Errorf("duplicate identifier: %v, want ErrDuplicateID", err)
+	}
+}
+
 func TestRelabelIDs(t *testing.T) {
 	g := NewWithNodes(3)
 	g.MustAddEdge(0, 2)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	planarcert "github.com/planarcert/planarcert"
+	"github.com/planarcert/planarcert/internal/graph"
 	"github.com/planarcert/planarcert/internal/wal"
 )
 
@@ -19,7 +20,9 @@ import (
 // missed are caught semantically and the session re-proves. The WAL
 // tail past the snapshot is then replayed through the live session, so
 // incremental repair absorbs it at update cost instead of forcing a
-// full re-prove of the final topology.
+// full re-prove of the final topology. A tail that replays cleanly
+// stays in the log until the session's next periodic snapshot; only a
+// damaged directory is folded into a fresh snapshot at boot.
 //
 // Recover must be called once, before serving traffic, when
 // Config.DataDir is set; the /v1/sessions endpoints answer 503 and
@@ -55,6 +58,9 @@ func (s *Server) Recover() error {
 // recoverSession restores one session directory and registers the
 // result. Errors mean the directory held nothing restorable (or the
 // registry rejected the session); the caller counts and skips it.
+//
+// The decoded snapshot is handed to RestoreSession as it is: its graph
+// and certificates become the session's own, uncopied.
 func (s *Server) recoverSession(dir string) error {
 	st, rec, err := wal.OpenStore(dir, s.cfg.Fsync)
 	if err != nil {
@@ -124,6 +130,10 @@ func (s *Server) recoverSession(dir string) error {
 
 	ms := s.newSession(snap.Name, planarcert.SchemeName(snap.Scheme), s.defaultQoS, ps, popts)
 	ms.store = st
+	// A clean tail stays in the log, which OpenLog has cut back to a
+	// record boundary: the next append follows it, and the session's
+	// next periodic snapshot compacts it.
+	ms.sinceSnap = applied
 
 	s.mu.Lock()
 	if s.closing || s.sessions[snap.Name] != nil || len(s.sessions) >= s.cfg.MaxSessions {
@@ -134,10 +144,11 @@ func (s *Server) recoverSession(dir string) error {
 	s.sessions[snap.Name] = ms
 	s.mu.Unlock()
 
-	// Fold a replayed tail into a fresh snapshot so the next boot starts
-	// from it (and the WAL compacts to empty). A tail-free boot changes
-	// nothing, so the existing snapshot stays authoritative as-is.
-	if applied > 0 || tailCorrupt || rec.Stats.CorruptRecords > 0 {
+	// A damaged directory is folded into a fresh snapshot, so the next
+	// boot starts from it and the WAL compacts to empty: a tail batch
+	// that failed to apply would fail again, and a corrupt record or a
+	// discarded snapshot must be superseded.
+	if tailCorrupt || rec.Stats.CorruptRecords > 0 || rec.SnapshotsDiscarded > 0 {
 		ms.mu.Lock()
 		_ = ms.writeSnapshotLocked()
 		ms.mu.Unlock()
@@ -147,20 +158,14 @@ func (s *Server) recoverSession(dir string) error {
 	return nil
 }
 
-// networkOf materialises a snapshot's graph.
+// networkOf materialises a snapshot's graph in one pass; a duplicate
+// node or edge, a self-loop or an unknown endpoint is refused.
 func networkOf(snap *wal.Snapshot) (*planarcert.Network, error) {
-	net := planarcert.NewNetwork()
-	for _, id := range snap.Nodes {
-		if err := net.AddNode(planarcert.NodeID(id)); err != nil {
-			return nil, err
-		}
+	g, err := graph.Build(snap.Nodes, snap.Edges)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range snap.Edges {
-		if err := net.AddEdge(planarcert.NodeID(e[0]), planarcert.NodeID(e[1])); err != nil {
-			return nil, err
-		}
-	}
-	return net, nil
+	return planarcert.FromGraph(g), nil
 }
 
 // walNodes lists a network's node identifiers in sorted order, so

@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +17,8 @@ import (
 	"time"
 
 	planarcert "github.com/planarcert/planarcert"
+	"github.com/planarcert/planarcert/internal/gen"
+	"github.com/planarcert/planarcert/internal/graph"
 	"github.com/planarcert/planarcert/internal/qos"
 	"github.com/planarcert/planarcert/internal/wal"
 )
@@ -530,5 +534,326 @@ func TestShutDownSessionRefusesWork(t *testing.T) {
 	}
 	if _, ok := ms.subscribe(false, 0, true); ok {
 		t.Fatal("watch attached to a shut-down session")
+	}
+}
+
+// crashState is what a crash must not lose: a session's generation,
+// edge set and topology fingerprint.
+type crashState struct {
+	gen    uint64
+	graph  GraphExport
+	hi, lo uint64
+}
+
+func stateOf(t *testing.T, srv *Server, base, name string) crashState {
+	t.Helper()
+	ms := srv.lookup(name)
+	if ms == nil {
+		t.Fatalf("session %q not registered", name)
+	}
+	ms.mu.Lock()
+	st := crashState{gen: ms.s.Generation()}
+	st.hi, st.lo = ms.s.Fingerprint()
+	ms.mu.Unlock()
+	st.graph = sessionGraph(t, base, name)
+	return st
+}
+
+// walRecords counts the records in a session's log, read from a copy
+// so that opening it leaves the live file alone.
+func walRecords(t *testing.T, dir, name string) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "sessions", "s-"+name, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(cp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, batches, _, err := wal.OpenLog(cp, wal.SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	return len(batches)
+}
+
+// crashServer boots a durable server on dir without registering a
+// cleanup Close, so the test can abandon it as a crash would.
+func crashServer(t *testing.T, dir string, snapEvery int) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := New(Config{DataDir: dir, Fsync: wal.SyncNever, SnapshotEvery: snapEvery})
+	if err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	return srv, httptest.NewServer(srv.Handler())
+}
+
+// postLeaves sends count one-leaf batches to session name, attaching
+// new nodes from id next on to node 0.
+func postLeaves(t *testing.T, base, name string, next, count int) {
+	t.Helper()
+	for i := next; i < next+count; i++ {
+		doJSON(t, "POST", base+"/v1/sessions/"+name+"/updates",
+			fmt.Sprintf("{\"op\":\"add_node\",\"a\":%d}\n{\"op\":\"add_edge\",\"a\":%d,\"b\":0}", i, i),
+			http.StatusOK, nil)
+	}
+}
+
+// TestCrashBootDefersFold pins the crash boot that leaves a clean tail
+// in the log: the boot writes no snapshot, the log keeps the k tail
+// records, the next snapshot lands after SnapshotEvery-k more batches,
+// and a second crash before it loses no acked batch.
+func TestCrashBootDefersFold(t *testing.T) {
+	const every, k = 8, 3
+	t.Run("next-snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		_, tsA := crashServer(t, dir, every)
+		doJSON(t, "POST", tsA.URL+"/v1/sessions", CreateSessionRequest{
+			Name: "d", Graph: GraphSpec{EdgeList: "0 1\n1 2\n2 3\n3 0\n"},
+		}, http.StatusCreated, nil)
+		postLeaves(t, tsA.URL, "d", 10, k)
+		tsA.Close() // crash
+
+		srvB, tsB := crashServer(t, dir, every)
+		defer tsB.Close()
+		if got := srvB.met.snapshotsWritten.Load(); got != 0 {
+			t.Fatalf("crash boot with a clean tail wrote %d snapshots, want 0", got)
+		}
+		if got := walRecords(t, dir, "d"); got != k {
+			t.Fatalf("wal.log holds %d records after boot, want the %d tail records", got, k)
+		}
+		postLeaves(t, tsB.URL, "d", 10+k, every-k-1)
+		if got := srvB.met.snapshotsWritten.Load(); got != 0 {
+			t.Fatalf("snapshot after %d batches, want none before %d", every-1, every)
+		}
+		postLeaves(t, tsB.URL, "d", 10+every-1, 1)
+		if got := srvB.met.snapshotsWritten.Load(); got != 1 {
+			t.Fatalf("%d snapshots after SnapshotEvery-k batches, want 1", got)
+		}
+		if got := walRecords(t, dir, "d"); got != 0 {
+			t.Fatalf("wal.log holds %d records after the periodic snapshot, want 0", got)
+		}
+		srvB.Close()
+	})
+
+	t.Run("crash-again", func(t *testing.T) {
+		dir := t.TempDir()
+		_, tsA := crashServer(t, dir, every)
+		doJSON(t, "POST", tsA.URL+"/v1/sessions", CreateSessionRequest{
+			Name: "d", Graph: GraphSpec{EdgeList: "0 1\n1 2\n2 3\n3 0\n"},
+		}, http.StatusCreated, nil)
+		postLeaves(t, tsA.URL, "d", 10, k)
+		tsA.Close() // crash
+
+		srvB, tsB := crashServer(t, dir, every)
+		postLeaves(t, tsB.URL, "d", 10+k, 2)
+		before := stateOf(t, srvB, tsB.URL, "d")
+		tsB.Close() // crash again, the deferred tail still in the log
+
+		srvC, tsC := crashServer(t, dir, every)
+		defer tsC.Close()
+		after := stateOf(t, srvC, tsC.URL, "d")
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("second crash boot lost acked batches:\n before %+v\n after  %+v", before, after)
+		}
+		if before.gen != k+2 {
+			t.Fatalf("generation %d, want %d", before.gen, k+2)
+		}
+		if got := srvC.met.snapshotsWritten.Load(); got != 0 {
+			t.Fatalf("second crash boot wrote %d snapshots, want 0", got)
+		}
+		if got := walRecords(t, dir, "d"); got != k+2 {
+			t.Fatalf("wal.log holds %d records, want %d", got, k+2)
+		}
+		srvC.Close()
+	})
+}
+
+// TestCrashBootFoldsDamage pins the boot-time fold of a damaged
+// directory: a corrupt record, a tail batch that fails to apply and a
+// discarded newest snapshot each make the boot write a fresh snapshot
+// and compact the log.
+func TestCrashBootFoldsDamage(t *testing.T) {
+	const name = "f"
+	sessDir := func(dir string) string { return filepath.Join(dir, "sessions", "s-"+name) }
+	for _, tc := range []struct {
+		kind  string
+		every int
+		// damage edits the crashed directory and returns the state the
+		// boot must recover, or nil where the damage loses batches.
+		damage func(t *testing.T, dir string, acked crashState) *crashState
+	}{
+		{"corrupt-record", 1 << 20, func(t *testing.T, dir string, acked crashState) *crashState {
+			logPath := filepath.Join(sessDir(dir), "wal.log")
+			raw, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-3] ^= 0xff // the last record: node 12 and its edge
+			if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}},
+		{"failed-batch", 1 << 20, func(t *testing.T, dir string, acked crashState) *crashState {
+			st, _, err := wal.OpenStore(sessDir(dir), wal.SyncNever)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// CRC-clean but inapplicable: the edge is already there.
+			if err := st.AppendBatch(st.NextSeq(), []wal.Update{{Op: wal.OpAddEdge, A: 0, B: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			return &acked
+		}},
+		{"discarded-snapshot", 2, func(t *testing.T, dir string, acked crashState) *crashState {
+			// SnapshotEvery 2: the second leaf wrote the newest
+			// snapshot; the third is the log's only record.
+			snaps, err := filepath.Glob(filepath.Join(sessDir(dir), "snap-*.snap"))
+			if err != nil || len(snaps) != 2 {
+				t.Fatalf("snapshots %v (%v), want 2", snaps, err)
+			}
+			sort.Strings(snaps)
+			raw, err := os.ReadFile(snaps[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0xff
+			if err := os.WriteFile(snaps[1], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			dir := t.TempDir()
+			srvA, tsA := crashServer(t, dir, tc.every)
+			doJSON(t, "POST", tsA.URL+"/v1/sessions", CreateSessionRequest{
+				Name: name, Graph: GraphSpec{EdgeList: "0 1\n1 2\n2 3\n3 0\n"},
+			}, http.StatusCreated, nil)
+			postLeaves(t, tsA.URL, name, 10, 3)
+			want := tc.damage(t, dir, stateOf(t, srvA, tsA.URL, name))
+			tsA.Close() // crash
+
+			srvB, tsB := crashServer(t, dir, 1<<20)
+			defer tsB.Close()
+			if got := srvB.met.snapshotsWritten.Load(); got != 1 {
+				t.Fatalf("boot over a %s wrote %d snapshots, want 1", tc.kind, got)
+			}
+			if srvB.met.walCorrupt.Load() == 0 {
+				t.Fatalf("%s not counted as corrupt", tc.kind)
+			}
+			if got := walRecords(t, dir, name); got != 0 {
+				t.Fatalf("wal.log holds %d records after the fold, want 0", got)
+			}
+			if got := stateOf(t, srvB, tsB.URL, name); want != nil && !reflect.DeepEqual(got, *want) {
+				t.Fatalf("fold lost the clean prefix:\n want %+v\n got  %+v", *want, got)
+			}
+			srvB.Close()
+		})
+	}
+}
+
+// TestSnapshotGraphMatchesAdds pins networkOf, the one-pass snapshot
+// graph builder, to the AddNode/AddEdge network it replaced, over
+// stacked triangulations and random graphs: the same identifiers, the
+// same adjacency order at every node, the same edge set and the same
+// fingerprint.
+func TestSnapshotGraphMatchesAdds(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tri := gen.ScrambleIDs(gen.StackedTriangulation(300, rng), rng)
+		gnm, err := gen.GNM(200, 500, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*graph.Graph{tri, gnm} {
+			net := planarcert.FromGraph(g)
+			snap := &wal.Snapshot{Nodes: walNodes(net), Edges: walEdges(net)}
+			want := planarcert.NewNetwork()
+			for _, id := range snap.Nodes {
+				if err := want.AddNode(planarcert.NodeID(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, e := range snap.Edges {
+				if err := want.AddEdge(planarcert.NodeID(e[0]), planarcert.NodeID(e[1])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := networkOf(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg, gg := want.Graph(), got.Graph()
+			if !reflect.DeepEqual(gg.IDs(), wg.IDs()) || !reflect.DeepEqual(gg.Edges(), wg.Edges()) {
+				t.Fatalf("seed %d %v: identifiers or edge set differ", seed, g)
+			}
+			for u := 0; u < wg.N(); u++ {
+				if !reflect.DeepEqual(gg.Neighbors(u), wg.Neighbors(u)) {
+					t.Fatalf("seed %d %v: node %d neighbours %v, want %v", seed, g, u, gg.Neighbors(u), wg.Neighbors(u))
+				}
+			}
+			hi1, lo1 := got.Fingerprint()
+			hi2, lo2 := want.Fingerprint()
+			if hi1 != hi2 || lo1 != lo2 {
+				t.Fatalf("seed %d %v: fingerprint differs", seed, g)
+			}
+		}
+	}
+}
+
+// TestRecoveryRefusesMalformedSnapshotGraph writes CRC-clean snapshots
+// whose graph has a duplicate edge, a self-loop, an unknown endpoint or
+// a duplicate node: recovery must refuse each while building the graph,
+// before the fingerprint cross-check, count it as failed and restore
+// nothing from it.
+func TestRecoveryRefusesMalformedSnapshotGraph(t *testing.T) {
+	for name, edges := range map[string][][2]int64{
+		"duplicate-edge": {{0, 1}, {1, 2}, {2, 0}, {1, 0}},
+		"self-loop":      {{0, 1}, {1, 2}, {2, 0}, {2, 2}},
+		"unknown-node":   {{0, 1}, {1, 2}, {2, 0}, {2, 7}},
+		"duplicate-node": {{0, 1}, {1, 2}, {2, 0}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			root, err := wal.OpenRoot(dir, wal.SyncNever)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := root.CreateSession(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := []int64{0, 1, 2}
+			if name == "duplicate-node" {
+				nodes = append(nodes, 1)
+			}
+			if err := st.WriteSnapshot(&wal.Snapshot{
+				Name:         name,
+				Scheme:       string(planarcert.SchemePlanarity),
+				ActiveScheme: string(planarcert.SchemePlanarity),
+				Nodes:        nodes,
+				Edges:        edges,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			err = New(Config{DataDir: dir}).recoverSession(root.SessionDir(name))
+			if err == nil || !strings.Contains(err.Error(), "snapshot graph") {
+				t.Fatalf("recoverSession: %v, want the snapshot graph refused", err)
+			}
+			srv, _ := newDurableServer(t, dir, Config{})
+			if n := srv.SessionCount(); n != 0 {
+				t.Fatalf("restored %d sessions from a malformed snapshot graph, want 0", n)
+			}
+			if got := srv.met.recoveryFailed.Load(); got != 1 {
+				t.Fatalf("recovery_failed = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -101,7 +101,8 @@ type Config struct {
 	Fsync wal.SyncPolicy
 	// SnapshotEvery is the number of logged batches between automatic
 	// per-session snapshots (0 = 32). Explicit flushes and shutdown also
-	// snapshot.
+	// snapshot. A WAL tail replayed at boot counts towards the next
+	// automatic snapshot, which compacts it.
 	SnapshotEvery int
 	// TraceRing is the number of completed batch traces retained for
 	// /debug/traces (0 = 256; negative disables tracing entirely).

@@ -273,6 +273,11 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: certificate count exceeds body", ErrCorrupt)
 	}
 	s.Certs = make([]NodeCert, 0, nCerts)
+	// Every certificate's data is copied into one slab, each capped at
+	// its own length so an append to one reallocates instead of running
+	// into the next. The rest of the body bounds their total, so the
+	// slab never grows.
+	slab := make([]byte, 0, len(r.p))
 	for i := uint64(0); i < nCerts; i++ {
 		var c NodeCert
 		if c.ID, err = r.varint(); err != nil {
@@ -289,7 +294,11 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Data = append([]byte(nil), data...)
+		if len(data) > 0 {
+			lo := len(slab)
+			slab = append(slab, data...)
+			c.Data = slab[lo:len(slab):len(slab)]
+		}
 		s.Certs = append(s.Certs, c)
 	}
 	if len(r.p) != 0 {

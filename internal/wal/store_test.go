@@ -46,6 +46,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotCertsOwnTheirData pins the decoded certificates: their
+// data shares no bytes with the raw snapshot, and each is capped at its
+// own length, so an append to one cannot overwrite the next.
+func TestSnapshotCertsOwnTheirData(t *testing.T) {
+	raw := EncodeSnapshot(goldenSnapshot())
+	s, err := DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		raw[i] = 0
+	}
+	if !reflect.DeepEqual(s.Certs[0].Data, []byte{0x50}) || !reflect.DeepEqual(s.Certs[1].Data, []byte{0xab, 0xc0}) {
+		t.Fatalf("certificate data aliases the raw bytes: %+v", s.Certs)
+	}
+	for _, c := range s.Certs {
+		if cap(c.Data) != len(c.Data) {
+			t.Fatalf("node %d: data capacity %d exceeds its length %d", c.ID, cap(c.Data), len(c.Data))
+		}
+	}
+	_ = append(s.Certs[0].Data, 0xff)
+	if !reflect.DeepEqual(s.Certs[1].Data, []byte{0xab, 0xc0}) {
+		t.Fatalf("append to one certificate overwrote the next: %x", s.Certs[1].Data)
+	}
+}
+
 // TestSnapshotBitFlip flips every byte and asserts decoding rejects the
 // damage (or, for the rare flips inside ignored padding, still yields a
 // structurally valid snapshot) without ever panicking.

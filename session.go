@@ -168,6 +168,9 @@ func sessionConfig(name SchemeName, cfg EngineConfig, opts []SessionOption) (dyn
 // persistence layer must save to rebuild the session after a restart.
 // The planarcertd WAL layer serialises it (keyed by the topology
 // fingerprint) and hands it back to RestoreSession on boot.
+// RestoreSession consumes a snapshot: the restored session takes over
+// its Network and Certificates, so the caller must hold no other
+// reference to them.
 type SessionSnapshot struct {
 	// Scheme is the scheme the session was created with.
 	Scheme SchemeName
@@ -176,10 +179,11 @@ type SessionSnapshot struct {
 	ActiveScheme SchemeName
 	// Generation is the number of batches absorbed at snapshot time.
 	Generation uint64
-	// Network is a deep copy of the live network.
+	// Network is the network to restore; Snapshot fills it with a deep
+	// copy of the live network.
 	Network *Network
-	// Certificates is a deep copy of the assignment (nil when the
-	// session was uncertified).
+	// Certificates is the assignment to restore (nil when the session
+	// was uncertified); Snapshot fills it with a deep copy.
 	Certificates Certificates
 }
 
@@ -205,6 +209,11 @@ func (s *Session) Snapshot() *SessionSnapshot {
 // is therefore always in a consistent state; check Certified or
 // Last().Mode ("restore" vs "reprove"/"flip"/"uncertified") to see
 // which path it took.
+//
+// The snapshot is consumed: the session takes ownership of snap.Network
+// and snap.Certificates without copying them, so neither may be read or
+// mutated afterwards. Snapshot returns deep copies, so its result can
+// be handed over as it is.
 func RestoreSession(snap *SessionSnapshot, cfg EngineConfig, opts ...SessionOption) (*Session, error) {
 	dc, err := sessionConfig(snap.Scheme, cfg, opts)
 	if err != nil {
@@ -216,8 +225,7 @@ func RestoreSession(snap *SessionSnapshot, cfg EngineConfig, opts ...SessionOpti
 			return nil, err
 		}
 	}
-	certs := cloneCertificates(snap.Certificates)
-	d, err := dynamic.Restore(snap.Network.g.Clone(), dc, active, map[NodeID]Certificate(certs), snap.Generation)
+	d, err := dynamic.Restore(snap.Network.g, dc, active, map[NodeID]Certificate(snap.Certificates), snap.Generation)
 	if err != nil {
 		return nil, err
 	}
