@@ -28,6 +28,8 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		LRCheckMs  float64  `json:"lrcheck_ms"`
 		// Nodes whose verifier re-ran per batch.
 		VerifiedPerOp *float64 `json:"verified_per_op"`
+		// Tree-edge removals absorbed as an Euler-tour splice, per batch.
+		SplicePerOp *float64 `json:"splice_per_op"`
 	}
 	type snapshot struct {
 		Note       string  `json:"note"`
@@ -43,6 +45,8 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			"BenchmarkDynamicLeafAttach/n=30000/session",
 			"BenchmarkDynamicLeafAttach/n=30000/full",
 			"BenchmarkDynamicReprove",
+			"BenchmarkDynamicTreeEdgeRemoval/repair=on",
+			"BenchmarkDynamicTreeEdgeRemoval/repair=off",
 			"BenchmarkDynamicCacheOscillation",
 		},
 		"BENCH_server.json": {
@@ -197,6 +201,27 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	case *dynReprove.VerifiedPerOp > reproveN/4:
 		t.Fatalf("BENCH_dynamic.json: re-proves at n=%d verified %.1f nodes per batch, bar is %d",
 			reproveN, *dynReprove.VerifiedPerOp, reproveN/4)
+	}
+	// The bar of splicing tree-edge removals: at n=2000, at least 90% of
+	// them are absorbed as a splice, and a removal costs at most a third
+	// of the re-prove it replaces.
+	var splice, spliceOff *entry
+	for i := range snap.Benchmarks {
+		switch snap.Benchmarks[i].Name {
+		case "BenchmarkDynamicTreeEdgeRemoval/repair=on":
+			splice = &snap.Benchmarks[i]
+		case "BenchmarkDynamicTreeEdgeRemoval/repair=off":
+			spliceOff = &snap.Benchmarks[i]
+		}
+	}
+	switch {
+	case splice == nil || spliceOff == nil || splice.SplicePerOp == nil || splice.NsPerOp <= 0 || spliceOff.NsPerOp <= 0:
+		t.Fatal("BENCH_dynamic.json: the tree-edge removal pair lacks ns_per_op or splice_per_op")
+	case *splice.SplicePerOp < 0.9:
+		t.Fatalf("BENCH_dynamic.json: %.2f of the tree-edge removals spliced, bar is 0.9", *splice.SplicePerOp)
+	case 3*splice.NsPerOp > spliceOff.NsPerOp:
+		t.Fatalf("BENCH_dynamic.json: a tree-edge removal took %d ns with repair on, more than a third of the re-prove's %d ns",
+			splice.NsPerOp, spliceOff.NsPerOp)
 	}
 
 	// The acceptance bar of the server subsystem: the committed load run

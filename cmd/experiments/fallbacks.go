@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"slices"
 
+	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/core"
 	"github.com/planarcert/planarcert/internal/dynamic"
 	"github.com/planarcert/planarcert/internal/gen"
@@ -23,7 +24,10 @@ import (
 // how many re-proves kept the certified embedding or ran the LR test.
 // For the re-proves behind each fallback reason it prints the mean share
 // of certificates the batch changed (diffed here, against a copy taken
-// before the batch) and of nodes the re-prove's sweep verified.
+// before the batch) and of nodes the re-prove's sweep verified. The
+// same shares are printed for the splices: removals of a spanning-tree
+// edge (read off the certificates before the batch) absorbed as a
+// repair.
 func fallbacks(args []string) error {
 	fs := flag.NewFlagSet("fallbacks", flag.ContinueOnError)
 	sessions := fs.Int("sessions", 4, "sessions, each on its own triangulation and stream")
@@ -41,6 +45,7 @@ func fallbacks(args []string) error {
 		changed, verified float64
 	}
 	reproves := map[string]*shares{}
+	var splices shares
 	tracer := obs.New(obs.Config{})
 	for i := 0; i < *sessions; i++ {
 		g := gen.StackedTriangulation(*n, rand.New(rand.NewSource(int64(i)+1)))
@@ -73,6 +78,10 @@ func fallbacks(args []string) error {
 				}
 			}
 			before := maps.Clone(s.Certificates())
+			tree, err := isTreeEdge(before, u)
+			if err != nil {
+				return err
+			}
 			root := tracer.Start("fallbacks", obs.SpanBatch)
 			s.TraceNext(root)
 			rep, err := s.Apply([]dynamic.Update{u})
@@ -88,17 +97,22 @@ func fallbacks(args []string) error {
 			if reason != "" {
 				reasons[reason]++
 			}
-			if rep.Mode == dynamic.ModeReprove || rep.Mode == dynamic.ModeFlip {
+			var sh *shares
+			switch {
+			case rep.Mode == dynamic.ModeReprove || rep.Mode == dynamic.ModeFlip:
+				if sh = reproves[reason]; sh == nil {
+					sh = &shares{}
+					reproves[reason] = sh
+				}
+			case rep.Mode == dynamic.ModeRepair && tree:
+				sh = &splices
+			}
+			if sh != nil {
 				changed := 0
 				for id, c := range s.Certificates() {
 					if !c.Equal(before[id]) {
 						changed++
 					}
-				}
-				sh := reproves[reason]
-				if sh == nil {
-					sh = &shares{}
-					reproves[reason] = sh
 				}
 				n := float64(s.Graph().N())
 				sh.count++
@@ -123,10 +137,34 @@ func fallbacks(args []string) error {
 	for _, e := range slices.Sorted(maps.Keys(embeddings)) {
 		fmt.Printf("  re-prove embedding %-4s %5d\n", e, embeddings[e])
 	}
+	row := func(kind string, sh *shares, label string) {
+		fmt.Printf("  %-8s %5d  changed %5.1f%%  verified %5.1f%%  %s\n", kind, sh.count,
+			100*sh.changed/float64(max(sh.count, 1)), 100*sh.verified/float64(max(sh.count, 1)), label)
+	}
+	row("splice", &splices, "tree-edge removal absorbed as a repair")
 	for _, r := range slices.Sorted(maps.Keys(reproves)) {
-		sh := reproves[r]
-		fmt.Printf("  re-prove %5d  changed %5.1f%%  verified %5.1f%%  %s\n", sh.count,
-			100*sh.changed/float64(sh.count), 100*sh.verified/float64(sh.count), r)
+		row("re-prove", reproves[r], r)
 	}
 	return nil
+}
+
+// isTreeEdge reports whether u removes an edge that the planarity
+// certificates certs certify as a spanning-tree edge: the edge
+// certificate held by one of its endpoints says so.
+func isTreeEdge(certs map[graph.ID]bits.Certificate, u dynamic.Update) (bool, error) {
+	if u.Op != dynamic.RemoveEdge {
+		return false, nil
+	}
+	for _, id := range [2]graph.ID{u.A, u.B} {
+		c, err := core.DecodePlanarCert(certs[id].Reader())
+		if err != nil {
+			return false, fmt.Errorf("node %d: %w", id, err)
+		}
+		for _, ec := range c.Edges {
+			if ec.Involves(u.A) && ec.Involves(u.B) {
+				return ec.IsTree, nil
+			}
+		}
+	}
+	return false, nil
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	planarcert "github.com/planarcert/planarcert"
+	"github.com/planarcert/planarcert/internal/core"
 	"github.com/planarcert/planarcert/internal/gen"
 	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/planarity"
@@ -251,6 +253,80 @@ func BenchmarkDynamicReprove(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
 	b.ReportMetric(float64(changed)/float64(b.N), "changed/op")
+}
+
+// BenchmarkDynamicTreeEdgeRemoval measures one batch that removes a
+// spanning-tree edge of the live assignment from an n=2000 stacked
+// triangulation: the edge from a seeded random node to the tree parent
+// its certificate names, whenever the removal leaves the network
+// connected. The edge is re-added, and the heap collected, outside the
+// timer, so every batch starts from the triangulation; the cache is off.
+// With repair on the session absorbs the removal as an Euler-tour splice
+// of the certified tree, and splice/op counts the removals absorbed as
+// repairs. The stream's first removals cut large subtrees and fall
+// back, so the rate needs a long stream (200 batches in
+// BENCH_dynamic.json and CI). With repair off every removal re-proves.
+func BenchmarkDynamicTreeEdgeRemoval(b *testing.B) {
+	const n = 2000
+	for _, tc := range []struct {
+		name string
+		opts []planarcert.SessionOption
+	}{
+		{"repair=on", []planarcert.SessionOption{planarcert.WithCacheSize(-1)}},
+		{"repair=off", []planarcert.SessionOption{planarcert.WithCacheSize(-1), planarcert.WithRepairThreshold(-1)}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			net := planarcert.FromGraph(gen.StackedTriangulation(n, rand.New(rand.NewSource(42))))
+			s, err := planarcert.NewSession(net, planarcert.SchemePlanarity, planarcert.EngineConfig{}, tc.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			ids := net.IDs()
+			treeEdge := func() [2]planarcert.NodeID {
+				certs := s.Certificates()
+				for {
+					v := ids[rng.Intn(len(ids))]
+					c, err := core.DecodePlanarCert(certs[v].Reader())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if c.Tree.Dist == 0 {
+						continue
+					}
+					net.RemoveEdge(v, c.Tree.Parent)
+					connected := net.Connected()
+					if err := net.AddEdge(v, c.Tree.Parent); err != nil {
+						b.Fatal(err)
+					}
+					if connected {
+						return [2]planarcert.NodeID{v, c.Tree.Parent}
+					}
+				}
+			}
+			splices := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := treeEdge()
+				runtime.GC() // the set-up's garbage is not the batch's
+				b.StartTimer()
+				rep, err := s.Apply([]planarcert.Update{planarcert.EdgeRemove(e[0], e[1])})
+				if err != nil || !rep.Accepted {
+					b.Fatalf("removing {%d,%d}: %+v, %v", e[0], e[1], rep, err)
+				}
+				if rep.Mode == "repair" {
+					splices++
+				}
+				b.StopTimer()
+				if rep, err := s.Apply([]planarcert.Update{planarcert.EdgeAdd(e[0], e[1])}); err != nil || !rep.Accepted {
+					b.Fatalf("re-adding {%d,%d}: %+v, %v", e[0], e[1], rep, err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(splices)/float64(b.N), "splice/op")
+		})
+	}
 }
 
 // BenchmarkDynamicCacheOscillation pins the cache path: repair is

@@ -13,9 +13,11 @@
 //     touches);
 //  2. attempts a localized certificate repair — chord (cotree-edge)
 //     insertion/removal with interval patching on the spanning-path
-//     proof for the planarity scheme, spanning-tree surgery (subtree
-//     re-rooting with distance/size patching) for the spanning-tree and
-//     non-planarity schemes — bounded by a configurable scope threshold;
+//     proof, and an Euler-tour splice for a spanning-tree edge removal
+//     (a cotree edge takes the dead edge's place, see splice), for the
+//     planarity scheme; spanning-tree surgery (subtree re-rooting with
+//     distance/size patching) for the spanning-tree and non-planarity
+//     schemes — bounded by a configurable scope threshold;
 //  3. re-verifies only the *frontier* — the dirty region plus its 1-hop
 //     closure — through dist.RunPLSSubset;
 //  4. falls back to a full re-prove (optionally flipping between the
@@ -66,8 +68,9 @@
 // rejects is still proved again from the LR test. The argument needs
 // one invariant: a certified session's certificates were accepted, at
 // every node, on the graph before the batch. A repair whose frontier
-// rejects therefore puts the certificates it replaced back before the
-// batch falls through to the re-prove.
+// rejects therefore puts the certificates it replaced back, and drops
+// the repair state it patched, before the batch falls through to the
+// re-prove.
 //
 // Repair state is a function of the accepted assignment (Section 3.3):
 // the planarity tree-edge and cotree certificates give f, the copies,

@@ -45,7 +45,8 @@ const (
 )
 
 // DefaultRepairThreshold bounds the repair scope (ranks scanned during
-// interval patching, nodes touched during tree surgery) per batch.
+// interval patching, ranks renumbered by a tree-edge splice, nodes
+// touched during tree surgery) per batch.
 const DefaultRepairThreshold = 2048
 
 // DefaultCacheSize is the number of certified topologies remembered.
@@ -618,9 +619,10 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 		// The repair produced a locally rejected assignment; demote to a
 		// re-prove. Putting the replaced certificates back keeps s.certs
 		// the assignment accepted before the batch, which the re-prove's
-		// frontier sweep diffs against. The state was mutated by the
-		// failed repair and will be rebuilt there.
+		// frontier sweep diffs against. The state was patched to the
+		// rejected assignment, so the re-prove decodes it afresh.
 		maps.Copy(s.certs, newCerts)
+		s.state = nil
 		rep.RepairFallback = fmt.Sprintf("frontier rejected at node %d", out.Rejecting[0])
 		rep.Outcome = nil
 		rep.Dirty, rep.Verified = 0, 0
@@ -890,6 +892,7 @@ func sortedChords(st repairState) repairState {
 		return st
 	}
 	q := *p
+	q.sc = nil
 	q.byRank = make([][]graph.Edge, len(p.byRank))
 	for r, es := range p.byRank {
 		q.byRank[r] = slices.SortedFunc(slices.Values(es), func(a, b graph.Edge) int {

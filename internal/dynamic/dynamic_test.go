@@ -513,9 +513,12 @@ func TestNodeAdditions(t *testing.T) {
 // the read of the rotation stands in for the LR test. A batch that adds
 // an edge between two existing nodes runs the LR test. The prove span's
 // changed attribute is the report's Dirty; the leaf attach, which adds
-// a node, changes every certificate and runs the full sweep.
+// a node, changes every certificate and runs the full sweep. Repair is
+// off, so that the tree-edge removal re-proves instead of splicing.
 func TestReproveTraceSteps(t *testing.T) {
-	s, err := NewSession(gen.StackedTriangulation(60, rand.New(rand.NewSource(2))), planarCfg())
+	cfg := planarCfg()
+	cfg.RepairThreshold = -1
+	s, err := NewSession(gen.StackedTriangulation(60, rand.New(rand.NewSource(2))), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,17 +768,21 @@ func (c *corruptingRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.C
 // against the assignment accepted before the batch, not against the
 // rejected repair's: its Dirty is that diff, and its sweep verifies
 // exactly that diff's frontier, which holds the corrupted node, or is
-// full. Afterwards the whole network accepts.
+// full. Afterwards the whole network accepts. Bridges are skipped, and
+// at least one corrupted repair must be a tree-edge splice.
 func TestRejectedRepairKeepsAcceptedBaseline(t *testing.T) {
 	s, err := NewSession(gen.StackedTriangulation(300, rand.New(rand.NewSource(5))),
 		Config{Scheme: core.PlanarScheme{}, Counterpart: core.NonPlanarScheme{}, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejected, frontier := 0, 0
+	rejected, frontier, splices := 0, 0, 0
 	for _, e := range s.Graph().Edges() {
-		if rejected == 8 {
+		if rejected >= 8 && splices > 0 {
 			break
+		}
+		if h := s.g.Clone(); h.RemoveEdge(e.U, e.V) && !h.Connected() {
+			continue
 		}
 		wrap, ok := s.state.(*corruptingRepair)
 		if !ok {
@@ -785,6 +792,7 @@ func TestRejectedRepairKeepsAcceptedBaseline(t *testing.T) {
 		wrap.armed = true
 		before := maps.Clone(s.certs)
 		a, b := s.g.IDOf(e.U), s.g.IDOf(e.V)
+		tree := isTreeEdge(t, s, normPair(a, b))
 		rep, err := s.Apply([]Update{{Op: RemoveEdge, A: a, B: b}})
 		if err != nil {
 			t.Fatal(err)
@@ -796,6 +804,9 @@ func TestRejectedRepairKeepsAcceptedBaseline(t *testing.T) {
 			continue
 		}
 		rejected++
+		if tree {
+			splices++
+		}
 		if rep.Mode != ModeReprove || !strings.HasPrefix(rep.RepairFallback, "frontier rejected") {
 			t.Fatalf("corrupted repair of {%d,%d} absorbed as %s (%s)", a, b, rep.Mode, rep.RepairFallback)
 		}
@@ -814,7 +825,8 @@ func TestRejectedRepairKeepsAcceptedBaseline(t *testing.T) {
 				rep.Verified, len(want), slices.Contains(want, victim))
 		}
 	}
-	if frontier == 0 {
-		t.Fatalf("no corrupted repair fell through to a frontier-verified re-prove (%d rejected)", rejected)
+	if frontier == 0 || splices == 0 {
+		t.Fatalf("no corrupted repair fell through to a frontier-verified re-prove, or none was a splice (%d rejected, %d frontier, %d splices)",
+			rejected, frontier, splices)
 	}
 }

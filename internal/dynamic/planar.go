@@ -39,11 +39,14 @@ import (
 // that rank plus the chords attached there — so the verifier's
 // rank -> interval claims stay globally consistent.
 //
-// Tree-edge removals and node additions renumber ranks globally and are
-// out of repair scope. Their re-prove still starts from the embedding
-// the state encodes (see rotation and keptRotation), minus the removed
-// edges and with new leaves hung at their neighbors, and runs the LR
-// test only when the batch adds an edge between two existing nodes.
+// Removing a spanning-tree edge splices the Euler tour (see splice): a
+// cotree edge reconnects the cut-off subtree, whose segment of ranks
+// moves next to the new parent, and only the ranks in between are
+// renumbered. Node additions change n in every certificate and are out
+// of repair scope. Their re-prove still starts from the embedding the
+// state encodes (see rotation and keptRotation), with new leaves hung
+// at their neighbors, and runs the LR test only when the batch adds an
+// edge between two existing nodes.
 type planarState struct {
 	g      *graph.Graph
 	n2     int
@@ -53,6 +56,7 @@ type planarState struct {
 	iv     []core.Interval   // rank -> I(rank)
 	byRank [][]graph.Edge    // rank -> cotree edges whose chord ends there
 	objs   []core.PlanarCert // node index -> certificate
+	sc     *spliceScratch    // buffers of spliceTree, nil until its first run
 }
 
 // newPlanarState reads the repair state off an accepted planarity
@@ -220,8 +224,11 @@ func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[int]boo
 	if !ok {
 		return false, "unknown endpoint"
 	}
-	if p.parent[e.U] == e.V || p.parent[e.V] == e.U {
-		return false, "spanning-tree edge removed (ranks renumber globally)"
+	switch {
+	case p.parent[e.U] == e.V:
+		return p.spliceTree(e.V, e.U, budget, dirty)
+	case p.parent[e.V] == e.U:
+		return p.spliceTree(e.U, e.V, budget, dirty)
 	}
 	chord, ok := p.chordOf(e)
 	if !ok {

@@ -19,8 +19,11 @@ import (
 // The walk over ranks 1..2n-1 therefore lists, at f(x), the chords
 // anchored at x and then f(x+1). That is the child entered from x, or
 // the parent after f(x)'s last copy. Each node's list starts after its
-// parent, where the DFS starts scanning it, so the transform of the
-// rotation reproduces f, and the order depends on the ranks alone.
+// parent, where the DFS starts scanning it, and the order depends on
+// the ranks alone. For a state the prover built, whose tree is the DFS
+// tree of the transform, the transform of the rotation reproduces f;
+// after a splice the tree is no DFS tree, and the transform's DFS from
+// node 0 yields another f of the same embedding.
 //
 // The chord ends are counting-sorted by anchor rank, in descending order
 // of their other rank, and the rotation is carved out of one slab, so
@@ -122,9 +125,12 @@ func (p *planarState) rotation() *embedding.Rotation {
 // edge other than a new node's only edge: such an edge needs a face
 // that the kept embedding may not have.
 //
-// A failed repair of nb may have patched the state, but only by
-// removing chords of removed edges, so the result is still a function
-// of the certificates and the batch.
+// A repair of nb that fell back before its frontier sweep may have
+// patched the state: removed chords of removed edges, or spliced the
+// tour around a removed tree edge. Either keeps the same embedding
+// minus the removed edges, and the result is still a function of the
+// certificates and the batch. (A repair whose frontier rejected drops
+// the state.)
 func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 	if _, planar := s.active.(core.PlanarScheme); nb == nil || !planar || !s.certified {
 		return nil

@@ -150,15 +150,32 @@ func (st *edgeStream) next() []Update {
 	return []Update{{Op: RemoveEdge, A: st.base[i][0], B: st.base[i][1]}}
 }
 
+// isTreeEdge reports whether the edge pr is a spanning-tree edge of a
+// planarity session's accepted assignment.
+func isTreeEdge(t *testing.T, s *Session, pr [2]graph.ID) bool {
+	t.Helper()
+	st := s.state
+	if _, ok := st.(*planarState); !ok {
+		var err error
+		if st, err = s.decodeState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := st.(*planarState)
+	e, ok := p.idxPair(pr)
+	return ok && (p.parent[e.U] == e.V || p.parent[e.V] == e.U)
+}
+
 // TestStateRebuiltFromCertificatesEqualsLive is the invariant that lets
 // a cache adoption or a restore decode its repair state: after every
 // batch of a seeded stream, the state rebuilt from the certificates
 // equals the live, incrementally patched one. The planar stream runs at
-// n=2000; the churn stream adds one chord to a triangulation, so
-// removing and re-adding that chord crosses planarity both ways, and
-// tree-edge removals under the non-planarity scheme run surgery. The
-// planar stream must also re-prove on a frontier smaller than n; the
-// full verification after every batch checks that frontier's verdict.
+// n=2000 and must splice a tree-edge removal; the churn stream adds one
+// chord to a triangulation, so removing and re-adding that chord
+// crosses planarity both ways, and tree-edge removals under the
+// non-planarity scheme run surgery. The planar stream must also
+// re-prove on a frontier smaller than n; the full verification after
+// every batch checks that frontier's verdict.
 func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 	churn := gen.StackedTriangulation(200, rand.New(rand.NewSource(3)))
 	for u, v := 0, 1; ; v++ {
@@ -185,13 +202,19 @@ func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 			}
 			st := newEdgeStream(s.Graph(), 9)
 			modes := map[Mode]int{}
-			repairs, subsets := 0, 0
+			repairs, subsets, splices := 0, 0, 0
 			for i := 0; i < tc.batches; i++ {
-				rep, err := s.Apply(st.next())
+				batch := st.next()
+				tree := tc.want == "planarity" && batch[0].Op == RemoveEdge &&
+					isTreeEdge(t, s, normPair(batch[0].A, batch[0].B))
+				rep, err := s.Apply(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
 				modes[rep.Mode]++
+				if tree && rep.Mode == ModeRepair {
+					splices++
+				}
 				if rep.Mode == ModeRepair && rep.Dirty > 0 && rep.Scheme == tc.want {
 					repairs++
 				}
@@ -210,6 +233,9 @@ func TestStateRebuiltFromCertificatesEqualsLive(t *testing.T) {
 			}
 			if tc.subset && subsets == 0 {
 				t.Fatalf("no re-prove verified a frontier smaller than n: %v", modes)
+			}
+			if tc.want == "planarity" && splices == 0 {
+				t.Fatalf("no tree-edge removal was spliced: %v", modes)
 			}
 		})
 	}

@@ -757,6 +757,56 @@ func TestCrashBootFoldsDamage(t *testing.T) {
 	}
 }
 
+// TestBootFoldSupersedesDiscardedSnapshot pins that a boot fold over a
+// discarded newest snapshot writes a snapshot that sorts newer than the
+// discarded file, also when the log was compacted into it (SnapshotEvery
+// 2 and two batches leave an empty log). Of three boots, only the first
+// reads the corrupt file and counts it; the next two start from its fold.
+func TestBootFoldSupersedesDiscardedSnapshot(t *testing.T) {
+	const name = "g"
+	dir := t.TempDir()
+	_, tsA := crashServer(t, dir, 2)
+	doJSON(t, "POST", tsA.URL+"/v1/sessions", CreateSessionRequest{
+		Name: name, Graph: GraphSpec{EdgeList: "0 1\n1 2\n2 3\n3 0\n"},
+	}, http.StatusCreated, nil)
+	postLeaves(t, tsA.URL, name, 10, 2)
+	tsA.Close() // crash
+	if got := walRecords(t, dir, name); got != 0 {
+		t.Fatalf("wal.log holds %d records, want a log compacted into the newest snapshot", got)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "sessions", "s-"+name, "snap-*.snap"))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("snapshots %v (%v), want 2", snaps, err)
+	}
+	sort.Strings(snaps)
+	raw, err := os.ReadFile(snaps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(snaps[1], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first crashState
+	for boot := 1; boot <= 3; boot++ {
+		srv, ts := crashServer(t, dir, 2)
+		corrupt := srv.met.walCorrupt.Load()
+		switch {
+		case boot == 1 && corrupt == 0:
+			t.Fatal("first boot did not count the corrupt snapshot")
+		case boot > 1 && corrupt != 0:
+			t.Fatalf("boot %d counted %d corrupt records: the fold did not supersede the discarded snapshot", boot, corrupt)
+		}
+		st := stateOf(t, srv, ts.URL, name)
+		if boot == 1 {
+			first = st
+		} else if !reflect.DeepEqual(st, first) {
+			t.Fatalf("boot %d recovered %+v, the first boot %+v", boot, st, first)
+		}
+		ts.Close() // crash
+	}
+}
+
 // TestSnapshotGraphMatchesAdds pins networkOf, the one-pass snapshot
 // graph builder, to the AddNode/AddEdge network it replaced, over
 // stacked triangulations and random graphs: the same identifiers, the

@@ -54,20 +54,23 @@ func OpenStore(dir string, policy SyncPolicy) (*Store, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Newest first; fall back across corrupt files.
+	// Newest first; fall back across corrupt files. The cursor moves
+	// past every discarded file's sequence, so that the snapshot which
+	// supersedes it sorts newer even when the log was compacted.
+	var floor uint64
 	for i := len(names) - 1; i >= 0; i-- {
 		raw, err := os.ReadFile(filepath.Join(dir, names[i]))
-		if err != nil {
-			rec.SnapshotsDiscarded++
-			continue
+		var snap *Snapshot
+		if err == nil {
+			snap, err = DecodeSnapshot(raw)
 		}
-		snap, err := DecodeSnapshot(raw)
-		if err != nil {
-			rec.SnapshotsDiscarded++
-			continue
+		if err == nil {
+			rec.Snapshot = snap
+			break
 		}
-		rec.Snapshot = snap
-		break
+		rec.SnapshotsDiscarded++
+		seq, _ := snapshotSeq(names[i]) // snapshotFiles lists parsed names only
+		floor = max(floor, seq+1)
 	}
 
 	log, batches, stats, err := OpenLog(filepath.Join(dir, "wal.log"), policy)
@@ -86,7 +89,7 @@ func OpenStore(dir string, policy SyncPolicy) (*Store, *Recovered, error) {
 	}
 	// A snapshot newer than every log record (log was compacted) must
 	// still advance the append cursor.
-	log.Advance(snapSeq)
+	log.Advance(max(snapSeq, floor))
 	return &Store{dir: dir, policy: policy, log: log}, rec, nil
 }
 
@@ -107,9 +110,8 @@ func snapshotFiles(dir string) ([]string, error) {
 		if e.IsDir() || !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
 			continue
 		}
-		parts := strings.SplitN(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), "-", 2)
-		seq, err := strconv.ParseUint(parts[0], 10, 64)
-		if err != nil {
+		seq, ok := snapshotSeq(name)
+		if !ok {
 			continue // not ours; ignore
 		}
 		files = append(files, snapFile{name: name, seq: seq})
@@ -125,6 +127,13 @@ func snapshotFiles(dir string) ([]string, error) {
 		out[i] = f.name
 	}
 	return out, nil
+}
+
+// snapshotSeq parses the sequence number out of a snapshot file name.
+func snapshotSeq(name string) (uint64, bool) {
+	parts := strings.SplitN(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), "-", 2)
+	seq, err := strconv.ParseUint(parts[0], 10, 64)
+	return seq, err == nil
 }
 
 // NextSeq returns the sequence number the next appended batch must use.
