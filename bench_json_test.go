@@ -68,6 +68,8 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			"BenchmarkE7Prover/n=1024",
 			"BenchmarkE7Prover/n=16384",
 			"BenchmarkE7Prover/n=131072",
+			"BenchmarkDecodePlanarCerts/n=30000",
+			"BenchmarkDecodePlanarCerts/n=30000/by-id",
 		},
 		"BENCH_nonplanar.json": {
 			"BenchmarkKuratowski/n=200",
@@ -389,6 +391,18 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			t.Fatalf("BENCH_prover.json: the sequential n=16384 sweep at %d ns/op, bar is under %s at %d ns/op",
 				sweep16k, name, e.NsPerOp)
 		}
+	}
+
+	// The bar of the index-addressed decode: DecodePlanarCerts over a
+	// certificate slice at n=30000 takes no longer than the decode that
+	// read each certificate from the identifier-keyed map, timed by the
+	// same command on the parent commit in the same session.
+	decode := map[string]int64{}
+	for _, b := range prover.Benchmarks {
+		decode[b.Name] = b.NsPerOp
+	}
+	if slice, byID := decode["BenchmarkDecodePlanarCerts/n=30000"], decode["BenchmarkDecodePlanarCerts/n=30000/by-id"]; slice <= 0 || slice > byID {
+		t.Fatalf("BENCH_prover.json: the index-addressed decode at %d ns/op, bar is at most the identifier-map decode at %d ns/op", slice, byID)
 	}
 
 	// The acceptance bars of the observability layer: tracing every

@@ -296,7 +296,7 @@ func BenchmarkVerifierSingleNode(b *testing.B) {
 // the planarity verifier of Theorem 1, so the sweep isolates how well
 // the sharded worker pool scales the embarrassingly parallel round.
 // Engines are constructed once per sub-benchmark, so the steady-state
-// iterations also expose the zero-copy layout reuse in allocs/op.
+// iterations also expose the scratch reuse in allocs/op.
 func BenchmarkEngineParallel(b *testing.B) {
 	scheme := core.PlanarScheme{}
 	for _, n := range []int{64, 256, 1024, 4096, 16384} {
@@ -316,7 +316,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
 				eng := dist.NewEngine(g, mode.opts...)
-				eng.RunPLS(certs, scheme.Verify) // warm the CSR layout
+				eng.RunPLS(certs, scheme.Verify) // warm the scratch pool
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -350,7 +350,7 @@ func BenchmarkEngineOverhead(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := dist.NewEngine(g, mode.opts...)
-			eng.RunPLS(certs, verify) // warm the CSR layout
+			eng.RunPLS(certs, verify) // warm the scratch pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

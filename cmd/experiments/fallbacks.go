@@ -77,8 +77,8 @@ func fallbacks(args []string) error {
 					}
 				}
 			}
-			before := maps.Clone(s.Certificates())
-			tree, err := isTreeEdge(before, u)
+			before := slices.Clone(s.Certificates())
+			tree, err := isTreeEdge(s.Graph(), before, u)
 			if err != nil {
 				return err
 			}
@@ -109,8 +109,8 @@ func fallbacks(args []string) error {
 			}
 			if sh != nil {
 				changed := 0
-				for id, c := range s.Certificates() {
-					if !c.Equal(before[id]) {
+				for v, c := range s.Certificates() {
+					if !c.Equal(before[v]) {
 						changed++
 					}
 				}
@@ -149,14 +149,15 @@ func fallbacks(args []string) error {
 }
 
 // isTreeEdge reports whether u removes an edge that the planarity
-// certificates certs certify as a spanning-tree edge: the edge
-// certificate held by one of its endpoints says so.
-func isTreeEdge(certs map[graph.ID]bits.Certificate, u dynamic.Update) (bool, error) {
+// certificates certs, by node index of g, certify as a spanning-tree
+// edge: the edge certificate held by one of its endpoints says so.
+func isTreeEdge(g *graph.Graph, certs []bits.Certificate, u dynamic.Update) (bool, error) {
 	if u.Op != dynamic.RemoveEdge {
 		return false, nil
 	}
 	for _, id := range [2]graph.ID{u.A, u.B} {
-		c, err := core.DecodePlanarCert(certs[id].Reader())
+		v, _ := g.IndexOf(id)
+		c, err := core.DecodePlanarCert(certs[v].Reader())
 		if err != nil {
 			return false, fmt.Errorf("node %d: %w", id, err)
 		}

@@ -171,23 +171,26 @@ func (NonPlanarScheme) Name() string { return "non-planarity" }
 // Prove implements pls.Scheme.
 func (NonPlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error) {
 	_, certs, err := ProveNonPlanar(g)
-	return certs, err
+	if err != nil {
+		return nil, err
+	}
+	return dist.ByID(g, certs), nil
 }
 
 // ProveNonPlanar runs the non-planarity prover and returns the
-// certificate objects, by node index, together with their encodings.
-func ProveNonPlanar(g *graph.Graph) ([]NonPlanarCert, map[graph.ID]bits.Certificate, error) {
+// certificate objects and their encodings, both by node index.
+func ProveNonPlanar(g *graph.Graph) ([]NonPlanarCert, []bits.Certificate, error) {
 	objs, err := BuildNonPlanarProof(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	certs := make(map[graph.ID]bits.Certificate, len(objs))
+	certs := make([]bits.Certificate, len(objs))
 	for i := range objs {
 		var w bits.Writer
 		if err := objs[i].Encode(&w); err != nil {
 			return nil, nil, err
 		}
-		certs[objs[i].Tree.SelfID] = bits.FromWriter(&w)
+		certs[i] = bits.FromWriter(&w)
 	}
 	return objs, certs, nil
 }

@@ -132,7 +132,10 @@ func (OuterplanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, e
 		}
 	}
 	_, certs, err := proveFromTransform(g, tr, nil)
-	return certs, err
+	if err != nil {
+		return nil, err
+	}
+	return dist.ByID(g, certs), nil
 }
 
 // Verify implements pls.Scheme: Algorithm 2 plus the sentinel-copy check.

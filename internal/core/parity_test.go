@@ -291,7 +291,7 @@ func TestDecodeParityEngineSweep(t *testing.T) {
 				for _, opts := range sweepOpts(pool) {
 					eng := dist.NewEngine(fx.g, opts...)
 					checkOutcome(t, fx.g, all, want, eng.RunPLS(certs, fx.scheme.Verify))
-					checkOutcome(t, fx.g, frontier, want, eng.RunPLSSubset(certs, fx.scheme.Verify, frontier))
+					checkOutcome(t, fx.g, frontier, want, eng.RunPLSSubset(dist.ByIndex(fx.g, certs), fx.scheme.Verify, frontier))
 				}
 			}
 		})
@@ -324,7 +324,7 @@ func TestSweepMemoNotStale(t *testing.T) {
 						want  []string
 					}{{fx.honest, wantHonest}, {bad, wantBad}, {fx.honest, wantHonest}, {bad, wantBad}} {
 						checkOutcome(t, fx.g, all, step.want, eng.RunPLS(step.certs, fx.scheme.Verify))
-						checkOutcome(t, fx.g, frontier, step.want, eng.RunPLSSubset(step.certs, fx.scheme.Verify, frontier))
+						checkOutcome(t, fx.g, frontier, step.want, eng.RunPLSSubset(dist.ByIndex(fx.g, step.certs), fx.scheme.Verify, frontier))
 					}
 				}
 			}

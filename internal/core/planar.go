@@ -31,7 +31,7 @@ const MaxEdgeCerts = 5
 //     {Rank[0], Rank[1]} of G_{T,f}: U = u, V = v, Rank[0] is u's copy
 //     and Rank[1] is v's; Rank[2:] and Iv[2:] are unused and zero.
 //
-// Ranks and interval ends are 32-bit: ProvePlanar refuses graphs whose
+// Ranks and interval ends are 32-bit: the prover refuses graphs whose
 // ranks would not fit, and decoding rejects certificates that claim
 // larger ones. The struct holds no pointers, so an edge-certificate
 // slab is a single noscan allocation. IsTree comes first: with 72-byte
@@ -195,19 +195,18 @@ func DecodePlanarCert(r *bits.Reader) (*PlanarCert, error) {
 	return c, nil
 }
 
-// DecodePlanarCerts decodes the certificates of the first n nodes of g,
-// by node index. The edge certificates are carved out of a few shared
-// chunks, each node's capped at its length, so appending to one node's
-// reallocates that node's alone.
-func DecodePlanarCerts(g *graph.Graph, n int, certs map[graph.ID]bits.Certificate) ([]PlanarCert, error) {
-	objs := make([]PlanarCert, n)
+// DecodePlanarCerts decodes an assignment given by node index of g,
+// which may cover only g's first nodes. The edge certificates are carved
+// out of a few shared chunks, each node's capped at its length, so
+// appending to one node's reallocates that node's alone.
+func DecodePlanarCerts(g *graph.Graph, certs []bits.Certificate) ([]PlanarCert, error) {
+	objs := make([]PlanarCert, len(certs))
 	var arena edgeArena
 	var r bits.Reader
 	for v := range objs {
-		id := g.IDOf(v)
-		certs[id].ResetReader(&r)
+		certs[v].ResetReader(&r)
 		if err := decodePlanarCertInto(&r, &objs[v], &arena); err != nil {
-			return nil, fmt.Errorf("node %d: %w", id, err)
+			return nil, fmt.Errorf("node %d: %w", g.IDOf(v), err)
 		}
 	}
 	return objs, nil
@@ -253,26 +252,23 @@ func (PlanarScheme) Name() string { return "planarity" }
 // (Lemma 3), compute intervals, and distribute edge certificates along a
 // degeneracy ordering so every node stores at most five.
 func (PlanarScheme) Prove(g *graph.Graph) (map[graph.ID]bits.Certificate, error) {
-	_, certs, err := ProvePlanar(g, nil)
-	return certs, err
+	_, certs, _, err := ProvePlanarFrom(g, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return dist.ByID(g, certs), nil
 }
 
-// ProvePlanar runs the planarity prover and returns the certificate
-// objects, by node index, and their encoding. It records its steps —
-// the LR test, the Euler audit, the transform, the certificate objects
-// and the encoding — as children of sp, in that order (nil records
-// nothing). Graphs outside the class fail with pls.ErrNotInClass.
-func ProvePlanar(g *graph.Graph, sp *obs.Span) ([]PlanarCert, map[graph.ID]bits.Certificate, error) {
-	objs, certs, _, err := ProvePlanarFrom(g, nil, sp)
-	return objs, certs, err
-}
-
-// ProvePlanarFrom is ProvePlanar starting from rot, a rotation system
-// of g, instead of the one the LR test picks. The steps after the LR
-// test are unchanged: rot must pass the Euler audit and yield a
-// path-outerplanar transform. If it fails either, or is nil, the LR test
-// runs after all; kept reports whether the certificates rest on rot.
-func ProvePlanarFrom(g *graph.Graph, rot *embedding.Rotation, sp *obs.Span) (objs []PlanarCert, certs map[graph.ID]bits.Certificate, kept bool, err error) {
+// ProvePlanarFrom runs the planarity prover and returns the certificate
+// objects and their encodings, both by node index. It starts from rot,
+// a rotation system of g: rot must pass the Euler audit and yield a
+// path-outerplanar transform. If it fails either, or is nil, the LR
+// test picks the embedding; kept reports whether the certificates rest
+// on rot. The prover records its steps — the LR test, the Euler audit,
+// the transform, the certificate objects and the encoding — as children
+// of sp, in that order (nil records nothing). Graphs outside the class
+// fail with pls.ErrNotInClass.
+func ProvePlanarFrom(g *graph.Graph, rot *embedding.Rotation, sp *obs.Span) (objs []PlanarCert, certs []bits.Certificate, kept bool, err error) {
 	if g.N() == 0 {
 		return nil, nil, false, fmt.Errorf("%w: empty graph", pls.ErrNotInClass)
 	}
@@ -296,8 +292,8 @@ func ProvePlanarFrom(g *graph.Graph, rot *embedding.Rotation, sp *obs.Span) (obj
 // proveFromTransform builds the Theorem 1 certificates from a completed
 // transform (shared by the planarity and outerplanarity provers). It
 // encodes straight from the object slab, in vertex order, so the
-// encoder walks the slabs sequentially instead of in map order.
-func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) ([]PlanarCert, map[graph.ID]bits.Certificate, error) {
+// encoder walks the slabs sequentially, and returns both by node index.
+func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) ([]PlanarCert, []bits.Certificate, error) {
 	c := sp.Child(obs.SpanCertObjects)
 	slab, _, err := buildPlanarCertSlab(g, tr)
 	c.End()
@@ -306,14 +302,12 @@ func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) ([]PlanarCe
 	}
 	c = sp.Child(obs.SpanEncode)
 	defer c.End()
-	certs := make(map[graph.ID]bits.Certificate, len(slab))
+	certs := make([]bits.Certificate, len(slab))
 	enc := certEncoder{left: len(slab)}
 	for i := range slab {
-		cert, err := enc.encode(&slab[i])
-		if err != nil {
+		if certs[i], err = enc.encode(&slab[i]); err != nil {
 			return nil, nil, err
 		}
-		certs[slab[i].Tree.SelfID] = cert
 	}
 	return slab, certs, nil
 }

@@ -84,7 +84,7 @@ func TestBudgetBoundsSubsetParallelism(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			e := NewEngine(g, Parallel(8), ShardSize(16), Limit(b))
-			out := e.RunPLSSubset(map[graph.ID]bits.Certificate{}, func(v View) error {
+			out := e.RunPLSSubset(nil, func(v View) error {
 				cur := inFlight.Add(1)
 				for {
 					p := peak.Load()

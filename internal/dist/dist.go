@@ -91,3 +91,24 @@ func (o *Outcome) FirstRejection() (id graph.ID, reason string, ok bool) {
 func RunPLS(g *graph.Graph, certs map[graph.ID]bits.Certificate, verify func(View) error) *Outcome {
 	return NewEngine(g).RunPLS(certs, verify)
 }
+
+// ByIndex lays an assignment keyed by identifier out by node index of
+// g, the form the engine sweeps; nodes missing from certs get a
+// zero-length certificate.
+func ByIndex(g *graph.Graph, certs map[graph.ID]bits.Certificate) []bits.Certificate {
+	out := make([]bits.Certificate, g.N())
+	for v := range out {
+		out[v] = certs[g.IDOf(v)]
+	}
+	return out
+}
+
+// ByID keys an assignment given by node index of g by identifier. The
+// certificates are shared, not copied.
+func ByID(g *graph.Graph, certs []bits.Certificate) map[graph.ID]bits.Certificate {
+	out := make(map[graph.ID]bits.Certificate, len(certs))
+	for v, c := range certs {
+		out[g.IDOf(v)] = c
+	}
+	return out
+}

@@ -396,7 +396,7 @@ func TestEngineAllocationFree(t *testing.T) {
 	}
 	verify := func(v dist.View) error { return nil }
 	e := dist.NewEngine(g, dist.Sequential())
-	e.RunPLS(certs, verify) // warm the layout
+	e.RunPLS(certs, verify) // warm the scratch pool
 	allocs := testing.AllocsPerRun(20, func() {
 		e.RunPLS(certs, verify)
 	})

@@ -8,17 +8,20 @@
 // identifier and certificate) with no further communication. The Engine
 // exploits that:
 //
-//   - the topology and certificate layout are precomputed once into a
-//     CSR-style adjacency (offsets + neighbor arena), so each node's View
-//     is a zero-copy slice of shared arrays — no per-node allocation;
-//   - RunPLS fans the per-node verifications across a worker pool over
-//     fixed-size index shards and reduces the per-node results into a
-//     single Outcome in one deterministic pass;
-//   - RunPLSSubset verifies only a subset of nodes against the live
-//     graph (no layout snapshot), which is what makes incremental
-//     frontier verification in internal/dynamic cost ~ subset degree;
-//   - every RunPLS and RunPLSSubset call is one sweep with a unique id
-//     (Scratch.Sweep), and views carry node indices (View.Idx) below the
+//   - an assignment is a slice of certificates by node index, so a view
+//     is assembled from the live graph with no identifier lookup, into
+//     the worker's reusable neighbor buffer — no per-node allocation,
+//     and an engine stays valid while the graph mutates;
+//   - there is one sweep: RunPLSSubset verifies the nodes of a subset,
+//     at a cost proportional to its total degree, which is what makes
+//     incremental frontier verification in internal/dynamic cheap, and
+//     RunPLSAll is the same code over every node (RunPLS and the
+//     package-level RunPLS take an assignment keyed by identifier and
+//     lay it out by index first);
+//   - a sweep fans the per-node verifications across a worker pool over
+//     fixed-size shards and reduces the per-node results into a single
+//     Outcome in one deterministic pass;
+//   - every sweep has a unique id (Scratch.Sweep), and views carry node indices (View.Idx) below the
 //     graph's node count (Scratch.Nodes), so a verifier may decode each
 //     certificate once per sweep into a table sized once, and share the
 //     decode between the views that show it;
@@ -32,7 +35,7 @@
 //
 // For multi-tenant callers (the planarcertd server runs one engine per
 // live session), a shared Budget bounds the fleet-wide number of extra
-// parallel workers: each RunPLS keeps one unconditional worker and takes
+// parallel workers: each sweep keeps one unconditional worker and takes
 // more only while budget slots are free, so concurrent verifications
 // degrade gracefully toward sequential execution instead of
 // oversubscribing the machine.

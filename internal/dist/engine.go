@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/graph"
 	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/qos"
@@ -32,7 +31,7 @@ const (
 // (a wheel hub's verification costs ~n times a rim node's).
 const defaultShardSize = 128
 
-// Engine simulates a synchronous CONGEST network over a fixed topology.
+// Engine simulates a synchronous CONGEST network over a graph.
 // It serves two roles: the sharded verification executor for
 // proof-labeling schemes (RunPLS), and a general synchronous
 // message-passing simulator with bit-exact cost accounting (Round,
@@ -42,10 +41,9 @@ const defaultShardSize = 128
 // RunPLS reports its (single) round's costs in the returned Outcome
 // instead, so verification sweeps do not perturb preprocessing accounts.
 //
-// An Engine snapshots the topology lazily at the first RunPLS call and
-// reuses the layout afterwards; build a fresh Engine after mutating the
-// graph. Engines are not safe for concurrent use — the parallelism is
-// inside RunPLS, not across calls.
+// Every sweep reads the live graph, so an Engine stays valid after the
+// graph mutates. Engines are not safe for concurrent use — the
+// parallelism is inside a sweep, not across calls.
 type Engine struct {
 	// Rounds counts synchronous rounds executed via Round/Broadcast.
 	Rounds int
@@ -56,8 +54,7 @@ type Engine struct {
 	// MaxMsgBit is the largest single message, in bits.
 	MaxMsgBit int
 
-	g   *graph.Graph
-	lay *layout
+	g *graph.Graph
 
 	mode      mode
 	workers   int
@@ -105,7 +102,7 @@ func ShardSize(s int) Option {
 	}
 }
 
-// FailFast makes RunPLS stop scheduling work once any node has rejected.
+// FailFast makes a sweep stop scheduling work once any node has rejected.
 // The Outcome then reports at least one rejecting node (and agrees with
 // exhaustive mode on acceptance), but may omit later rejections.
 func FailFast() Option { return func(e *Engine) { e.failFast = true } }
@@ -115,13 +112,13 @@ func FailFast() Option { return func(e *Engine) { e.failFast = true } }
 // identical.
 func Exhaustive() Option { return func(e *Engine) { e.failFast = false } }
 
-// WithSpan attaches a parent tracing span to the engine: RunPLS and
-// RunPLSSubset record a sweep child span (node/frontier count,
-// certificate bits, messages, rejections) with a nested budget-wait
-// child accounting slot acquisition, and Round/Broadcast record
-// per-call spans with round index, message count, and bit cost. A nil
-// span — the default — records nothing and costs nothing beyond a
-// pointer test (obs spans are nil-safe).
+// WithSpan attaches a parent tracing span to the engine: every sweep
+// records a sweep child span (node/frontier count, certificate bits,
+// messages, rejections) with a nested budget-wait child accounting slot
+// acquisition, and Round/Broadcast record per-call spans with round
+// index, message count, and bit cost. A nil span — the default —
+// records nothing and costs nothing beyond a pointer test (obs spans
+// are nil-safe).
 func WithSpan(sp *obs.Span) Option { return func(e *Engine) { e.span = sp } }
 
 // NewEngine builds an engine over g. The default configuration is
@@ -139,13 +136,6 @@ func NewEngine(g *graph.Graph, opts ...Option) *Engine {
 		e.workers = 1
 	}
 	return e
-}
-
-func (e *Engine) layoutFor() *layout {
-	if e.lay == nil {
-		e.lay = newLayout(e.g)
-	}
-	return e.lay
 }
 
 // scratchPool returns the engine's scratch pool, creating a private one
@@ -166,100 +156,6 @@ func (e *Engine) parallel(n int) bool {
 	default:
 		return e.workers > 1 && n >= 2*e.shardSize
 	}
-}
-
-// RunPLS executes one verification round: every node runs verify on its
-// zero-copy 1-round view of certs. Missing certificates verify as
-// zero-length. A panic inside verify is contained to the panicking node
-// and reported as that node's rejection.
-func (e *Engine) RunPLS(certs map[graph.ID]bits.Certificate, verify func(View) error) *Outcome {
-	lay := e.layoutFor()
-	n := lay.n
-	out := &Outcome{N: n}
-	sweep := e.span.Child(obs.SpanSweep)
-	sweep.SetStr("mode", "full")
-	sweep.SetInt("nodes", int64(n))
-
-	// Single pass: resolve certificates by node index, account sizes and
-	// messages (each node ships its certificate to every neighbor).
-	for u := 0; u < n; u++ {
-		c := certs[lay.ids[u]]
-		lay.certs[u] = c
-		lay.errs[u] = nil
-		out.TotalCertBits += c.Bits
-		if c.Bits > out.MaxCertBit {
-			out.MaxCertBit = c.Bits
-		}
-		if deg := lay.degree(u); deg > 0 {
-			out.Messages += deg
-			if c.Bits > out.MaxMsgBit {
-				out.MaxMsgBit = c.Bits
-			}
-		}
-	}
-	// Refresh the arena's certificate slots in CSR order.
-	for k := range lay.arena {
-		lay.arena[k].Cert = lay.certs[lay.arena[k].Idx]
-	}
-
-	if e.parallel(n) {
-		e.verifyParallel(lay, verify, sweep)
-	} else {
-		e.verifySequential(lay, verify)
-	}
-
-	// Deterministic reduction in node-index order.
-	for u := 0; u < n; u++ {
-		if err := lay.errs[u]; err != nil {
-			id := lay.ids[u]
-			out.Rejecting = append(out.Rejecting, id)
-			if out.Reasons == nil {
-				out.Reasons = make(map[graph.ID]string)
-			}
-			out.Reasons[id] = err.Error()
-		}
-	}
-	sweep.SetInt("cert_bits", int64(out.TotalCertBits))
-	sweep.SetInt("max_cert_bit", int64(out.MaxCertBit))
-	sweep.SetInt("messages", int64(out.Messages))
-	sweep.SetInt("rejecting", int64(len(out.Rejecting)))
-	sweep.End()
-	return out
-}
-
-func (e *Engine) verifySequential(lay *layout, verify func(View) error) {
-	pool := e.scratchPool()
-	sc := pool.get(sweeps.Add(1), lay.n)
-	defer pool.put(sc)
-	for u := 0; u < lay.n; u++ {
-		if err := verifyNode(lay, u, sc, verify); err != nil {
-			lay.errs[u] = err
-			if e.failFast {
-				return
-			}
-		}
-	}
-}
-
-func (e *Engine) verifyParallel(lay *layout, verify func(View) error, sweep *obs.Span) {
-	shard := e.shardSize
-	nshards := (lay.n + shard - 1) / shard
-	e.fanOut(nshards, sweep, func(s int, sc *Scratch) bool {
-		lo := s * shard
-		hi := lo + shard
-		if hi > lay.n {
-			hi = lay.n
-		}
-		for u := lo; u < hi; u++ {
-			if err := verifyNode(lay, u, sc, verify); err != nil {
-				lay.errs[u] = err
-				if e.failFast {
-					return true
-				}
-			}
-		}
-		return false
-	})
 }
 
 // fanOut drains nshards shards across worker 0 plus up to workers-1
@@ -337,14 +233,6 @@ func (e *Engine) fanOut(nshards int, sweep *obs.Span, verifyShard func(s int, sc
 	bw.SetInt("denied", int64(wanted-granted))
 	bw.End()
 	wg.Wait()
-}
-
-// verifyNode runs one node's local decision on its layout view,
-// attaching the worker's scratch.
-func verifyNode(lay *layout, u int, sc *Scratch, verify func(View) error) error {
-	v := lay.view(u)
-	v.Scratch = sc
-	return verifyView(lay.ids[u], v, verify)
 }
 
 // verifyView runs one node's local decision, containing panics (a

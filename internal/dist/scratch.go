@@ -9,11 +9,10 @@ import (
 // engine hands every worker goroutine its own Scratch and attaches it to
 // each View the worker verifies, so a scheme verifier can decode
 // certificates into reusable slabs instead of fresh maps and slices per
-// node — the layout arena in layout.go plays the same role for the view
-// assembly itself. A Scratch is owned by exactly one worker for the
-// duration of a sweep and returned to the engine's pool afterwards;
-// nothing in it survives a sweep semantically, only the backing memory
-// does.
+// node; its neighbor buffer does the same for the view assembly itself.
+// A Scratch is owned by exactly one worker for the duration of a sweep
+// and returned to the engine's pool afterwards; nothing in it survives
+// a sweep semantically, only the backing memory does.
 //
 // Scheme-specific state lives in keyed slots: a verifier calls Slot with
 // a key unique to the scheme (an empty struct type works well), lazily
@@ -31,8 +30,8 @@ import (
 // engine, e.g. by direct Verify calls or the interactive protocols)
 // reports empty slots, and schemes fall back to fresh allocation.
 type Scratch struct {
-	// nbrBuf backs subset-view neighbor slices (RunPLSSubset assembles
-	// views from the live graph rather than the CSR arena).
+	// nbrBuf backs the Neighbors slice of the view being verified; every
+	// sweep assembles its views from the live graph into it.
 	nbrBuf []NeighborCert
 
 	sweep uint64 // id of the sweep holding this scratch; 0 outside one
@@ -104,13 +103,13 @@ func (s *Scratch) SetSlot(key, val any) {
 // neighbors returns a length-n NeighborCert buffer owned by the scratch,
 // growing it when needed. The buffer is reused across nodes within a
 // worker, so callers must finish with one view before assembling the
-// next (verifiers must not retain Neighbors — the same contract Views
-// from the CSR arena already carry).
+// next (verifiers must not retain Neighbors). The slice is capped, so a
+// verifier appending to it gets a copy.
 func (s *Scratch) neighbors(n int) []NeighborCert {
 	if cap(s.nbrBuf) < n {
 		s.nbrBuf = make([]NeighborCert, n)
 	}
-	return s.nbrBuf[:n]
+	return s.nbrBuf[:n:n]
 }
 
 // ScratchPool is a free list of Scratches shared by the verification

@@ -11,7 +11,7 @@ import (
 )
 
 // TestScratchWorkerLocalHammer proves, under the race detector, that
-// verification scratch is worker-local: a full parallel RunPLS sweep
+// verification scratch is worker-local: a full parallel RunPLSAll sweep
 // (whose workers all borrow from one ScratchPool) runs while many
 // goroutines hammer RunPLSSubset frontier calls on the same engine, and
 // a second engine — sharing the same pool, the way dynamic sessions
@@ -23,15 +23,14 @@ func TestScratchWorkerLocalHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.StackedTriangulation(256, rng)
 	scheme := core.PlanarScheme{}
-	certs, err := scheme.Prove(g)
+	byID, err := scheme.Prove(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	certs := dist.ByIndex(g, byID)
 	pool := dist.NewScratchPool()
 	eng := dist.NewEngine(g, dist.Parallel(4), dist.ShardSize(8), dist.WithScratch(pool))
-	eng.RunPLS(certs, scheme.Verify) // build the layout before sharing the engine
 	other := dist.NewEngine(g, dist.Parallel(4), dist.ShardSize(8), dist.WithScratch(pool))
-	other.RunPLS(certs, scheme.Verify)
 
 	const rounds = 30
 	var wg sync.WaitGroup
@@ -44,15 +43,15 @@ func TestScratchWorkerLocalHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if out := e.RunPLS(certs, scheme.Verify); !out.AllAccept() {
+				if out := e.RunPLSAll(certs, scheme.Verify); !out.AllAccept() {
 					fail <- name + ": full sweep rejected honest certificates"
 					return
 				}
 			}
 		}()
 	}
-	// Concurrent frontier calls on the first engine: RunPLSSubset reads
-	// the live graph, not the layout, so it may overlap full sweeps.
+	// Concurrent frontier calls on the first engine: a sweep keeps no
+	// state in the engine, so it may overlap full sweeps.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {

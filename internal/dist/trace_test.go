@@ -67,7 +67,7 @@ func TestWithSpanRecordsSubsetSweep(t *testing.T) {
 	g := gen.Grid(10, 10)
 	e := NewEngine(g, Sequential(), WithSpan(root))
 	idxs := []int{0, 1, 2, 3, 4}
-	e.RunPLSSubset(map[graph.ID]bits.Certificate{}, func(v View) error { return nil }, idxs)
+	e.RunPLSSubset(nil, func(v View) error { return nil }, idxs)
 	root.End()
 
 	sweep := sweepOf(t, root)

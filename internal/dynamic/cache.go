@@ -85,12 +85,14 @@ type cacheKey struct {
 	n, m int
 }
 
-// cacheEntry is one certified assignment. The certificate map is shared
-// with the session copy-on-write; entries are immutable once stored.
+// cacheEntry is one certified assignment. The certificate slice is
+// shared with the session copy-on-write; entries are immutable once
+// stored. A node index names the same node in every entry with the
+// same n, since the graph never removes a node.
 type cacheEntry struct {
 	scheme pls.Scheme
-	certs  map[graph.ID]bits.Certificate
-	gen    uint64 // generation stamp at store time
+	certs  []bits.Certificate // by node index
+	gen    uint64             // generation stamp at store time
 }
 
 // certCache is a small FIFO-evicting map of certified topologies.

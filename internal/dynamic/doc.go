@@ -29,6 +29,11 @@
 //     A re-prove under the same scheme of a batch that adds no node is
 //     verified on the frontier of its certificate diff, like a repair.
 //
+// An assignment is a slice of certificates by node index. The graph
+// never removes a node, so an index names the same node for the life
+// of a session and in every cached assignment with the same n; the
+// identifier-keyed maps of the public API are built at its boundary.
+//
 // A planarity re-prove starts from the embedding the live certificates
 // encode. The certificates fix the DFS-mapping f and each chord's two
 // ranks, and these fix a rotation system (the §3.2 cut read backwards).
@@ -62,8 +67,8 @@
 // batch adds no node (a new node changes n in every certificate), D is
 // the set of nodes whose new certificates differ byte for byte from the
 // accepted ones, and the re-prove verifies D ∪ N(D) plus the endpoints
-// of the batch's edges. A re-prove that rewrites most certificates (a
-// frontier over more than half of the nodes), a flip, and a batch that
+// of the batch's edges, whatever its size: a frontier over every node
+// runs the same sweep code as a full sweep. A flip and a batch that
 // adds a node run the full sweep instead. A kept embedding whose sweep
 // rejects is still proved again from the LR test. The argument needs
 // one invariant: a certified session's certificates were accepted, at

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -108,10 +107,27 @@ type Report struct {
 // repair operates on. Implementations mutate their internal structures
 // and return freshly encoded certificates for the nodes they changed.
 type repairState interface {
-	// repair absorbs the net batch. It returns the re-encoded
-	// certificates of changed nodes and their indices; ok=false means
-	// the batch is out of repair scope and reason says why.
-	repair(nb *netBatch, budget int) (certs map[graph.ID]bits.Certificate, changed []int, ok bool, reason string)
+	// repair absorbs the net batch. It returns the indices of the
+	// changed nodes and, in the same order, their re-encoded
+	// certificates; ok=false means the batch is out of repair scope and
+	// reason says why.
+	repair(nb *netBatch, budget int) (changed []int, certs []bits.Certificate, ok bool, reason string)
+}
+
+// reencode encodes the certificate of every dirty node and returns the
+// nodes and, in the same order, their certificates, as repair does.
+func reencode(dirty map[int]bool, encode func(v int, w *bits.Writer) error) ([]int, []bits.Certificate, bool, string) {
+	changed := make([]int, 0, len(dirty))
+	certs := make([]bits.Certificate, 0, len(dirty))
+	for v := range dirty {
+		var w bits.Writer
+		if err := encode(v, &w); err != nil {
+			return nil, nil, false, "re-encode: " + err.Error()
+		}
+		changed = append(changed, v)
+		certs = append(certs, bits.FromWriter(&w))
+	}
+	return changed, certs, true, ""
 }
 
 // Session maintains a certificate assignment across update batches.
@@ -124,8 +140,8 @@ type Session struct {
 	engineOpts  []dist.Option
 
 	gen       uint64
-	certs     map[graph.ID]bits.Certificate
-	certsOwn  bool // false when certs aliases a cache entry (copy-on-write)
+	certs     []bits.Certificate // by node index
+	certsOwn  bool               // false when certs aliases a cache entry (copy-on-write)
 	certified bool
 	state     repairState
 
@@ -153,17 +169,18 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 }
 
 // Restore rebuilds a session from persisted state: it takes ownership
-// of g and certs, installs the assignment under the active scheme
-// (which must be cfg.Scheme or cfg.Counterpart; nil means cfg.Scheme),
-// and self-validates by running the scheme's full 1-round verification
-// sweep — the proof-labeling scheme's own soundness check, so a stale
-// or tampered snapshot that slipped past the storage CRCs is caught
-// semantically. If the sweep rejects (or certs is empty), Restore falls
-// back to re-proving from the restored graph. The session resumes at
-// generation gen; its first repair attempt, or its first planarity
-// re-prove that keeps the certified embedding, decodes the repair state
-// from certs, exactly as after a cache adoption.
-func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs map[graph.ID]bits.Certificate, gen uint64) (*Session, error) {
+// of g and certs, an assignment by node index of g, installs it under
+// the active scheme (which must be cfg.Scheme or cfg.Counterpart; nil
+// means cfg.Scheme), and self-validates by running the scheme's full
+// 1-round verification sweep — the proof-labeling scheme's own
+// soundness check, so a stale or tampered snapshot that slipped past
+// the storage CRCs is caught semantically. If the sweep rejects (or
+// certs is empty), Restore falls back to re-proving from the restored
+// graph. The session resumes at generation gen; its first repair
+// attempt, or its first planarity re-prove that keeps the certified
+// embedding, decodes the repair state from certs, exactly as after a
+// cache adoption.
+func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs []bits.Certificate, gen uint64) (*Session, error) {
 	s, err := newSessionShell(g, cfg)
 	if err != nil {
 		return nil, err
@@ -179,7 +196,7 @@ func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs map[graph.ID]b
 	if len(certs) > 0 {
 		s.certs = certs
 		s.certsOwn = true
-		out := dist.NewEngine(s.g, s.engineOpts...).RunPLS(certs, s.active.Verify)
+		out := dist.NewEngine(s.g, s.engineOpts...).RunPLSAll(certs, s.active.Verify)
 		if out.AllAccept() {
 			s.certified = true
 			rep.Mode = ModeRestore
@@ -188,7 +205,7 @@ func Restore(g *graph.Graph, cfg Config, active pls.Scheme, certs map[graph.ID]b
 			rep.FullVerify = true
 			rep.Verified = out.N
 			s.cache.store(s.cacheKey(), &cacheEntry{scheme: s.active, certs: certs, gen: s.gen})
-			s.certsOwn = false // the cache entry shares the map
+			s.certsOwn = false // the cache entry shares the slice
 			s.last = rep
 			return s, nil
 		}
@@ -266,9 +283,10 @@ func (s *Session) Scheme() pls.Scheme { return s.scheme }
 // certification).
 func (s *Session) Last() *Report { return s.last }
 
-// Certificates returns the live certificate assignment. The map and its
-// byte slices are shared with the session; public facades deep-copy.
-func (s *Session) Certificates() map[graph.ID]bits.Certificate { return s.certs }
+// Certificates returns the live certificate assignment, by node index
+// (nil when uncertified). The slice and its byte slices are shared with
+// the session; public facades deep-copy.
+func (s *Session) Certificates() []bits.Certificate { return s.certs }
 
 // Queue appends an update to the log without applying it.
 func (s *Session) Queue(u Update) { s.pending = append(s.pending, u) }
@@ -367,7 +385,7 @@ func (s *Session) stamp(sp *obs.Span, rep *Report) {
 // zero-length certificate and rejects (vacuously accepting only on the
 // empty network).
 func (s *Session) VerifyFull() *dist.Outcome {
-	return dist.NewEngine(s.g, s.engineOpts...).RunPLS(s.certs, s.active.Verify)
+	return dist.NewEngine(s.g, s.engineOpts...).RunPLSAll(s.certs, s.active.Verify)
 }
 
 // netBatch is the net effect of one batch: updates that cancel inside
@@ -536,48 +554,24 @@ func (s *Session) frontierOf(changed, touched []int) []int {
 }
 
 // changedIdxs returns, in index order, the nodes whose certificates
-// differ between two assignments of the live graph.
-func (s *Session) changedIdxs(old, cur map[graph.ID]bits.Certificate) []int {
+// differ between two assignments of the same nodes.
+func changedIdxs(old, cur []bits.Certificate) []int {
 	var out []int
-	for v := 0; v < s.g.N(); v++ {
-		id := s.g.IDOf(v)
-		if !old[id].Equal(cur[id]) {
+	for v := range cur {
+		if !old[v].Equal(cur[v]) {
 			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// smallFrontier returns the frontier of changed and touched if it holds
-// at most half of the nodes, and nil otherwise. A frontier sweep reads
-// each neighbor's certificate from the assignment map, where a full
-// sweep resolves every certificate once, so per node it costs more. A
-// frontier of every node took 1.07-1.16x a full sweep, of three
-// quarters of them 0.83-1.03x, and of half of them 0.55-0.73x
-// (non-planarity at n=200, planarity at n=2000 and n=30000; medians of
-// interleaved runs on one core, building the frontier included).
-func (s *Session) smallFrontier(changed, touched []int) []int {
-	n := s.g.N()
-	if 2*len(changed) > n {
-		return nil
-	}
-	if f := s.frontierOf(changed, touched); 2*len(f) <= n {
-		return f
-	}
-	return nil
-}
-
-// ensureOwnedCerts copy-on-writes the certificate map when it is shared
-// with a cache entry.
+// ensureOwnedCerts copy-on-writes the certificate slice when it is
+// shared with a cache entry.
 func (s *Session) ensureOwnedCerts() {
 	if s.certsOwn || s.certs == nil {
 		return
 	}
-	clone := make(map[graph.ID]bits.Certificate, len(s.certs))
-	for id, c := range s.certs {
-		clone[id] = c
-	}
-	s.certs = clone
+	s.certs = slices.Clone(s.certs)
 	s.certsOwn = true
 }
 
@@ -596,7 +590,7 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 		return false
 	}
 	rsp := s.span.Child("repair")
-	newCerts, changed, ok, reason := s.repair(nb, rsp)
+	changed, newCerts, ok, reason := s.repair(nb, rsp)
 	rsp.SetInt("changed", int64(len(changed)))
 	if !ok {
 		rsp.SetStr("fallback", reason)
@@ -607,8 +601,8 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 	rsp.End()
 	s.ensureOwnedCerts()
 	// Swap the new certificates in; newCerts keeps the ones they replace.
-	for id, c := range newCerts {
-		newCerts[id], s.certs[id] = s.certs[id], c
+	for i, v := range changed {
+		newCerts[i], s.certs[v] = s.certs[v], newCerts[i]
 	}
 	frontier := s.frontierOf(changed, s.touchedIdxs(nb))
 	out := dist.NewEngine(s.g, s.flushOpts()...).RunPLSSubset(s.certs, s.active.Verify, frontier)
@@ -621,7 +615,9 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 		// the assignment accepted before the batch, which the re-prove's
 		// frontier sweep diffs against. The state was patched to the
 		// rejected assignment, so the re-prove decodes it afresh.
-		maps.Copy(s.certs, newCerts)
+		for i, v := range changed {
+			s.certs[v] = newCerts[i]
+		}
 		s.state = nil
 		rep.RepairFallback = fmt.Sprintf("frontier rejected at node %d", out.Rejecting[0])
 		rep.Outcome = nil
@@ -636,7 +632,7 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 
 // repair runs the repair, first decoding the state, as a child of rsp,
 // if the session has none.
-func (s *Session) repair(nb *netBatch, rsp *obs.Span) (map[graph.ID]bits.Certificate, []int, bool, string) {
+func (s *Session) repair(nb *netBatch, rsp *obs.Span) ([]int, []bits.Certificate, bool, string) {
 	if s.state == nil {
 		c := rsp.Child(obs.SpanRepairState)
 		st, err := s.decodeState()
@@ -693,11 +689,11 @@ func (s *Session) tryCache(nb *netBatch, rep *Report) bool {
 // no node: the nodes whose certificates differ from the accepted ones,
 // their neighbors and the endpoints of nb's edges are verified, which
 // decides global acceptance exactly (see Frontier soundness in the
-// package documentation). Otherwise the sweep is full: a new node
-// changes n in every certificate, and a frontier over most of the graph
-// costs more than a full sweep (see smallFrontier).
+// package documentation), whatever its size. Otherwise the sweep is
+// full: a new node changes n in every certificate, and a flip or a
+// session with no accepted assignment has nothing to diff against.
 func (s *Session) reprove(rep *Report, nb *netBatch) {
-	var base map[graph.ID]bits.Certificate // s.active's accepted assignment before nb
+	var base []bits.Certificate // s.active's accepted assignment before nb
 	var touched []int
 	if s.certified && nb != nil && len(nb.addedNodes) == 0 {
 		base, touched = s.certs, s.touchedIdxs(nb)
@@ -726,19 +722,17 @@ func (s *Session) reprove(rep *Report, nb *netBatch) {
 		}
 		pv.SetInt("certs", int64(len(certs)))
 		pv.End()
-		dirty, frontier := len(certs), []int(nil)
-		if base != nil && i == 0 { // order[0] is s.active
-			changed := s.changedIdxs(base, certs)
-			dirty, frontier = len(changed), s.smallFrontier(changed, touched)
+		eng := dist.NewEngine(s.g, s.flushOpts()...)
+		full := base == nil || i > 0 // order[0] is s.active
+		dirty, out := len(certs), (*dist.Outcome)(nil)
+		if full {
+			out = eng.RunPLSAll(certs, sch.Verify)
+		} else {
+			changed := changedIdxs(base, certs)
+			dirty = len(changed)
+			out = eng.RunPLSSubset(certs, sch.Verify, s.frontierOf(changed, touched))
 		}
 		pv.SetInt("changed", int64(dirty))
-		eng := dist.NewEngine(s.g, s.flushOpts()...)
-		var out *dist.Outcome
-		if frontier != nil {
-			out = eng.RunPLSSubset(certs, sch.Verify, frontier)
-		} else {
-			out = eng.RunPLS(certs, sch.Verify)
-		}
 		if kept && !out.AllAccept() {
 			i-- // prove sch again, from the LR test's embedding
 			continue
@@ -754,13 +748,13 @@ func (s *Session) reprove(rep *Report, nb *netBatch) {
 		rep.Scheme = sch.Name()
 		rep.Accepted = out.AllAccept()
 		rep.Outcome = out
-		rep.FullVerify = frontier == nil
+		rep.FullVerify = full
 		rep.Verified = out.N
 		rep.Dirty = dirty
 		s.certified = rep.Accepted
 		if rep.Accepted {
 			s.cache.store(s.cacheKey(), &cacheEntry{scheme: sch, certs: certs, gen: s.gen})
-			// The stored entry shares the map; future repairs must
+			// The stored entry shares the slice; future repairs must
 			// copy-on-write.
 			s.certsOwn = false
 		}
@@ -794,7 +788,7 @@ func (s *Session) counterpartOf(sch pls.Scheme) pls.Scheme {
 // kept the certified embedding for nb or ran the LR test as pv's
 // embedding attribute. The spanning-tree scheme's state is decoded at
 // its first repair attempt, as after a cache adoption.
-func (s *Session) prove(sch pls.Scheme, pv *obs.Span, nb *netBatch) (certs map[graph.ID]bits.Certificate, st repairState, kept bool, err error) {
+func (s *Session) prove(sch pls.Scheme, pv *obs.Span, nb *netBatch) (certs []bits.Certificate, st repairState, kept bool, err error) {
 	switch sch.(type) {
 	case core.PlanarScheme:
 		var objs []core.PlanarCert
@@ -817,7 +811,10 @@ func (s *Session) prove(sch pls.Scheme, pv *obs.Span, nb *netBatch) (certs map[g
 			c.End()
 		}
 	default:
-		certs, err = sch.Prove(s.g)
+		byID, perr := sch.Prove(s.g)
+		if err = perr; err == nil {
+			certs = dist.ByIndex(s.g, byID)
+		}
 	}
 	return certs, st, kept, err
 }
@@ -826,7 +823,7 @@ func (s *Session) prove(sch pls.Scheme, pv *obs.Span, nb *netBatch) (certs map[g
 func (s *Session) decodeState() (repairState, error) {
 	switch s.active.(type) {
 	case core.PlanarScheme:
-		p, err := s.decodePlanarState(s.g.N())
+		p, err := s.decodePlanarState()
 		if err != nil {
 			return nil, err
 		}
@@ -840,9 +837,10 @@ func (s *Session) decodeState() (repairState, error) {
 }
 
 // decodePlanarState builds the planarity repair state from the live
-// certificates of nodes 0..n-1.
-func (s *Session) decodePlanarState(n int) (*planarState, error) {
-	objs, err := core.DecodePlanarCerts(s.g, n, s.certs)
+// certificates. They cover the nodes of the graph before the pending
+// batch, which a re-prove decodes after the batch added nodes.
+func (s *Session) decodePlanarState() (*planarState, error) {
+	objs, err := core.DecodePlanarCerts(s.g, s.certs)
 	if err != nil {
 		return nil, err
 	}
@@ -853,12 +851,11 @@ func (s *Session) decodePlanarState(n int) (*planarState, error) {
 // a repair state from the objects.
 func decodeInto[T any, S repairState](s *Session, decode func(*bits.Reader) (*T, error),
 	build func(*graph.Graph, []T) (S, error)) (repairState, error) {
-	objs := make([]T, s.g.N())
+	objs := make([]T, len(s.certs))
 	for v := range objs {
-		id := s.g.IDOf(v)
-		obj, err := decode(s.certs[id].Reader())
+		obj, err := decode(s.certs[v].Reader())
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", id, err)
+			return nil, fmt.Errorf("node %d: %w", s.g.IDOf(v), err)
 		}
 		objs[v] = *obj
 	}

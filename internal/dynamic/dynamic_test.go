@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -278,13 +277,13 @@ func TestNestedTreeEdgeRemovals(t *testing.T) {
 					tree(v).Dist++
 				}
 			}
-			certs := make(map[graph.ID]bits.Certificate, g.N())
+			certs := make([]bits.Certificate, g.N())
 			for v, o := range objs {
 				var w bits.Writer
 				if err := o.Encode(&w); err != nil {
 					t.Fatal(err)
 				}
-				certs[g.IDOf(v)] = bits.FromWriter(&w)
+				certs[v] = bits.FromWriter(&w)
 			}
 			s, err := Restore(g, tc.cfg, tc.cfg.Scheme, certs, 0)
 			if err != nil {
@@ -744,22 +743,29 @@ func TestReproveEveryScheme(t *testing.T) {
 // frontier rejects the repair.
 type corruptingRepair struct {
 	repairState
+	g      *graph.Graph
 	armed  bool
 	victim graph.ID
 }
 
-func (c *corruptingRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
-	certs, changed, ok, reason := c.repairState.repair(nb, budget)
+func (c *corruptingRepair) repair(nb *netBatch, budget int) ([]int, []bits.Certificate, bool, string) {
+	changed, certs, ok, reason := c.repairState.repair(nb, budget)
 	if ok && c.armed && len(certs) > 0 {
 		c.armed = false
-		c.victim = slices.Min(slices.Collect(maps.Keys(certs)))
-		cert := certs[c.victim]
+		i := 0
+		for k, v := range changed {
+			if c.g.IDOf(v) < c.g.IDOf(changed[i]) {
+				i = k
+			}
+		}
+		c.victim = c.g.IDOf(changed[i])
+		cert := certs[i]
 		data := slices.Clone(cert.Data)
 		last := cert.Bits - 1
 		data[last/8] ^= 1 << (7 - last%8)
-		certs[c.victim] = bits.Certificate{Data: data, Bits: cert.Bits}
+		certs[i] = bits.Certificate{Data: data, Bits: cert.Bits}
 	}
-	return certs, changed, ok, reason
+	return changed, certs, ok, reason
 }
 
 // TestRejectedRepairKeepsAcceptedBaseline corrupts one certificate of a
@@ -786,11 +792,11 @@ func TestRejectedRepairKeepsAcceptedBaseline(t *testing.T) {
 		}
 		wrap, ok := s.state.(*corruptingRepair)
 		if !ok {
-			wrap = &corruptingRepair{repairState: s.state}
+			wrap = &corruptingRepair{repairState: s.state, g: s.g}
 			s.state = wrap
 		}
 		wrap.armed = true
-		before := maps.Clone(s.certs)
+		before := slices.Clone(s.certs)
 		a, b := s.g.IDOf(e.U), s.g.IDOf(e.V)
 		tree := isTreeEdge(t, s, normPair(a, b))
 		rep, err := s.Apply([]Update{{Op: RemoveEdge, A: a, B: b}})
@@ -810,7 +816,7 @@ func TestRejectedRepairKeepsAcceptedBaseline(t *testing.T) {
 		if rep.Mode != ModeReprove || !strings.HasPrefix(rep.RepairFallback, "frontier rejected") {
 			t.Fatalf("corrupted repair of {%d,%d} absorbed as %s (%s)", a, b, rep.Mode, rep.RepairFallback)
 		}
-		changed := s.changedIdxs(before, s.certs)
+		changed := changedIdxs(before, s.certs)
 		if rep.Dirty != len(changed) {
 			t.Fatalf("re-prove reports %d changed certificates, %d differ from the accepted assignment", rep.Dirty, len(changed))
 		}

@@ -185,7 +185,7 @@ func (p *planarState) chordOf(ge graph.Edge) (core.Interval, bool) {
 }
 
 // repair implements repairState for the planarity scheme.
-func (p *planarState) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
+func (p *planarState) repair(nb *netBatch, budget int) ([]int, []bits.Certificate, bool, string) {
 	dirty := make(map[int]bool)
 	for _, pr := range nb.removedEdges {
 		if ok, reason := p.removeChord(pr, &budget, dirty); !ok {
@@ -197,17 +197,7 @@ func (p *planarState) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certif
 			return nil, nil, false, reason
 		}
 	}
-	certs := make(map[graph.ID]bits.Certificate, len(dirty))
-	changed := make([]int, 0, len(dirty))
-	for v := range dirty {
-		var w bits.Writer
-		if err := p.objs[v].Encode(&w); err != nil {
-			return nil, nil, false, "re-encode: " + err.Error()
-		}
-		certs[p.g.IDOf(v)] = bits.FromWriter(&w)
-		changed = append(changed, v)
-	}
-	return certs, changed, true, ""
+	return reencode(dirty, func(v int, w *bits.Writer) error { return p.objs[v].Encode(w) })
 }
 
 func (p *planarState) idxPair(pr [2]graph.ID) (graph.Edge, bool) {

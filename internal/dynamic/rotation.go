@@ -146,7 +146,7 @@ func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 	if !ok {
 		c := pv.Child(obs.SpanRepairState)
 		var err error
-		p, err = s.decodePlanarState(old)
+		p, err = s.decodePlanarState()
 		c.End()
 		if err != nil {
 			return nil

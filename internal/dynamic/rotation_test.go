@@ -2,8 +2,8 @@ package dynamic
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/planarcert/planarcert/internal/bits"
@@ -35,7 +35,7 @@ func TestRotationRoundTrip(t *testing.T) {
 	}
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
-			objs, want, err := core.ProvePlanar(g, nil)
+			objs, want, _, err := core.ProvePlanarFrom(g, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestRotationRoundTrip(t *testing.T) {
 			if !kept {
 				t.Fatal("the rotation read off the certificates failed the audit or the transform")
 			}
-			if !maps.EqualFunc(got, want, func(a, b bits.Certificate) bool { return a.Equal(b) }) {
+			if !slices.EqualFunc(got, want, func(a, b bits.Certificate) bool { return a.Equal(b) }) {
 				t.Fatal("certificates proved from the read rotation differ from the prover's")
 			}
 		})

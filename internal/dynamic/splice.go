@@ -174,10 +174,9 @@ func (sp *splice) isXY(ec *core.EdgeCert) bool {
 // spliceTree absorbs the removal of the tree edge {par, c}, par =
 // parent(c), by an Euler-tour splice (see splice). The renumbered ranks
 // are charged to the budget. A splice that dirties more than half of
-// the nodes falls back, as the frontier of a re-prove does (see
-// smallFrontier), so that a repair stays local; the state is then
-// already spliced, which keeps it a function of the certificates and
-// the batch.
+// the nodes falls back to a re-prove, so that a repair stays local; the
+// state is then already spliced, which keeps it a function of the
+// certificates and the batch.
 func (p *planarState) spliceTree(par, c int, budget *int, dirty map[int]bool) (bool, string) {
 	sp, ok := p.planSplice(par, c)
 	if !ok {

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -21,7 +20,7 @@ func forkSession(t *testing.T, s *Session) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.certs, f.certsOwn, f.certified = maps.Clone(s.certs), true, true
+	f.certs, f.certsOwn, f.certified = slices.Clone(s.certs), true, true
 	return f
 }
 
@@ -68,7 +67,7 @@ func removeTreeEdge(t *testing.T, base *Session, e graph.Edge) (splice, *Report)
 	if !ok {
 		t.Fatalf("no splice for the non-bridge tree edge %v", e)
 	}
-	before := maps.Clone(s.certs)
+	before := slices.Clone(s.certs)
 	a, b := s.g.IDOf(e.U), s.g.IDOf(e.V)
 	rep, err := s.Apply([]Update{{Op: RemoveEdge, A: a, B: b}})
 	if err != nil {
@@ -85,7 +84,7 @@ func removeTreeEdge(t *testing.T, base *Session, e graph.Edge) (splice, *Report)
 		spliceUnbounded(t, base, e)
 		return sp, rep
 	}
-	changed := s.changedIdxs(before, s.certs)
+	changed := changedIdxs(before, s.certs)
 	if rep.Dirty != len(changed) {
 		t.Fatalf("removing %v: %d certificates re-encoded, %d changed", e, rep.Dirty, len(changed))
 	}
@@ -120,7 +119,7 @@ func spliceUnbounded(t *testing.T, base *Session, e graph.Edge) {
 		if err := p.objs[v].Encode(&w); err != nil {
 			t.Fatal(err)
 		}
-		s.certs[s.g.IDOf(v)] = bits.FromWriter(&w)
+		s.certs[v] = bits.FromWriter(&w)
 	}
 	s.state = p
 	if out := s.VerifyFull(); !out.AllAccept() {

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -37,7 +36,7 @@ func TestPlanarStateMatchesTransform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			certs, err := core.PlanarScheme{}.Prove(tc.g)
+			_, certs, _, err := core.ProvePlanarFrom(tc.g, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +87,7 @@ func TestTreeRepairMatchesProver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		certs, err := core.NonPlanarScheme{}.Prove(g)
+		_, certs, err := core.ProveNonPlanar(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +292,7 @@ func TestRestoredSurgeryRepairs(t *testing.T) {
 			if second == [2]graph.ID{} {
 				break
 			}
-			r, err := Restore(s.Graph().Clone(), cfg, s.ActiveScheme(), maps.Clone(s.Certificates()), s.Generation())
+			r, err := Restore(s.Graph().Clone(), cfg, s.ActiveScheme(), slices.Clone(s.Certificates()), s.Generation())
 			if err != nil {
 				t.Fatal(err)
 			}

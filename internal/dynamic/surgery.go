@@ -188,7 +188,7 @@ func (t *treeRepair) surgery(p, c int, budget *int, cut map[int][]int) (dirty []
 
 // repair implements repairState. A failed surgery may leave earlier
 // surgeries of the batch applied; the session then replaces the state.
-func (t *treeRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certificate, []int, bool, string) {
+func (t *treeRepair) repair(nb *netBatch, budget int) ([]int, []bits.Certificate, bool, string) {
 	cut := make(map[int][]int, 2*len(nb.removedEdges))
 	for _, pr := range nb.removedEdges { // the batch removed edges between known nodes
 		ia, _ := t.g.IndexOf(pr[0])
@@ -217,17 +217,7 @@ func (t *treeRepair) repair(nb *netBatch, budget int) (map[graph.ID]bits.Certifi
 			dirty[z] = true
 		}
 	}
-	certs := make(map[graph.ID]bits.Certificate, len(dirty))
-	changed := make([]int, 0, len(dirty))
-	for z := range dirty {
-		var w bits.Writer
-		if err := t.objs[z].Encode(&w); err != nil {
-			return nil, nil, false, "re-encode: " + err.Error()
-		}
-		certs[t.g.IDOf(z)] = bits.FromWriter(&w)
-		changed = append(changed, z)
-	}
-	return certs, changed, true, ""
+	return reencode(dirty, func(v int, w *bits.Writer) error { return t.objs[v].Encode(w) })
 }
 
 var _ repairState = (*treeRepair)(nil)

@@ -80,14 +80,6 @@ func (s *Server) recoverSession(dir string) error {
 		st.Close()
 		return fmt.Errorf("server: snapshot graph in %s: %w", dir, err)
 	}
-	if hi, lo := net.Fingerprint(); hi != snap.FingerprintHi || lo != snap.FingerprintLo {
-		// The body CRC passed but the graph does not hash to its key:
-		// treat it like any other corrupt snapshot.
-		st.Close()
-		s.met.walCorrupt.Add(1)
-		return fmt.Errorf("server: snapshot fingerprint mismatch in %s", dir)
-	}
-
 	popts := persistOpts{
 		repairThreshold: int(snap.RepairThreshold),
 		cacheSize:       int(snap.CacheSize),
@@ -108,6 +100,14 @@ func (s *Server) recoverSession(dir string) error {
 	if err != nil {
 		st.Close()
 		return fmt.Errorf("server: restore %q: %w", snap.Name, err)
+	}
+	if hi, lo := ps.Fingerprint(); hi != snap.FingerprintHi || lo != snap.FingerprintLo {
+		// The body CRC passed but the graph does not hash to its key:
+		// treat it like any other corrupt snapshot. The restored session
+		// hashed the graph once already, so the check reads its key.
+		st.Close()
+		s.met.walCorrupt.Add(1)
+		return fmt.Errorf("server: snapshot fingerprint mismatch in %s", dir)
 	}
 
 	// Replay the WAL tail through the live session, exactly as when each

@@ -907,3 +907,62 @@ func TestRecoveryRefusesMalformedSnapshotGraph(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoveryRefusesFingerprintMismatch writes a CRC-clean snapshot of
+// a valid graph whose FingerprintHi does not match the graph: recovery
+// must refuse it after restoring the session, count it as corrupt and
+// as failed, and restore nothing from it.
+func TestRecoveryRefusesFingerprintMismatch(t *testing.T) {
+	dir := t.TempDir()
+	root, err := wal.OpenRoot(dir, wal.SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := root.CreateSession("rekeyed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := planarcert.NewNetwork()
+	for id := planarcert.NodeID(0); id < 4; id++ {
+		if err := net.AddNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]planarcert.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
+		if err := net.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hi, lo := net.Fingerprint()
+	if err := st.WriteSnapshot(&wal.Snapshot{
+		Name:          "rekeyed",
+		Scheme:        string(planarcert.SchemePlanarity),
+		ActiveScheme:  string(planarcert.SchemePlanarity),
+		FingerprintHi: hi ^ 1,
+		FingerprintLo: lo,
+		Nodes:         walNodes(net),
+		Edges:         walEdges(net),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	probe := New(Config{DataDir: dir})
+	err = probe.recoverSession(root.SessionDir("rekeyed"))
+	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("recoverSession: %v, want a fingerprint mismatch", err)
+	}
+	if got := probe.met.walCorrupt.Load(); got != 1 {
+		t.Fatalf("wal_corrupt_records = %d after one mismatch, want 1", got)
+	}
+	srv, _ := newDurableServer(t, dir, Config{})
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("restored %d sessions from a mismatched snapshot, want 0", n)
+	}
+	if got := srv.met.walCorrupt.Load(); got != 1 {
+		t.Fatalf("wal_corrupt_records = %d, want 1", got)
+	}
+	if got := srv.met.recoveryFailed.Load(); got != 1 {
+		t.Fatalf("recovery_failed = %d, want 1", got)
+	}
+}

@@ -35,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
+	"maps"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -251,12 +253,13 @@ func schemeByName(name SchemeName) (pls.Scheme, error) {
 	}
 }
 
-// cloneCertificates deep-copies a certificate assignment: a fresh map
-// whose Data slices share no backing array with the input. The copies
-// are carved from one slab, each capped at its own length so an append
-// to one reallocates instead of running into the next.
-func cloneCertificates(certs Certificates) Certificates {
-	out := make(Certificates, len(certs))
+// cloneCertificates deep-copies the n certificates of an assignment
+// into a fresh map whose Data slices share no backing array with the
+// input. The copies are carved from one slab, each capped at its own
+// length so an append to one reallocates instead of running into the
+// next.
+func cloneCertificates(n int, certs iter.Seq2[NodeID, Certificate]) Certificates {
+	out := make(Certificates, n)
 	total := 0
 	for _, c := range certs {
 		total += len(c.Data)
@@ -284,7 +287,7 @@ func Certify(n *Network, name SchemeName) (Certificates, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cloneCertificates(Certificates(certs)), nil
+	return cloneCertificates(len(certs), maps.All(certs)), nil
 }
 
 // Report summarises one verification round. The JSON field names are
@@ -515,7 +518,7 @@ func SelfCertify(n *Network, name SchemeName) (Certificates, *PreprocessReport, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return cloneCertificates(Certificates(certs)), &PreprocessReport{
+	return cloneCertificates(len(certs), maps.All(certs)), &PreprocessReport{
 		Rounds:     stats.Rounds,
 		Messages:   stats.Messages,
 		TotalBits:  stats.TotalBits,

@@ -3,7 +3,9 @@ package planarcert
 import (
 	"fmt"
 
+	"github.com/planarcert/planarcert/internal/bits"
 	"github.com/planarcert/planarcert/internal/core"
+	"github.com/planarcert/planarcert/internal/dist"
 	"github.com/planarcert/planarcert/internal/dynamic"
 	"github.com/planarcert/planarcert/internal/graph"
 	"github.com/planarcert/planarcert/internal/pls"
@@ -225,7 +227,11 @@ func RestoreSession(snap *SessionSnapshot, cfg EngineConfig, opts ...SessionOpti
 			return nil, err
 		}
 	}
-	d, err := dynamic.Restore(snap.Network.g, dc, active, map[NodeID]Certificate(snap.Certificates), snap.Generation)
+	var certs []bits.Certificate
+	if len(snap.Certificates) > 0 {
+		certs = dist.ByIndex(snap.Network.g, snap.Certificates)
+	}
+	d, err := dynamic.Restore(snap.Network.g, dc, active, certs, snap.Generation)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +311,14 @@ func (s *Session) RepairThreshold() int { return s.d.RepairThreshold() }
 // callers mutating the map or its byte slices cannot corrupt the
 // session's internal state.
 func (s *Session) Certificates() Certificates {
-	return cloneCertificates(Certificates(s.d.Certificates()))
+	g, certs := s.d.Graph(), s.d.Certificates()
+	return cloneCertificates(len(certs), func(yield func(NodeID, Certificate) bool) {
+		for v, c := range certs {
+			if !yield(g.IDOf(v), c) {
+				return
+			}
+		}
+	})
 }
 
 // Verify re-runs the active scheme's full 1-round verification over the
