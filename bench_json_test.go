@@ -23,6 +23,7 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		AllocsPerNode float64 `json:"allocs_per_node"`
 		// The leaf-attach session: LR tests per batch, the read of the
 		// kept rotation, and one planarity.Check of the same graph.
+		// BenchmarkDynamicReprove records LR tests per batch too.
 		LRPerOp    *float64 `json:"lr_per_op"`
 		RotationMs float64  `json:"rotation_ms"`
 		LRCheckMs  float64  `json:"lrcheck_ms"`
@@ -190,6 +191,8 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	}
 	// The bar of verifying a re-prove on its certificate diff: re-proves
 	// of single-edge batches at n=2000 verify at most n/4 nodes each.
+	// And the bar of re-adding an edge inside the certified embedding:
+	// none of those re-proves runs the LR test.
 	const reproveN = 2000
 	var dynReprove *entry
 	for i := range snap.Benchmarks {
@@ -198,11 +201,14 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		}
 	}
 	switch {
-	case dynReprove == nil || dynReprove.VerifiedPerOp == nil:
-		t.Fatal("BENCH_dynamic.json: BenchmarkDynamicReprove lacks verified_per_op")
+	case dynReprove == nil || dynReprove.VerifiedPerOp == nil || dynReprove.LRPerOp == nil:
+		t.Fatal("BENCH_dynamic.json: BenchmarkDynamicReprove lacks verified_per_op or lr_per_op")
 	case *dynReprove.VerifiedPerOp > reproveN/4:
 		t.Fatalf("BENCH_dynamic.json: re-proves at n=%d verified %.1f nodes per batch, bar is %d",
 			reproveN, *dynReprove.VerifiedPerOp, reproveN/4)
+	case *dynReprove.LRPerOp != 0:
+		t.Fatalf("BENCH_dynamic.json: re-proves at n=%d ran %.2f LR tests per batch, bar is 0",
+			reproveN, *dynReprove.LRPerOp)
 	}
 	// The bar of splicing tree-edge removals: at n=2000, at least 90% of
 	// them are absorbed as a splice, and a removal costs at most a third

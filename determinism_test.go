@@ -151,7 +151,9 @@ func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []p
 // embedding: the restored session's first batch adds a node, so it
 // re-proves from an embedding read off the restored certificates
 // without a repair attempt before it; every one of its batches adds a
-// node, so every sweep is full.
+// node, so every sweep is full. A cross stream on K_{2,4} pins the same
+// for re-proves that insert an edge into the kept embedding and for
+// those whose edge shares no face with it and that run the LR test.
 func TestAbsorptionDeterministic(t *testing.T) {
 	cfg := planarcert.EngineConfig{Sequential: true}
 	newSession := func(net *planarcert.Network) *planarcert.Session {
@@ -188,8 +190,19 @@ func TestAbsorptionDeterministic(t *testing.T) {
 	modes, embeddings, full := absorbAlike(t, []sessionPair{
 		{"leaf-new", a, newSession(big)}, {"leaf-fresh-vs-restored", c, restore(c)},
 	}, 24, leaves.next)
+	if modes["reprove"] != 24 || full != 24 || embeddings["kept"] != 24 {
+		t.Fatalf("leaf stream: modes %v, %d full sweeps, embeddings %v; want every batch re-proved with a full sweep from the kept embedding",
+			modes, full, embeddings)
+	}
+
+	k24 := planarcert.FromGraph(gen.CompleteBipartite(2, 4))
+	a, c = newSession(k24), newSession(k24)
+	cross := newCrossStream(k24, 7)
+	modes, embeddings, full = absorbAlike(t, []sessionPair{
+		{"cross-new", a, newSession(k24)}, {"cross-fresh-vs-restored", c, restore(c)},
+	}, 24, cross.next)
 	if modes["reprove"] != 24 || full != 24 || embeddings["kept"] == 0 || embeddings["lr"] == 0 {
-		t.Fatalf("leaf stream: modes %v, %d full sweeps, embeddings %v; want every batch re-proved with a full sweep, both kept and LR embeddings",
+		t.Fatalf("cross stream: modes %v, %d full sweeps, embeddings %v; want every batch re-proved with a full sweep, both kept and LR embeddings",
 			modes, full, embeddings)
 	}
 }
@@ -198,7 +211,8 @@ func TestAbsorptionDeterministic(t *testing.T) {
 // the shape of a growing network whose every batch re-proves. Every
 // third batch also removes a triangulation edge, or re-adds the one it
 // removed, so the stream re-proves from the kept embedding across edge
-// removals and from a new one when an edge joins two existing nodes.
+// removals and across re-adds, whose chords return to the face the
+// removal left.
 type leafStream struct {
 	rng     *rand.Rand
 	base    [][2]planarcert.NodeID
@@ -211,13 +225,19 @@ func newLeafStream(net *planarcert.Network, seed int64) *leafStream {
 	return &leafStream{rng: rand.New(rand.NewSource(seed)), base: net.Edges(), ids: net.IDs()}
 }
 
-func (st *leafStream) next() []planarcert.Update {
+// attach returns the updates that attach one new node to a random one.
+func (st *leafStream) attach() []planarcert.Update {
 	leaf := slices.Max(st.ids) + 1
 	batch := []planarcert.Update{
 		planarcert.NodeAdd(leaf),
 		planarcert.EdgeAdd(leaf, st.ids[st.rng.Intn(len(st.ids))]),
 	}
 	st.ids = append(st.ids, leaf)
+	return batch
+}
+
+func (st *leafStream) next() []planarcert.Update {
+	batch := st.attach()
 	if st.batches++; st.batches%3 == 0 {
 		if e := st.removed; e != nil {
 			batch, st.removed = append(batch, planarcert.EdgeAdd(e[0], e[1])), nil
@@ -227,6 +247,32 @@ func (st *leafStream) next() []planarcert.Update {
 		}
 	}
 	return batch
+}
+
+// crossStream attaches one new node per batch, like leafStream, to
+// K_{2,4}, and alternately adds an edge between two of its four
+// degree-2 nodes and removes it again. Around either hub the four lie in
+// a cyclic order: a consecutive pair shares a face, and the re-prove
+// inserts the edge into the kept embedding; the other two pairs share
+// none, so the edge, planar as it is, needs the LR test's new embedding.
+type crossStream struct {
+	leafStream
+	chord *[2]planarcert.NodeID
+}
+
+func newCrossStream(net *planarcert.Network, seed int64) *crossStream {
+	return &crossStream{leafStream: *newLeafStream(net, seed)}
+}
+
+func (st *crossStream) next() []planarcert.Update {
+	batch := st.attach()
+	if e := st.chord; e != nil {
+		batch, st.chord = append(batch, planarcert.EdgeRemove(e[0], e[1])), nil
+		return batch
+	}
+	ends := st.rng.Perm(4) // K_{2,4}'s degree-2 nodes are 2..5
+	st.chord = &[2]planarcert.NodeID{planarcert.NodeID(2 + ends[0]), planarcert.NodeID(2 + ends[1])}
+	return append(batch, planarcert.EdgeAdd(st.chord[0], st.chord[1]))
 }
 
 // TestKuratowskiDeterministic pins that witness extraction is a function

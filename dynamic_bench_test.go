@@ -197,7 +197,9 @@ func BenchmarkDynamicLeafAttach(b *testing.B) {
 // four removed. The sweep after the re-prove verifies the frontier of
 // its certificate diff against the last accepted assignment:
 // verified/op counts the nodes it verified and changed/op the
-// certificates the re-prove rewrote, both per batch.
+// certificates the re-prove rewrote, both per batch. A re-add inserts
+// its chord into the certified embedding at a face its ends share;
+// lr/op counts the batches whose prove ran the LR test instead.
 func BenchmarkDynamicReprove(b *testing.B) {
 	const n = 2000
 	net := planarcert.FromGraph(gen.StackedTriangulation(n, rand.New(rand.NewSource(42))))
@@ -237,10 +239,14 @@ func BenchmarkDynamicReprove(b *testing.B) {
 			}
 		}
 	}
-	verified, changed := 0, 0
+	tracer := planarcert.NewTracer(planarcert.TracerConfig{})
+	verified, changed, lr := 0, 0, 0
 	b.ResetTimer()
 	for _, batch := range batches {
+		root := tracer.Start("bench", obs.SpanBatch)
+		s.Trace(root)
 		rep, err := s.Apply(batch)
+		root.End()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,10 +255,16 @@ func BenchmarkDynamicReprove(b *testing.B) {
 		}
 		verified += rep.Verified
 		changed += rep.Dirty
+		for _, pv := range root.Children() {
+			if e, _ := pv.StrAttr("embedding"); pv.Name() == obs.SpanProve && e != "kept" {
+				lr++
+			}
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
 	b.ReportMetric(float64(changed)/float64(b.N), "changed/op")
+	b.ReportMetric(float64(lr)/float64(b.N), "lr/op")
 }
 
 // BenchmarkDynamicTreeEdgeRemoval measures one batch that removes a

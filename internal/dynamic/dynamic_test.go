@@ -508,16 +508,23 @@ func TestNodeAdditions(t *testing.T) {
 // TestReproveTraceSteps checks that a traced planarity re-prove records
 // its six steps, in order, as the only children of the prove span, and
 // that Phases still books the whole prove span (steps included) once.
-// A leaf attach and a tree-edge removal keep the certified embedding:
-// the read of the rotation stands in for the LR test. A batch that adds
-// an edge between two existing nodes runs the LR test. The prove span's
-// changed attribute is the report's Dirty; the leaf attach, which adds
-// a node, changes every certificate and runs the full sweep. Repair is
-// off, so that the tree-edge removal re-proves instead of splicing.
+// A leaf attach, a tree-edge removal and a batch that adds an edge
+// between two existing nodes sharing a face keep the certified
+// embedding: the read of the rotation stands in for the LR test. An
+// edge whose ends share no face in the kept embedding, a chord across
+// K_{2,4} between two degree-2 nodes that are not consecutive around a
+// hub, runs the LR test. The prove span's changed attribute is the
+// report's Dirty; the leaf attach, which adds a node, changes every
+// certificate and runs the full sweep. Repair is off, so that the
+// tree-edge removal re-proves instead of splicing.
 func TestReproveTraceSteps(t *testing.T) {
 	cfg := planarCfg()
 	cfg.RepairThreshold = -1
 	s, err := NewSession(gen.StackedTriangulation(60, rand.New(rand.NewSource(2))), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k24, err := NewSession(gen.CompleteBipartite(2, 4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,23 +542,29 @@ func TestReproveTraceSteps(t *testing.T) {
 	var first [2]graph.ID
 	for _, tc := range []struct {
 		name      string
+		s         *Session
 		batch     func() []Update
 		embedding string
 		lr        string // the first step
 		full      bool   // whether the sweep must be full
 	}{
-		{"leaf attach", func() []Update {
+		{"leaf attach", s, func() []Update {
 			return []Update{{Op: AddNode, A: 1000}, {Op: AddEdge, A: 1000, B: 0}}
 		}, "kept", obs.SpanRotation, true},
-		{"tree-edge removal", func() []Update {
+		{"tree-edge removal", s, func() []Update {
 			first = treeEdge([2]graph.ID{})
 			return []Update{{Op: RemoveEdge, A: first[0], B: first[1]}}
 		}, "kept", obs.SpanRotation, false},
-		{"edge between existing nodes", func() []Update {
+		{"edge between existing nodes", s, func() []Update {
 			e := treeEdge(first)
 			return []Update{{Op: RemoveEdge, A: e[0], B: e[1]}, {Op: AddEdge, A: first[0], B: first[1]}}
+		}, "kept", obs.SpanRotation, false},
+		{"edge with no common face", k24, func() []Update {
+			e := noFaceEdge(t, k24)
+			return []Update{{Op: AddEdge, A: e[0], B: e[1]}}
 		}, "lr", obs.SpanLRCheck, false},
 	} {
+		s := tc.s
 		root := obs.New(obs.Config{}).Start("s", obs.SpanBatch)
 		s.TraceNext(root)
 		rep, err := s.Apply(tc.batch())
@@ -596,6 +609,19 @@ func TestReproveTraceSteps(t *testing.T) {
 		}
 		checkParity(t, s)
 	}
+}
+
+// noFaceEdge returns an edge that K_{2,q} (q >= 4) stays planar with but
+// whose ends share no face in the session's certified embedding: two
+// degree-2 nodes that are not consecutive around hub 0.
+func noFaceEdge(t *testing.T, s *Session) [2]graph.ID {
+	t.Helper()
+	p, ok := s.state.(*planarState)
+	if !ok {
+		t.Fatal("no planarity repair state")
+	}
+	ring := p.rotation().Order[0]
+	return normPair(s.g.IDOf(ring[0]), s.g.IDOf(ring[2]))
 }
 
 // TestBatchValidation checks invalid logs are rejected atomically.

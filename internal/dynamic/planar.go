@@ -32,7 +32,9 @@ import (
 //     cover), and exactly the ranks x in (a, b) with I(x) = P are
 //     re-covered by the new chord. If no copy pair satisfies it, the
 //     chord cannot be added under the current embedding and the
-//     session falls back to a full re-prove.
+//     session falls back to a re-prove from the LR test. A chord over
+//     the repair threshold falls back too, and its re-prove inserts the
+//     chord the same way (see keptRotation).
 //
 // Every patched rank interval is propagated into the edge certificates
 // that claim it: the tree-edge certificates of the two path edges at
@@ -45,8 +47,8 @@ import (
 // renumbered. Node additions change n in every certificate and are out
 // of repair scope. Their re-prove still starts from the embedding the
 // state encodes (see rotation and keptRotation), with new leaves hung
-// at their neighbors, and runs the LR test only when the batch adds an
-// edge between two existing nodes.
+// at their neighbors and new edges between existing nodes inserted as
+// chords, and runs the LR test only when such an edge has no face.
 type planarState struct {
 	g      *graph.Graph
 	n2     int
@@ -224,21 +226,26 @@ func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[int]boo
 	if !ok {
 		return false, "no chord recorded for removed edge"
 	}
-	a, b := chord.A, chord.B
-	if *budget -= b - a + 1; *budget < 0 {
-		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", a, b)
+	if *budget -= chord.B - chord.A + 1; *budget < 0 {
+		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", chord.A, chord.B)
 	}
-	// Detach the chord before computing its parent cover.
+	return p.detachChord(e, chord, dirty)
+}
+
+// detachChord removes the chord of the cotree edge e, which spans
+// chord: its byRank entries and edge certificate, and then, by the
+// innermost chord strictly containing it, the cover of every rank whose
+// innermost cover it was. It undoes attachChord exactly.
+func (p *planarState) detachChord(e graph.Edge, chord core.Interval, dirty map[int]bool) (bool, string) {
+	a, b := chord.A, chord.B
 	p.byRank[a] = dropEdge(p.byRank[a], e)
 	p.byRank[b] = dropEdge(p.byRank[b], e)
-	h, hv, k, _ := p.edgeCertOf(e) // found by chordOf
+	h, hv, k, _ := p.edgeCertOf(e) // the caller found it
 	h.Edges = append(h.Edges[:k], h.Edges[k+1:]...)
 	dirty[hv] = true
-	// Re-cover the ranks whose innermost cover was the removed chord.
 	j := p.coverOf(a, b)
-	chordIv := core.Interval{A: a, B: b}
 	for x := a + 1; x < b; x++ {
-		if p.iv[x] == chordIv {
+		if p.iv[x] == chord {
 			if ok, reason := p.setRankInterval(x, j, dirty); !ok {
 				return false, reason
 			}
@@ -252,59 +259,66 @@ func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[int]bool) 
 	if !ok {
 		return false, "unknown endpoint"
 	}
-	// Pick an attachable copy pair: ranks a < b of the two endpoints
-	// whose face chains share a face containing [a, b] (see the type
-	// comment). The innermost common face J becomes the chord's parent.
-	// Minimising the width minimises the ranks to patch.
+	ru, rv, j, ok := p.chordFace(e)
+	if !ok {
+		return false, "no non-crossing chord attachment under the current embedding"
+	}
+	a, b := min(ru, rv), max(ru, rv)
+	if *budget -= b - a + 1; *budget < 0 {
+		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", a, b)
+	}
+	if min(len(p.objs[e.U].Edges), len(p.objs[e.V].Edges)) >= core.MaxEdgeCerts {
+		return false, "both endpoints at the edge-certificate cap"
+	}
+	return p.attachChord(e, ru, rv, j, dirty)
+}
+
+// chordFace picks where a chord of the edge e can attach: ranks ru of
+// e.U and rv of e.V whose face chains share a face containing the span
+// between them (see the type comment), and the innermost such face J,
+// which becomes the chord's parent. Minimising the width minimises the
+// ranks to patch. It reports false when no copy pair shares a face.
+func (p *planarState) chordFace(e graph.Edge) (ru, rv int, j core.Interval, ok bool) {
 	bestA, bestB := -1, -1
-	var bestJ core.Interval
-	var rankU, rankV int
-	for _, ru := range p.copies[e.U] {
-		for _, rv := range p.copies[e.V] {
-			a, b := ru, rv
-			if a > b {
-				a, b = b, a
-			}
+	for _, cu := range p.copies[e.U] {
+		for _, cv := range p.copies[e.V] {
+			a, b := min(cu, cv), max(cu, cv)
 			if b-a < 2 {
 				continue
 			}
-			j, ok := p.commonFace(a, b)
-			if !ok {
+			f, found := p.commonFace(a, b)
+			if !found {
 				continue
 			}
 			if bestA == -1 || b-a < bestB-bestA || (b-a == bestB-bestA && a < bestA) {
 				bestA, bestB = a, b
-				bestJ = j
-				rankU, rankV = ru, rv
+				ru, rv, j = cu, cv, f
 			}
 		}
 	}
-	if bestA == -1 {
-		return false, "no non-crossing chord attachment under the current embedding"
-	}
-	if *budget -= bestB - bestA + 1; *budget < 0 {
-		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", bestA, bestB)
-	}
-	cu := len(p.objs[e.U].Edges)
-	cv := len(p.objs[e.V].Edges)
+	return ru, rv, j, bestA != -1
+}
+
+// attachChord adds the chord of e between ranks ru and rv inside the
+// face j that chordFace found: its edge certificate, held by the
+// endpoint storing fewer, its byRank entries, and I(x) = [ru, rv] for
+// the ranks strictly inside whose innermost cover was j.
+func (p *planarState) attachChord(e graph.Edge, ru, rv int, j core.Interval, dirty map[int]bool) (bool, string) {
 	hv := e.U
-	if cv < cu {
+	if len(p.objs[e.V].Edges) < len(p.objs[e.U].Edges) {
 		hv = e.V
 	}
-	if min(cu, cv) >= core.MaxEdgeCerts {
-		return false, "both endpoints at the edge-certificate cap"
-	}
 	ec := core.EdgeCert{U: p.g.IDOf(e.U), V: p.g.IDOf(e.V)}
-	for k, r := range [2]int{rankU, rankV} {
+	for k, r := range [2]int{ru, rv} {
 		ec.Rank[k], ec.Iv[k] = int32(r), core.Narrow(p.iv[r])
 	}
 	p.objs[hv].Edges = append(p.objs[hv].Edges, ec)
-	p.byRank[rankU] = append(p.byRank[rankU], e)
-	p.byRank[rankV] = append(p.byRank[rankV], e)
+	p.byRank[ru] = append(p.byRank[ru], e)
+	p.byRank[rv] = append(p.byRank[rv], e)
 	dirty[hv] = true
-	chordIv := core.Interval{A: bestA, B: bestB}
-	for x := bestA + 1; x < bestB; x++ {
-		if p.iv[x] == bestJ {
+	chordIv := core.Interval{A: min(ru, rv), B: max(ru, rv)}
+	for x := chordIv.A + 1; x < chordIv.B; x++ {
+		if p.iv[x] == j {
 			if ok, reason := p.setRankInterval(x, chordIv, dirty); !ok {
 				return false, reason
 			}

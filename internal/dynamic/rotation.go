@@ -117,28 +117,42 @@ func (p *planarState) rotation() *embedding.Rotation {
 
 // keptRotation returns the rotation system a planarity re-prove of nb
 // starts from: the one the live certificates encode, without the
-// removed edges, and with each new node hung at the end of its
-// neighbor's list. It decodes the repair state first when the session
-// has none, and records the read as a child of pv. It returns nil, so
-// that the prover runs the LR test, when nb is nil, when the session
-// holds no certified planarity assignment, and when the batch adds an
-// edge other than a new node's only edge: such an edge needs a face
-// that the kept embedding may not have.
+// removed edges, with the chord of each added edge between two existing
+// nodes inserted at a face its ends share (see insertChords), and with
+// each new node hung at the end of its neighbor's list. It decodes the
+// repair state first when the session has none, and records the read,
+// which follows the chord insertion, as a child of pv. It returns nil,
+// so that the prover runs the LR test, when nb is nil, when the session
+// holds no certified planarity assignment, when the batch adds a node
+// with two edges, and when an added edge between existing nodes shares
+// no face with the kept embedding: the graph then needs another
+// embedding, or has none.
 //
 // A repair of nb that fell back before its frontier sweep may have
-// patched the state: removed chords of removed edges, or spliced the
-// tour around a removed tree edge. Either keeps the same embedding
-// minus the removed edges, and the result is still a function of the
-// certificates and the batch. (A repair whose frontier rejected drops
-// the state.)
+// patched the state: removed chords of removed edges, spliced the tour
+// around a removed tree edge, or attached chords of added edges, which
+// insertChords skips. Each keeps the same embedding minus the removed
+// edges plus the attached ones, and the result is still a function of
+// the certificates and the batch. (A repair whose frontier rejected
+// drops the state.) The inserted chords stay in the state, which the
+// re-prove replaces.
 func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 	if _, planar := s.active.(core.PlanarScheme); nb == nil || !planar || !s.certified {
 		return nil
 	}
 	n := s.g.N()
 	old := n - len(nb.addedNodes) // new nodes have the last indices
+	for v := old; v < n; v++ {
+		if s.g.Degree(v) > 1 {
+			return nil
+		}
+	}
+	var chords []graph.Edge
 	for _, pr := range nb.addedEdges {
-		if a, b := s.indices(pr); (a < old) == (b < old) {
+		switch a, b := s.indices(pr); {
+		case a < old && b < old:
+			chords = append(chords, graph.NewEdge(a, b))
+		case a >= old && b >= old:
 			return nil
 		}
 	}
@@ -151,6 +165,9 @@ func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 		if err != nil {
 			return nil
 		}
+	}
+	if !p.insertChords(chords) {
+		return nil
 	}
 	c := pv.Child(obs.SpanRotation)
 	defer c.End()
@@ -166,13 +183,41 @@ func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 		if u >= old {
 			u, leaf = leaf, u
 		}
-		if len(rot.Order[leaf]) > 0 {
-			return nil // a new node with two edges
+		if leaf >= old {
+			rot.Order[leaf] = []int{u}
+			rot.Order[u] = append(rot.Order[u], leaf)
 		}
-		rot.Order[leaf] = []int{u}
-		rot.Order[u] = append(rot.Order[u], leaf)
 	}
 	return rot
+}
+
+// insertChords attaches the chord of each edge in es, in order, at the
+// face chordFace picks, and skips an edge whose certificate the state
+// already holds. The repair threshold and the certificate cap do not
+// apply: a re-prove builds its state afresh from the prover's objects.
+// When an edge finds no face, insertChords detaches the chords it
+// attached, which leaves the state as it was, and reports false.
+func (p *planarState) insertChords(es []graph.Edge) bool {
+	dirty := make(map[int]bool) // nothing is re-encoded
+	var attached []graph.Edge
+	for _, e := range es {
+		if _, _, _, held := p.edgeCertOf(e); held {
+			continue
+		}
+		ru, rv, j, ok := p.chordFace(e)
+		if !ok {
+			for _, e := range slices.Backward(attached) {
+				c, _ := p.chordOf(e)
+				p.detachChord(e, c, dirty)
+			}
+			return false
+		}
+		if ok, _ := p.attachChord(e, ru, rv, j, dirty); !ok {
+			return false // a state its certificates do not describe
+		}
+		attached = append(attached, e)
+	}
+	return true
 }
 
 // indices returns the node indices of an edge's endpoints.
