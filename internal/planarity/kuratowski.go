@@ -45,19 +45,23 @@ type Witness struct {
 }
 
 // Kuratowski extracts a Kuratowski witness from a non-planar graph by
-// halving block deletion over one masked LR tester. The candidates are
-// the edges still in the tested graph, in sorted order. The first pass
-// tries to remove each half of them, and every later pass halves the
-// block size, down to single edges. A block whose removal keeps the graph
-// non-planar is removed for good; the other blocks stay. In the last pass
-// an edge is kept only if removing it alone made the graph planar, and
-// every subgraph of a planar graph is planar, so the final graph is
-// edge-minimal non-planar: exactly a subdivision of K5 or K3,3
-// (Kuratowski's theorem). Whenever half of the tester's edges are gone,
-// the tester compacts itself onto the rest, so a test costs O(live) time
-// rather than O(n+m) and allocates nothing; a pass with blocks of size s
-// makes about live/s tests. On a maximal planar graph plus one edge an
-// extraction scans a few dozen times m edges in all.
+// halving block deletion over one masked LR tester. It first narrows the
+// tester to the region where the LR test fails (see narrow), so on a
+// maximal planar graph plus one edge the deletion starts from 1-20% of
+// the edges rather than all of them; a witness in a non-planar subgraph
+// of g is a witness in g. The
+// candidates are the edges still in the tested graph, in sorted order.
+// The first pass tries to remove each half of them, and every later pass
+// halves the block size, down to single edges. A block whose removal
+// keeps the graph non-planar is removed for good; the other blocks stay.
+// In the last pass an edge is kept only if removing it alone made the
+// graph planar, and every subgraph of a planar graph is planar, so the
+// final graph is edge-minimal non-planar: exactly a subdivision of K5 or
+// K3,3 (Kuratowski's theorem). Whenever half of the tester's edges are
+// gone, the tester compacts itself onto the rest, so a test costs O(live)
+// time rather than O(n+m) and allocates nothing; a pass with blocks of
+// size s makes about live/s tests. On a maximal planar graph plus one
+// edge an extraction scans a few times m edges in all.
 func Kuratowski(g *graph.Graph) (*Witness, error) {
 	return kuratowski(g, true)
 }
@@ -66,16 +70,91 @@ func Kuratowski(g *graph.Graph) (*Witness, error) {
 // tests can check that compaction changes no decision.
 func kuratowski(g *graph.Graph, compact bool) (*Witness, error) {
 	st := newLR(g)
-	planar, err := st.planar()
-	if err != nil {
+	if err := st.narrow(g, compact); err != nil {
 		return nil, err
 	}
-	if planar {
-		return nil, ErrPlanarInput
+	return st.extract(compact)
+}
+
+// regionPlanar, when set, makes narrow read the region as planar, so
+// tests can take the path that keeps every edge.
+var regionPlanar bool
+
+// narrow runs the LR test on a fresh tester over g, past the Euler bound,
+// and returns ErrPlanarInput if g is planar. Otherwise the test failed at
+// the tail v of edge fail, and the region is the tree path from the root
+// to v plus every edge the testing DFS entered from v on: v's outgoing
+// edges up to and including fail, and all outgoing edges of the
+// descendants these lead to, which the DFS had finished. The region marks
+// itself in the alive mask, with byDepth as the walk's stack, so narrowing
+// allocates nothing. If the region has under 90% of the edges and tests
+// non-planar, the tester keeps only it, compacted first if compact is set;
+// otherwise every edge of g is alive again, on a rebuilt tester if
+// compaction had already thrown the rest away.
+func (st *lr) narrow(g *graph.Graph, compact bool) error {
+	planar, err := st.run()
+	if err != nil {
+		return err
 	}
-	cand := make([]int32, st.m)
-	for i := range cand {
-		cand[i] = int32(i)
+	if planar {
+		return ErrPlanarInput
+	}
+	v := st.from[st.fail]
+	clear(st.alive)
+	keep := 0
+	for e := st.parentEdge[v]; e != none; e = st.parentEdge[st.from[e]] {
+		st.alive[e] = true
+		keep++
+	}
+	out := st.outgoing(v)
+	edges := out[:slices.Index(out, st.fail)+1]
+	stack := st.byDepth[:0] // sortOutgoing is done with it
+	for {
+		for _, ei := range edges {
+			st.alive[ei] = true
+			keep++
+			if w := st.to[ei]; st.parentEdge[w] == ei {
+				stack = append(stack, w)
+			}
+		}
+		if len(stack) == 0 {
+			break
+		}
+		edges = st.outgoing(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+	}
+	if 10*keep < 9*st.m {
+		st.live = keep
+		if compact {
+			st.compact()
+		}
+		planar, err := st.planar()
+		if err != nil {
+			return err
+		}
+		if !planar && !regionPlanar {
+			return nil
+		}
+		if compact {
+			*st = *newLR(g)
+			return nil
+		}
+	}
+	for i := range st.alive {
+		st.alive[i] = true
+	}
+	st.live = st.m
+	return nil
+}
+
+// extract runs the halving block deletion of Kuratowski on the tester's
+// alive edges, which must be non-planar, and classifies what is left.
+func (st *lr) extract(compact bool) (*Witness, error) {
+	cand := make([]int32, 0, st.live)
+	for ei, alive := range st.alive {
+		if alive {
+			cand = append(cand, int32(ei))
+		}
 	}
 	for size := (len(cand) + 1) / 2; ; size = (size + 1) / 2 {
 		// Kept blocks move down to cand[:w], so cand[:w] and cand[i:] are

@@ -2,6 +2,7 @@ package planarity_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/planarcert/planarcert/internal/graph"
@@ -39,7 +40,8 @@ func fuzzGraph(data []byte) *graph.Graph {
 
 // FuzzKuratowski checks both answers of the LR test on small graphs: a
 // planar graph has no witness and its rotation passes the Euler audit; a
-// non-planar graph yields a witness that passes the independent check.
+// non-planar graph yields a witness that passes the independent check,
+// and the same witness from a tester that never compacts.
 func FuzzKuratowski(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})                        // K5
 	f.Add([]byte{5, 2, 3, 4, 6, 7, 8, 9, 10, 11})                         // K3,3
@@ -67,6 +69,10 @@ func FuzzKuratowski(f *testing.F) {
 		}
 		if err := checkWitness(g, w); err != nil {
 			t.Fatalf("non-planar graph %v: %v witness fails the independent check: %v", g, w.Kind, err)
+		}
+		plain, err := planarity.KuratowskiUncompacted(g)
+		if err != nil || !reflect.DeepEqual(w, plain) {
+			t.Fatalf("non-planar graph %v: compacted and uncompacted testers disagree (err %v):\n%+v\n%+v", g, err, w, plain)
 		}
 	})
 }

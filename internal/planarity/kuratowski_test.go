@@ -3,7 +3,6 @@ package planarity_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -272,22 +271,68 @@ func TestKuratowskiCompactionParity(t *testing.T) {
 }
 
 // TestKuratowskiWorkBudget bounds the work of one extraction on the churn
-// shape: the LR tests together scan fewer than 8·m·log₂m tester edges.
+// shape: the LR tests together scan fewer than 12·m tester edges.
 func TestKuratowskiWorkBudget(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		g := churnGraph(2000, seed)
-		stop := planarity.CountTests()
-		w, err := planarity.Kuratowski(g)
-		tests, scanned := stop()
+	for _, n := range []int{200, 2000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := churnGraph(n, seed)
+			stop := planarity.CountTests()
+			w, err := planarity.Kuratowski(g)
+			tests, scanned := stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := float64(g.M())
+			t.Logf("n=%d seed %d: %d-edge %v witness, %d LR tests scanning %d edges (%.1f·m, budget 12·m)",
+				n, seed, len(w.Edges), w.Kind, tests, scanned, float64(scanned)/m)
+			if float64(scanned) >= 12*m {
+				t.Fatalf("n=%d seed %d: %d LR tests scanned %d edges, budget 12·m = %.0f", n, seed, tests, scanned, 12*m)
+			}
+		}
+	}
+}
+
+// TestKuratowskiRegionPlanarFallback takes the path where the region the
+// LR test fails on reads as planar: the witness must then come from
+// halving block deletion over the whole graph, as without narrowing,
+// and the tester must have been restored for both the compacting and
+// the mask-only extraction.
+func TestKuratowskiRegionPlanarFallback(t *testing.T) {
+	inputs := []*graph.Graph{churnGraph(200, 1), churnGraph(200, 2), churnGraph(2000, 1)}
+	for _, k5 := range []bool{true, false} {
+		g, err := gen.PlantSubdivision(200, k5, rand.New(rand.NewSource(7)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := float64(g.M())
-		budget := 8 * m * math.Log2(m)
-		t.Logf("seed %d: %d-edge %v witness, %d LR tests scanning %d edges (%.1f·m, budget %.0f)",
-			seed, len(w.Edges), w.Kind, tests, scanned, float64(scanned)/m, budget)
-		if float64(scanned) >= budget {
-			t.Fatalf("seed %d: %d LR tests scanned %d edges, budget 8·m·log₂m = %.0f", seed, tests, scanned, budget)
+		inputs = append(inputs, g)
+	}
+	for i, g := range inputs {
+		label := fmt.Sprintf("input %d", i)
+		want, err := planarity.KuratowskiUnnarrowed(g)
+		if err != nil {
+			t.Fatalf("%s: unnarrowed: %v", label, err)
+		}
+		stop := planarity.CountTests()
+		mustWitness(t, g, label)
+		_, narrowed := stop()
+
+		var w, plain *planarity.Witness
+		var full int
+		func() {
+			defer planarity.ForceRegionPlanar()()
+			stop := planarity.CountTests()
+			w = mustWitness(t, g, label+" (region planar)")
+			_, full = stop()
+			plain, err = planarity.KuratowskiUncompacted(g)
+		}()
+		if err != nil {
+			t.Fatalf("%s: uncompacted (region planar): %v", label, err)
+		}
+		if !reflect.DeepEqual(w, want) || !reflect.DeepEqual(plain, want) {
+			t.Fatalf("%s: with the region read as planar, the witness differs from the unnarrowed one:\n%+v\n%+v\n%+v", label, w, plain, want)
+		}
+		if full <= narrowed {
+			t.Fatalf("%s: with the region read as planar the tests scanned %d edges, narrowed %d", label, full, narrowed)
 		}
 	}
 }
@@ -330,19 +375,24 @@ func TestKuratowskiAgreesWithWagner(t *testing.T) {
 	}
 }
 
-// BenchmarkKuratowski times witness extraction on the churn shape.
-// Regenerate BENCH_nonplanar.json with
+// BenchmarkKuratowski times witness extraction on the churn shape, and
+// reports the LR tests per extraction and the tester edges they scan per
+// edge of g. Regenerate BENCH_nonplanar.json with
 //
 //	go test -run '^$' -bench BenchmarkKuratowski -benchmem -count 5 ./internal/planarity/
 func BenchmarkKuratowski(b *testing.B) {
 	for _, n := range []int{200, 2000, 10000, 50000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := churnGraph(n, 1)
+			stop := planarity.CountTests()
 			for b.Loop() {
 				if _, err := planarity.Kuratowski(g); err != nil {
 					b.Fatal(err)
 				}
 			}
+			tests, scanned := stop()
+			b.ReportMetric(float64(tests)/float64(b.N), "tests/op")
+			b.ReportMetric(float64(scanned)/float64(b.N)/float64(g.M()), "scanned/m")
 		})
 	}
 }

@@ -10,6 +10,12 @@
 // same-side return edges nest. On success the algorithm yields a rotation
 // system (a planar combinatorial embedding); every embedding produced here
 // is additionally auditable with an Euler-formula check (embedding.IsPlanar).
+//
+// On failure the same test locates a non-planar region: the edges the
+// testing DFS entered below the vertex whose constraints failed, plus the
+// tree path above it. Kuratowski narrows a masked tester to that region
+// and then deletes blocks of edges while the rest stays non-planar, so a
+// witness costs a few LR tests' worth of scanning per edge of the graph.
 package planarity
 
 import (
@@ -90,6 +96,7 @@ type lr struct {
 
 	s     []conflictPair
 	chain []int32 // resolveSign scratch
+	fail  int32   // the edge whose constraints failed a non-planar run
 	err   error   // internal invariant violation, if any
 }
 
@@ -279,9 +286,8 @@ func (st *lr) compact() {
 // install it to bound the work of witness extraction.
 var testHook func(scanned int)
 
-// planar runs the orientation and testing phases on the alive edges. It
-// may be called again after changing the mask; every run starts from a
-// clean state.
+// planar tests the alive edges for planarity: by the Euler bound when it
+// decides, else by run.
 func (st *lr) planar() (bool, error) {
 	if st.n > 2 && st.live > 3*st.n-6 {
 		if testHook != nil {
@@ -289,6 +295,15 @@ func (st *lr) planar() (bool, error) {
 		}
 		return false, nil // Euler bound
 	}
+	return st.run()
+}
+
+// run runs the orientation and testing phases on the alive edges. It may
+// be called again after changing the mask; every run starts from a clean
+// state. When it reports non-planar without an error, fail is the edge
+// whose constraints could not be added, and the DFS state (orientation,
+// parent edges, outgoing lists) is left as the testing phase saw it.
+func (st *lr) run() (bool, error) {
 	if testHook != nil {
 		testHook(st.m)
 	}
@@ -467,6 +482,7 @@ func (st *lr) dfs2(v int32) bool {
 					st.lowptE[e] = st.lowptE[ei]
 				}
 			} else if !st.addConstraints(ei, e) {
+				st.fail = ei
 				return false
 			}
 		}
