@@ -31,6 +31,8 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		VerifiedPerOp *float64 `json:"verified_per_op"`
 		// Tree-edge removals absorbed as an Euler-tour splice, per batch.
 		SplicePerOp *float64 `json:"splice_per_op"`
+		// Wide-chord batches absorbed as a repair, per batch.
+		RepairPerOp *float64 `json:"repair_per_op"`
 	}
 	type snapshot struct {
 		Note       string  `json:"note"`
@@ -48,6 +50,7 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			"BenchmarkDynamicReprove",
 			"BenchmarkDynamicTreeEdgeRemoval/repair=on",
 			"BenchmarkDynamicTreeEdgeRemoval/repair=off",
+			"BenchmarkDynamicWideChord",
 			"BenchmarkDynamicCacheOscillation",
 		},
 		"BENCH_server.json": {
@@ -230,6 +233,21 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	case 3*splice.NsPerOp > spliceOff.NsPerOp:
 		t.Fatalf("BENCH_dynamic.json: a tree-edge removal took %d ns with repair on, more than a third of the re-prove's %d ns",
 			splice.NsPerOp, spliceOff.NsPerOp)
+	}
+	// The bar of charging a chord its face: at n=2000, at least 90% of
+	// the batches that remove or re-add a chord wider than the repair
+	// threshold are absorbed as a repair.
+	var wide *entry
+	for i := range snap.Benchmarks {
+		if snap.Benchmarks[i].Name == "BenchmarkDynamicWideChord" {
+			wide = &snap.Benchmarks[i]
+		}
+	}
+	switch {
+	case wide == nil || wide.RepairPerOp == nil:
+		t.Fatal("BENCH_dynamic.json: BenchmarkDynamicWideChord lacks repair_per_op")
+	case *wide.RepairPerOp < 0.9:
+		t.Fatalf("BENCH_dynamic.json: %.2f of the wide-chord batches repaired, bar is 0.9", *wide.RepairPerOp)
 	}
 
 	// The acceptance bar of the server subsystem: the committed load run

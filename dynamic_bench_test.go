@@ -1,6 +1,7 @@
 package planarcert_test
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 
 	planarcert "github.com/planarcert/planarcert"
 	"github.com/planarcert/planarcert/internal/core"
+	"github.com/planarcert/planarcert/internal/dynamic"
 	"github.com/planarcert/planarcert/internal/gen"
 	"github.com/planarcert/planarcert/internal/obs"
 	"github.com/planarcert/planarcert/internal/planarity"
@@ -339,6 +341,69 @@ func BenchmarkDynamicTreeEdgeRemoval(b *testing.B) {
 			b.ReportMetric(float64(splices)/float64(b.N), "splice/op")
 		})
 	}
+}
+
+// BenchmarkDynamicWideChord measures one batch that removes, or re-adds,
+// a cotree edge whose chord spans more than DefaultRepairThreshold ranks,
+// on an n=2000 stacked triangulation with repair on and the cache off.
+// Even batches remove an edge drawn with a seeded generator from the
+// live assignment's wide chords (found outside the timer), and odd ones
+// re-add it. The repair budget charges a chord the face under it, not
+// its width, so such a batch can be a repair: repair/op counts the
+// batches absorbed as repairs, and verified/op the nodes verified per
+// batch.
+func BenchmarkDynamicWideChord(b *testing.B) {
+	const n = 2000
+	net := planarcert.FromGraph(gen.StackedTriangulation(n, rand.New(rand.NewSource(42))))
+	s, err := planarcert.NewSession(net, planarcert.SchemePlanarity, planarcert.EngineConfig{},
+		planarcert.WithCacheSize(-1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	wideChord := func() [2]planarcert.NodeID {
+		var wide [][2]planarcert.NodeID
+		for _, c := range s.Certificates() {
+			obj, err := core.DecodePlanarCert(c.Reader())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, ec := range obj.Edges {
+				if w := int(ec.Rank[0]) - int(ec.Rank[1]); !ec.IsTree && max(w, -w)+1 > dynamic.DefaultRepairThreshold {
+					wide = append(wide, [2]planarcert.NodeID{ec.U, ec.V})
+				}
+			}
+		}
+		if len(wide) == 0 {
+			b.Fatal("no chord spans more than the repair threshold")
+		}
+		slices.SortFunc(wide, func(x, y [2]planarcert.NodeID) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
+		return wide[rng.Intn(len(wide))]
+	}
+	var e [2]planarcert.NodeID
+	repairs, verified := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		up := planarcert.EdgeAdd(e[0], e[1])
+		if i%2 == 0 {
+			b.StopTimer()
+			e = wideChord()
+			runtime.GC() // the set-up's garbage is not the batch's
+			b.StartTimer()
+			up = planarcert.EdgeRemove(e[0], e[1])
+		}
+		rep, err := s.Apply([]planarcert.Update{up})
+		if err != nil || !rep.Accepted {
+			b.Fatalf("batch %d {%d,%d}: %+v, %v", i, e[0], e[1], rep, err)
+		}
+		if rep.Mode == "repair" {
+			repairs++
+		}
+		verified += rep.Verified
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(repairs)/float64(b.N), "repair/op")
+	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
 }
 
 // BenchmarkDynamicCacheOscillation pins the cache path: repair is

@@ -50,7 +50,12 @@
 // every flip), and when the kept embedding fails any of those steps. No
 // rotation is kept between batches: it is read afresh from the state,
 // which a restored session decodes first, so the re-prove is a function
-// of the certificates and the batch.
+// of the certificates, the batch and the session's re-add hints. A
+// hint names the corners a removed edge left by the neighbors after it
+// in the rotation, so that its re-add, in a repair or a re-prove, puts
+// the chord back where it was. The hints live in memory only: a
+// restored session starts without them, and any corner that shares a
+// face makes a sound re-add, so they steer no acceptance.
 //
 // Frontier soundness. A proof-labeling verifier is local: node u's
 // verdict depends only on its 1-round view (its own identifier, degree

@@ -43,9 +43,11 @@ const (
 	ModeRestore     Mode = "restore"     // snapshot assignment adopted after a full sweep
 )
 
-// DefaultRepairThreshold bounds the repair scope (ranks scanned during
-// interval patching, ranks renumbered by a tree-edge splice, nodes
-// touched during tree surgery) per batch.
+// DefaultRepairThreshold bounds the repair scope per batch. A chord
+// added or removed is charged the ranks its face walk visits plus the
+// certificates the patch can dirty (see planarState.faceUnder), however
+// wide the chord; a tree-edge splice, the ranks it renumbers; tree
+// surgery, the nodes it touches.
 const DefaultRepairThreshold = 2048
 
 // DefaultCacheSize is the number of certified topologies remembered.
@@ -144,6 +146,7 @@ type Session struct {
 	certsOwn  bool               // false when certs aliases a cache entry (copy-on-write)
 	certified bool
 	state     repairState
+	hints     map[graph.Edge][2]int // removed edges -> the corners they left (see planarState.remember)
 
 	fp      fingerprint
 	cache   *certCache
@@ -250,6 +253,7 @@ func newSessionShell(g *graph.Graph, cfg Config) (*Session, error) {
 		threshold:   threshold,
 		engineOpts:  engineOpts,
 		cache:       newCertCache(cacheSize),
+		hints:       make(map[graph.Edge][2]int),
 		fp:          fingerprintOf(g),
 	}, nil
 }
@@ -800,7 +804,7 @@ func (s *Session) prove(sch pls.Scheme, pv *obs.Span, nb *netBatch) (certs []bit
 		pv.SetStr("embedding", embedding)
 		if err == nil {
 			c := pv.Child(obs.SpanRepairState)
-			st, err = newPlanarState(s.g, objs)
+			st, err = s.planarStateOf(objs)
 			c.End()
 		}
 	case core.NonPlanarScheme:
@@ -844,7 +848,17 @@ func (s *Session) decodePlanarState() (*planarState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPlanarState(s.g, objs)
+	return s.planarStateOf(objs)
+}
+
+// planarStateOf builds the planarity repair state of objs (see
+// newPlanarState) around the session's re-add hints.
+func (s *Session) planarStateOf(objs []core.PlanarCert) (*planarState, error) {
+	p, err := newPlanarState(s.g, objs)
+	if err == nil {
+		p.hints = s.hints
+	}
+	return p, err
 }
 
 // decodeInto decodes every live certificate, by node index, and builds
@@ -883,7 +897,8 @@ func (s *Session) CheckRepairState() error {
 
 // sameState reports whether two repair states hold the same data.
 // Planarity states are compared field by field, every field but the
-// splice buffers, with each rank's chords as sets; without reflection,
+// walk and splice buffers and the re-add hints, which the certificates
+// do not hold, with each rank's chords as sets; without reflection,
 // since tests check every batch of long streams. Other states are
 // compared in full.
 func sameState(a, b repairState) bool {

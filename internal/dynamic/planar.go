@@ -34,12 +34,20 @@ import (
 //     chord cannot be added under the current embedding and the
 //     session falls back to a re-prove from the LR test. A chord over
 //     the repair threshold falls back too, and its re-prove inserts the
-//     chord the same way (see keptRotation).
+//     chord the same way (see keptRotation). A re-added edge goes back
+//     to the corners its removal left, when they still share a face
+//     (see remember); other edges take the narrowest copy pair.
 //
+// In both cases the ranks to patch are those on the face directly
+// under the chord, and laminarity lets faceUnder walk them from a to b,
+// jumping over each child chord, in O(face + chords anchored on it)
+// whatever the chord's width; its rank buffer is kept in the state.
 // Every patched rank interval is propagated into the edge certificates
 // that claim it: the tree-edge certificates of the two path edges at
 // that rank plus the chords attached there — so the verifier's
-// rank -> interval claims stay globally consistent.
+// rank -> interval claims stay globally consistent. The repair budget
+// is charged with the ranks the walk visits and the certificates the
+// patch can dirty, not with the chord's width.
 //
 // Removing a spanning-tree edge splices the Euler tour (see splice): a
 // cotree edge reconnects the cut-off subtree, whose segment of ranks
@@ -52,13 +60,15 @@ import (
 type planarState struct {
 	g      *graph.Graph
 	n2     int
-	f      []int             // rank -> node index (1..n2)
-	copies [][]int           // node index -> ranks, ascending
-	parent []int             // spanning-tree parent by index
-	iv     []core.Interval   // rank -> I(rank)
-	byRank [][]graph.Edge    // rank -> cotree edges whose chord ends there
-	objs   []core.PlanarCert // node index -> certificate
-	sc     *spliceScratch    // buffers of spliceTree, nil until its first run
+	f      []int                 // rank -> node index (1..n2)
+	copies [][]int               // node index -> ranks, ascending
+	parent []int                 // spanning-tree parent by index
+	iv     []core.Interval       // rank -> I(rank)
+	byRank [][]graph.Edge        // rank -> cotree edges whose chord ends there
+	objs   []core.PlanarCert     // node index -> certificate
+	face   []int                 // the ranks of the last faceUnder walk
+	hints  map[graph.Edge][2]int // the session's re-add hints (see remember)
+	sc     *spliceScratch        // buffers of spliceTree, nil until its first run
 }
 
 // newPlanarState reads the repair state off an accepted planarity
@@ -218,37 +228,44 @@ func (p *planarState) removeChord(pr [2]graph.ID, budget *int, dirty map[int]boo
 	}
 	switch {
 	case p.parent[e.U] == e.V:
+		p.rememberTree(e, e.V, e.U)
 		return p.spliceTree(e.V, e.U, budget, dirty)
 	case p.parent[e.V] == e.U:
+		p.rememberTree(e, e.U, e.V)
 		return p.spliceTree(e.U, e.V, budget, dirty)
 	}
 	chord, ok := p.chordOf(e)
 	if !ok {
 		return false, "no chord recorded for removed edge"
 	}
-	if *budget -= chord.B - chord.A + 1; *budget < 0 {
-		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", chord.A, chord.B)
+	ru, rv := chord.A, chord.B
+	if p.f[ru] != e.U {
+		ru, rv = rv, ru
 	}
-	return p.detachChord(e, chord, dirty)
+	p.remember(e, p.nextAt(ru, rv), p.nextAt(rv, ru))
+	return p.detachChord(e, chord, budget, dirty)
 }
 
 // detachChord removes the chord of the cotree edge e, which spans
 // chord: its byRank entries and edge certificate, and then, by the
-// innermost chord strictly containing it, the cover of every rank whose
-// innermost cover it was. It undoes attachChord exactly.
-func (p *planarState) detachChord(e graph.Edge, chord core.Interval, dirty map[int]bool) (bool, string) {
+// innermost chord strictly containing it, the cover of the ranks on the
+// face under it, whose innermost cover it was. The face's charge comes
+// off the budget first; over it, nothing changes. It undoes attachChord
+// exactly.
+func (p *planarState) detachChord(e graph.Edge, chord core.Interval, budget *int, dirty map[int]bool) (bool, string) {
 	a, b := chord.A, chord.B
+	if *budget -= p.faceUnder(a, b); *budget < 0 {
+		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", a, b)
+	}
 	p.byRank[a] = dropEdge(p.byRank[a], e)
 	p.byRank[b] = dropEdge(p.byRank[b], e)
 	h, hv, k, _ := p.edgeCertOf(e) // the caller found it
 	h.Edges = append(h.Edges[:k], h.Edges[k+1:]...)
 	dirty[hv] = true
 	j := p.coverOf(a, b)
-	for x := a + 1; x < b; x++ {
-		if p.iv[x] == chord {
-			if ok, reason := p.setRankInterval(x, j, dirty); !ok {
-				return false, reason
-			}
+	for _, x := range p.face {
+		if ok, reason := p.setRankInterval(x, j, dirty); !ok {
+			return false, reason
 		}
 	}
 	return true, ""
@@ -259,26 +276,31 @@ func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[int]bool) 
 	if !ok {
 		return false, "unknown endpoint"
 	}
-	ru, rv, j, ok := p.chordFace(e)
+	ru, rv, ok := p.chordFace(e)
 	if !ok {
 		return false, "no non-crossing chord attachment under the current embedding"
-	}
-	a, b := min(ru, rv), max(ru, rv)
-	if *budget -= b - a + 1; *budget < 0 {
-		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", a, b)
 	}
 	if min(len(p.objs[e.U].Edges), len(p.objs[e.V].Edges)) >= core.MaxEdgeCerts {
 		return false, "both endpoints at the edge-certificate cap"
 	}
-	return p.attachChord(e, ru, rv, j, dirty)
+	return p.attachChord(e, ru, rv, budget, dirty)
 }
 
 // chordFace picks where a chord of the edge e can attach: ranks ru of
 // e.U and rv of e.V whose face chains share a face containing the span
-// between them (see the type comment), and the innermost such face J,
-// which becomes the chord's parent. Minimising the width minimises the
-// ranks to patch. It reports false when no copy pair shares a face.
-func (p *planarState) chordFace(e graph.Edge) (ru, rv int, j core.Interval, ok bool) {
+// between them (see the type comment). It prefers the corners e left
+// when it was removed (see remember), and otherwise takes the narrowest
+// pair. It reports false when no copy pair shares a face.
+func (p *planarState) chordFace(e graph.Edge) (ru, rv int, ok bool) {
+	if h, held := p.hints[e]; held {
+		ru, ok1 := p.cornerBefore(e.U, h[0])
+		rv, ok2 := p.cornerBefore(e.V, h[1])
+		if a, b := min(ru, rv), max(ru, rv); ok1 && ok2 && b-a >= 2 {
+			if _, found := p.commonFace(a, b); found {
+				return ru, rv, true
+			}
+		}
+	}
 	bestA, bestB := -1, -1
 	for _, cu := range p.copies[e.U] {
 		for _, cv := range p.copies[e.V] {
@@ -286,24 +308,28 @@ func (p *planarState) chordFace(e graph.Edge) (ru, rv int, j core.Interval, ok b
 			if b-a < 2 {
 				continue
 			}
-			f, found := p.commonFace(a, b)
-			if !found {
+			if _, found := p.commonFace(a, b); !found {
 				continue
 			}
 			if bestA == -1 || b-a < bestB-bestA || (b-a == bestB-bestA && a < bestA) {
 				bestA, bestB = a, b
-				ru, rv, j = cu, cv, f
+				ru, rv = cu, cv
 			}
 		}
 	}
-	return ru, rv, j, bestA != -1
+	return ru, rv, bestA != -1
 }
 
-// attachChord adds the chord of e between ranks ru and rv inside the
-// face j that chordFace found: its edge certificate, held by the
-// endpoint storing fewer, its byRank entries, and I(x) = [ru, rv] for
-// the ranks strictly inside whose innermost cover was j.
-func (p *planarState) attachChord(e graph.Edge, ru, rv int, j core.Interval, dirty map[int]bool) (bool, string) {
+// attachChord adds the chord of e between ranks ru and rv that
+// chordFace found: its edge certificate, held by the endpoint storing
+// fewer, its byRank entries, and I(x) = [ru, rv] for the ranks on the
+// face under it. The face's charge comes off the budget first; over
+// it, nothing changes.
+func (p *planarState) attachChord(e graph.Edge, ru, rv int, budget *int, dirty map[int]bool) (bool, string) {
+	chordIv := core.Interval{A: min(ru, rv), B: max(ru, rv)}
+	if *budget -= p.faceUnder(chordIv.A, chordIv.B); *budget < 0 {
+		return false, fmt.Sprintf("chord [%d,%d] exceeds repair threshold", chordIv.A, chordIv.B)
+	}
 	hv := e.U
 	if len(p.objs[e.V].Edges) < len(p.objs[e.U].Edges) {
 		hv = e.V
@@ -313,18 +339,135 @@ func (p *planarState) attachChord(e graph.Edge, ru, rv int, j core.Interval, dir
 		ec.Rank[k], ec.Iv[k] = int32(r), core.Narrow(p.iv[r])
 	}
 	p.objs[hv].Edges = append(p.objs[hv].Edges, ec)
+	delete(p.hints, e)
 	p.byRank[ru] = append(p.byRank[ru], e)
 	p.byRank[rv] = append(p.byRank[rv], e)
 	dirty[hv] = true
-	chordIv := core.Interval{A: min(ru, rv), B: max(ru, rv)}
-	for x := chordIv.A + 1; x < chordIv.B; x++ {
-		if p.iv[x] == j {
-			if ok, reason := p.setRankInterval(x, chordIv, dirty); !ok {
-				return false, reason
-			}
+	for _, x := range p.face {
+		if ok, reason := p.setRankInterval(x, chordIv, dirty); !ok {
+			return false, reason
 		}
 	}
 	return true, ""
+}
+
+// faceUnder fills p.face with the ranks on the face directly under the
+// chord [a, b]: the ranks strictly inside whose innermost cover I(·) is
+// [a, b] while it is attached. By §3.1 the chords inside [a, b] nest,
+// so a walk from a covers them by jumping, at each rank x, to the far
+// end of the widest chord other than [a, b] that starts at x and ends
+// by b, and by stepping to x+1 when there is none. It stops at b, and
+// visits the face's ranks and scans the chords they anchor once each,
+// whatever the width b-a. It returns what the repair charges for the
+// chord: the ranks visited, a and b included, plus the certificates the
+// patch can dirty — the chord's holder, and at each face rank the
+// holders of its two path edges and of its chords.
+func (p *planarState) faceUnder(a, b int) int {
+	p.face = p.face[:0]
+	charge := 3
+	for x := a; ; {
+		next := x + 1
+		for _, ge := range p.byRank[x] {
+			if c, ok := p.chordOf(ge); ok && c.A == x && c.B <= b && c.B > next && (c.A != a || c.B != b) {
+				next = c.B
+			}
+		}
+		if x = next; x >= b {
+			return charge
+		}
+		p.face = append(p.face, x)
+		charge += 3 + len(p.byRank[x])
+	}
+}
+
+// remember records, as e's re-add hint, the corners the removal of e
+// leaves at e.U and e.V, named by the neighbors su and sv that follow e
+// in the rotation there. A neighbor names the corner whatever a later
+// splice or re-prove does to the ranks. Put back at those corners, a
+// re-added chord restores the embedding it was removed from, where the
+// narrowest pair can split a face that another removed edge needs. The
+// hints are the session's (nil in a state no session owns) and hold at
+// most n edges: a full set is cleared before it takes another.
+func (p *planarState) remember(e graph.Edge, su, sv int) {
+	if p.hints == nil {
+		return
+	}
+	if len(p.hints) >= len(p.parent) {
+		clear(p.hints)
+	}
+	p.hints[e] = [2]int{su, sv}
+}
+
+// rememberTree records the re-add hint of the tree edge e = {par, c},
+// par = parent(c). At par the edge to c is followed by par's corner
+// after c's last rank, and at c, whose list ends at its parent, by its
+// first corner.
+func (p *planarState) rememberTree(e graph.Edge, par, c int) {
+	cc := p.copies[c]
+	sPar, sC := p.nextAt(cc[len(cc)-1]+1, 0), p.nextAt(cc[0], 0)
+	if e.U == par {
+		p.remember(e, sPar, sC)
+	} else {
+		p.remember(e, sC, sPar)
+	}
+}
+
+// nextAt returns the neighbor of f(x) that follows, in its rotation, the
+// chord from rank x to rank o, or the start of the corner x for o = 0.
+// Corner x lists its chords to ranks below x, then those above it, each
+// by descending rank, and then f(x+1) (see rotation); the root's last
+// corner, x = 2n-1, wraps to its first, rank 1.
+func (p *planarState) nextAt(x, o int) int {
+	key := func(r int) int { // a chord's position in the corner, from 1
+		if r < x {
+			return x - r
+		}
+		return x + p.n2 + 1 - r
+	}
+	k0 := 0
+	if o > 0 {
+		k0 = key(o)
+	}
+	next, nextKey := -1, 0
+	for _, ge := range p.byRank[x] {
+		c, ok := p.chordOf(ge)
+		if !ok {
+			continue
+		}
+		r := c.A + c.B - x
+		if k := key(r); k > k0 && (next < 0 || k < nextKey) {
+			next, nextKey = p.f[r], k
+		}
+	}
+	switch {
+	case next >= 0:
+		return next
+	case x < p.n2:
+		return p.f[x+1]
+	}
+	return p.nextAt(1, 0)
+}
+
+// cornerBefore returns the copy of u at whose corner a chord lands just
+// before the edge {u, w} in u's rotation: the corner {u, w} leaves from.
+// It reports false when {u, w} is not an edge of the state.
+func (p *planarState) cornerBefore(u, w int) (int, bool) {
+	switch {
+	case u == w:
+		return 0, false
+	case p.parent[w] == u: // entered from the corner before w's first rank
+		return p.copies[w][0] - 1, true
+	case p.parent[u] == w: // u's last corner ends at its parent
+		return p.copies[u][len(p.copies[u])-1], true
+	}
+	c, ok := p.chordOf(graph.NewEdge(u, w))
+	switch {
+	case !ok:
+		return 0, false
+	case p.f[c.A] == u:
+		return c.A, true
+	}
+	return c.B, true
 }
 
 // faceAt returns the i-th face bordering rank x that could host a

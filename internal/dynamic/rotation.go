@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"math"
 	"slices"
 
 	"github.com/planarcert/planarcert/internal/core"
@@ -133,9 +134,10 @@ func (p *planarState) rotation() *embedding.Rotation {
 // around a removed tree edge, or attached chords of added edges, which
 // insertChords skips. Each keeps the same embedding minus the removed
 // edges plus the attached ones, and the result is still a function of
-// the certificates and the batch. (A repair whose frontier rejected
-// drops the state.) The inserted chords stay in the state, which the
-// re-prove replaces.
+// the certificates, the batch and the re-add hints (see remember),
+// which a repair records before each removal. (A repair whose frontier
+// rejected drops the state.) The inserted chords stay in the state,
+// which the re-prove replaces.
 func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 	if _, planar := s.active.(core.PlanarScheme); nb == nil || !planar || !s.certified {
 		return nil
@@ -199,20 +201,21 @@ func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 // attached, which leaves the state as it was, and reports false.
 func (p *planarState) insertChords(es []graph.Edge) bool {
 	dirty := make(map[int]bool) // nothing is re-encoded
+	unlimited := math.MaxInt
 	var attached []graph.Edge
 	for _, e := range es {
 		if _, _, _, held := p.edgeCertOf(e); held {
 			continue
 		}
-		ru, rv, j, ok := p.chordFace(e)
+		ru, rv, ok := p.chordFace(e)
 		if !ok {
 			for _, e := range slices.Backward(attached) {
 				c, _ := p.chordOf(e)
-				p.detachChord(e, c, dirty)
+				p.detachChord(e, c, &unlimited, dirty)
 			}
 			return false
 		}
-		if ok, _ := p.attachChord(e, ru, rv, j, dirty); !ok {
+		if ok, _ := p.attachChord(e, ru, rv, &unlimited, dirty); !ok {
 			return false // a state its certificates do not describe
 		}
 		attached = append(attached, e)

@@ -120,9 +120,10 @@ func TestReaddOverThresholdKeepsEmbedding(t *testing.T) {
 }
 
 // TestKeptRotationSkipsRepairedChord re-adds two removed chords in one
-// batch under a threshold that the first chord's width uses up, so the
-// repair attaches the first and falls back on the second. The re-prove
-// must insert only the second: the first is in the state already.
+// batch under a threshold that the first chord's face charge uses up,
+// so the repair attaches the first and falls back on the second. The
+// re-prove must insert only the second: the first is in the state
+// already.
 func TestKeptRotationSkipsRepairedChord(t *testing.T) {
 	cfg := planarCfg()
 	cfg.CacheSize = -1 // the batch restores the first topology
@@ -140,11 +141,11 @@ func TestKeptRotationSkipsRepairedChord(t *testing.T) {
 	}
 	p := s.state.(*planarState)
 	e, _ := p.idxPair(first)
-	ru, rv, _, ok := p.chordFace(e)
+	ru, rv, ok := p.chordFace(e)
 	if !ok {
 		t.Fatal("no face for the first chord")
 	}
-	s.threshold = max(ru, rv) - min(ru, rv) + 1 // the first chord's width exactly
+	s.threshold = p.faceUnder(min(ru, rv), max(ru, rv)) // the first chord's charge exactly
 	for i := range batch {
 		batch[i].Op = AddEdge
 	}
@@ -278,4 +279,77 @@ func TestRepairStreamKeepsEmbedding(t *testing.T) {
 	if lr > 20 {
 		t.Fatalf("%d re-proves ran the LR test, want at most 20", lr)
 	}
+}
+
+// TestReaddRestoresRotation runs the repair-stream shape of
+// TestRepairStreamKeepsEmbedding for 2400 batches, with the stream seed
+// of `experiments fallbacks -seed 2`, and then re-adds every edge still
+// out. Each re-add goes back to the corners its removal left, named by
+// the neighbors after it, whatever the splices and re-proves in between
+// did to the ranks. So no re-add misses a face, and the rotation system
+// at the end is the one at the start, up to where each node's cyclic
+// list starts. The narrowest copy pair alone puts some chord into
+// another face, where it splits a face a later re-add needs: 156 re-adds
+// of this stream then found no face.
+func TestReaddRestoresRotation(t *testing.T) {
+	const n, batches, maxRemoved = 2000, 2400, 64
+	g := gen.StackedTriangulation(n, rand.New(rand.NewSource(1)))
+	base := g.Edges()
+	s, err := NewSession(g, planarCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyclic := func() [][]int {
+		if s.state == nil {
+			if s.state, err = s.decodeState(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rot := s.state.(*planarState).rotation().Order
+		for v, ring := range rot {
+			i := slices.Index(ring, slices.Min(ring))
+			rot[v] = append(slices.Clone(ring[i:]), ring[:i]...)
+		}
+		return rot
+	}
+	want := cyclic()
+	rng := rand.New(rand.NewSource(2))
+	var removed []graph.Edge
+	misses := 0
+	for b := 0; b < batches || len(removed) > 0; b++ {
+		u := Update{Op: AddEdge}
+		if b >= batches || len(removed) == maxRemoved || (len(removed) > 0 && rng.Intn(2) == 0) {
+			j := rng.Intn(len(removed))
+			u.A, u.B = s.g.IDOf(removed[j].U), s.g.IDOf(removed[j].V)
+			removed = slices.Delete(removed, j, j+1)
+		} else {
+			for {
+				e := base[rng.Intn(len(base))]
+				if slices.Contains(removed, e) {
+					continue
+				}
+				h := s.g.Clone()
+				h.RemoveEdge(e.U, e.V)
+				if h.Connected() {
+					removed = append(removed, e)
+					u = Update{Op: RemoveEdge, A: g.IDOf(e.U), B: g.IDOf(e.V)}
+					break
+				}
+			}
+		}
+		rep, err := s.Apply([]Update{u})
+		if err != nil || !rep.Accepted {
+			t.Fatalf("batch %d %v: %+v, %v", b, u, rep, err)
+		}
+		if strings.Contains(rep.RepairFallback, "no non-crossing chord attachment") {
+			misses++
+		}
+	}
+	if misses > 0 {
+		t.Fatalf("%d re-adds found no face", misses)
+	}
+	if got := cyclic(); !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatal("the re-adds did not restore the rotation system")
+	}
+	checkParity(t, s)
 }
