@@ -21,12 +21,14 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 		AllocsPerOp   int64   `json:"allocs_per_op"`
 		NodesPerS     float64 `json:"nodes_per_s"`
 		AllocsPerNode float64 `json:"allocs_per_node"`
-		// The leaf-attach session: LR tests per batch, the read of the
-		// kept rotation, and one planarity.Check of the same graph.
+		// The leaf-attach rows: re-proves per batch; and, with repair
+		// off, LR tests per batch, the read of the kept rotation, and
+		// one planarity.Check of the same graph.
 		// BenchmarkDynamicReprove records LR tests per batch too.
-		LRPerOp    *float64 `json:"lr_per_op"`
-		RotationMs float64  `json:"rotation_ms"`
-		LRCheckMs  float64  `json:"lrcheck_ms"`
+		ReprovePerOp *float64 `json:"reprove_per_op"`
+		LRPerOp      *float64 `json:"lr_per_op"`
+		RotationMs   float64  `json:"rotation_ms"`
+		LRCheckMs    float64  `json:"lrcheck_ms"`
 		// Nodes whose verifier re-ran per batch.
 		VerifiedPerOp *float64 `json:"verified_per_op"`
 		// Tree-edge removals absorbed as an Euler-tour splice, per batch.
@@ -46,6 +48,7 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 			"BenchmarkDynamicUpdate/n=50000/session",
 			"BenchmarkDynamicUpdate/n=50000/full",
 			"BenchmarkDynamicLeafAttach/n=30000/session",
+			"BenchmarkDynamicLeafAttach/n=30000/reprove",
 			"BenchmarkDynamicLeafAttach/n=30000/full",
 			"BenchmarkDynamicReprove",
 			"BenchmarkDynamicTreeEdgeRemoval/repair=on",
@@ -173,24 +176,36 @@ func TestBenchSnapshotsWellFormed(t *testing.T) {
 	if full < 10*session {
 		t.Fatalf("committed snapshot violates the 10x bar: session %d ns, full %d ns", session, full)
 	}
-	// The bar of re-proving from the certified embedding: a leaf attach
-	// at n=30000 runs no LR test, and reading the kept rotation costs at
-	// most a third of one planarity.Check of the same graph, both
-	// measured in the same run.
-	var leaf *entry
+	// The bars of growing n in place: at n=30000 the session absorbs
+	// every leaf attach as a repair, in at most 3/4 of the time of the
+	// re-prove it replaces. And the bar of re-proving from the certified
+	// embedding, on the row with repair off: a leaf attach runs no LR
+	// test, and reading the kept rotation costs at most a third of one
+	// planarity.Check of the same graph, both measured in the same run.
+	var leaf, leafReprove *entry
 	for i := range snap.Benchmarks {
-		if snap.Benchmarks[i].Name == "BenchmarkDynamicLeafAttach/n=30000/session" {
+		switch snap.Benchmarks[i].Name {
+		case "BenchmarkDynamicLeafAttach/n=30000/session":
 			leaf = &snap.Benchmarks[i]
+		case "BenchmarkDynamicLeafAttach/n=30000/reprove":
+			leafReprove = &snap.Benchmarks[i]
 		}
 	}
 	switch {
-	case leaf == nil || leaf.LRPerOp == nil || leaf.RotationMs <= 0 || leaf.LRCheckMs <= 0:
-		t.Fatal("BENCH_dynamic.json: the n=30000 leaf-attach session lacks lr_per_op, rotation_ms or lrcheck_ms")
-	case *leaf.LRPerOp != 0:
-		t.Fatalf("BENCH_dynamic.json: leaf attaches at n=30000 ran %.2f LR tests per batch, bar is 0", *leaf.LRPerOp)
-	case 3*leaf.RotationMs > leaf.LRCheckMs:
+	case leaf == nil || leafReprove == nil || leaf.ReprovePerOp == nil || leaf.NsPerOp <= 0 || leafReprove.NsPerOp <= 0:
+		t.Fatal("BENCH_dynamic.json: the n=30000 leaf-attach rows lack ns_per_op or reprove_per_op")
+	case *leaf.ReprovePerOp != 0:
+		t.Fatalf("BENCH_dynamic.json: %.2f of the leaf attaches at n=30000 re-proved, bar is 0", *leaf.ReprovePerOp)
+	case 4*leaf.NsPerOp > 3*leafReprove.NsPerOp:
+		t.Fatalf("BENCH_dynamic.json: a leaf attach took %d ns, more than 3/4 of the re-prove's %d ns",
+			leaf.NsPerOp, leafReprove.NsPerOp)
+	case leafReprove.LRPerOp == nil || leafReprove.RotationMs <= 0 || leafReprove.LRCheckMs <= 0:
+		t.Fatal("BENCH_dynamic.json: the n=30000 leaf-attach re-prove row lacks lr_per_op, rotation_ms or lrcheck_ms")
+	case *leafReprove.LRPerOp != 0:
+		t.Fatalf("BENCH_dynamic.json: leaf attaches at n=30000 ran %.2f LR tests per batch, bar is 0", *leafReprove.LRPerOp)
+	case 3*leafReprove.RotationMs > leafReprove.LRCheckMs:
 		t.Fatalf("BENCH_dynamic.json: reading the rotation took %.2f ms, more than a third of planarity.Check's %.2f ms",
-			leaf.RotationMs, leaf.LRCheckMs)
+			leafReprove.RotationMs, leafReprove.LRCheckMs)
 	}
 	// The bar of verifying a re-prove on its certificate diff: re-proves
 	// of single-edge batches at n=2000 verify at most n/4 nodes each.

@@ -147,24 +147,27 @@ func absorbAlike(t *testing.T, pairs []sessionPair, batches int, next func() []p
 // batch by batch and hold byte-identical certificates after every batch.
 // The last pair holds because a restored session reads its repair state
 // off the certificates, so its first batch repairs like the fresh one's.
-// A leaf-attach stream pins the re-proves that keep the certified
-// embedding: the restored session's first batch adds a node, so it
-// re-proves from an embedding read off the restored certificates
-// without a repair attempt before it; every one of its batches adds a
-// node, so every sweep is full. A cross stream on K_{2,4} pins the same
-// for re-proves that insert an edge into the kept embedding and for
-// those whose edge shares no face with it and that run the LR test.
+// A leaf-attach stream pins the repairs that grow n in place: the
+// restored session's first batch adds a leaf, so it repairs from a
+// state read off the restored certificates; every one of its batches
+// adds a node, so every sweep is full. The same stream with repair off
+// pins the re-proves that keep the certified embedding, read off the
+// restored certificates on the restored session's first batch. A cross
+// stream on K_{2,4}, also with repair off, pins the same for re-proves
+// that insert an edge into the kept embedding and for those whose edge
+// shares no face with it and that run the LR test.
 func TestAbsorptionDeterministic(t *testing.T) {
 	cfg := planarcert.EngineConfig{Sequential: true}
+	var opts []planarcert.SessionOption
 	newSession := func(net *planarcert.Network) *planarcert.Session {
-		s, err := planarcert.NewSession(net, planarcert.SchemePlanarity, cfg)
+		s, err := planarcert.NewSession(net, planarcert.SchemePlanarity, cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 	restore := func(s *planarcert.Session) *planarcert.Session {
-		r, err := planarcert.RestoreSession(s.Snapshot(), cfg)
+		r, err := planarcert.RestoreSession(s.Snapshot(), cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +190,21 @@ func TestAbsorptionDeterministic(t *testing.T) {
 	big := triangulationNetwork(2000, 12)
 	a, c = newSession(big), newSession(big)
 	leaves := newLeafStream(big, 6)
-	modes, embeddings, full := absorbAlike(t, []sessionPair{
+	modes, _, full := absorbAlike(t, []sessionPair{
 		{"leaf-new", a, newSession(big)}, {"leaf-fresh-vs-restored", c, restore(c)},
 	}, 24, leaves.next)
+	if modes["repair"] != 24 || full != 24 {
+		t.Fatalf("leaf stream: modes %v, %d full sweeps; want every batch repaired with a full sweep", modes, full)
+	}
+
+	opts = []planarcert.SessionOption{planarcert.WithRepairThreshold(-1)}
+	a, c = newSession(big), newSession(big)
+	leaves = newLeafStream(big, 6)
+	modes, embeddings, full := absorbAlike(t, []sessionPair{
+		{"leaf-reprove-new", a, newSession(big)}, {"leaf-reprove-fresh-vs-restored", c, restore(c)},
+	}, 24, leaves.next)
 	if modes["reprove"] != 24 || full != 24 || embeddings["kept"] != 24 {
-		t.Fatalf("leaf stream: modes %v, %d full sweeps, embeddings %v; want every batch re-proved with a full sweep from the kept embedding",
+		t.Fatalf("leaf stream, repair off: modes %v, %d full sweeps, embeddings %v; want every batch re-proved with a full sweep from the kept embedding",
 			modes, full, embeddings)
 	}
 

@@ -124,61 +124,78 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 // BenchmarkDynamicLeafAttach measures one batch that attaches a new leaf
 // to a random node, absorbed by the incremental session, against the
 // one-shot pipeline (Certify + full Verify) on the same triangulation. A
-// new node changes n in every certificate, so every batch re-proves
-// and fully verifies. The re-prove starts from the embedding the live
-// certificates encode: lr/op counts the batches whose prove ran the LR
-// test instead, and rotation_ms, the mean read of that embedding, is set
-// beside lrcheck_ms, the best of three planarity.Check runs on the
-// final graph in the same run.
+// new node changes n in every certificate, so every batch re-encodes and
+// fully verifies every node. The session grows its state in place
+// (reprove/op counts the batches that re-proved instead); the reprove
+// row turns repair off, so every batch re-proves, starting from the
+// embedding the live certificates encode: lr/op counts the batches whose
+// prove ran the LR test instead, and rotation_ms, the mean read of that
+// embedding, is set beside lrcheck_ms, the best of three planarity.Check
+// runs on the final graph in the same run.
 func BenchmarkDynamicLeafAttach(b *testing.B) {
 	for _, n := range []int{2000, 30000} {
 		net := func() *planarcert.Network {
 			return planarcert.FromGraph(gen.StackedTriangulation(n, rand.New(rand.NewSource(42))))
 		}
-		b.Run(fmt.Sprintf("n=%d/session", n), func(b *testing.B) {
-			s, err := planarcert.NewSession(net(), planarcert.SchemePlanarity, planarcert.EngineConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			tracer := planarcert.NewTracer(planarcert.TracerConfig{})
-			lr, read := 0, time.Duration(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				leaf := planarcert.NodeID(s.N())
-				to := planarcert.NodeID(rng.Intn(s.N()))
-				root := tracer.Start("bench", obs.SpanBatch)
-				s.Trace(root)
-				rep, err := s.Apply([]planarcert.Update{planarcert.NodeAdd(leaf), planarcert.EdgeAdd(leaf, to)})
-				root.End()
-				if err != nil || !rep.Accepted {
-					b.Fatalf("leaf attach %d: %+v, %v", i, rep, err)
+		for _, row := range []struct {
+			name string
+			opts []planarcert.SessionOption
+		}{
+			{"session", nil},
+			{"reprove", []planarcert.SessionOption{planarcert.WithRepairThreshold(-1)}},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, row.name), func(b *testing.B) {
+				s, err := planarcert.NewSession(net(), planarcert.SchemePlanarity, planarcert.EngineConfig{}, row.opts...)
+				if err != nil {
+					b.Fatal(err)
 				}
-				for _, pv := range root.Children() {
-					if e, _ := pv.StrAttr("embedding"); pv.Name() == obs.SpanProve && e != "kept" {
-						lr++
+				rng := rand.New(rand.NewSource(1))
+				tracer := planarcert.NewTracer(planarcert.TracerConfig{})
+				reproves, lr, read := 0, 0, time.Duration(0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					leaf := planarcert.NodeID(s.N())
+					to := planarcert.NodeID(rng.Intn(s.N()))
+					root := tracer.Start("bench", obs.SpanBatch)
+					s.Trace(root)
+					rep, err := s.Apply([]planarcert.Update{planarcert.NodeAdd(leaf), planarcert.EdgeAdd(leaf, to)})
+					root.End()
+					if err != nil || !rep.Accepted {
+						b.Fatalf("leaf attach %d: %+v, %v", i, rep, err)
 					}
-					for _, c := range pv.Children() {
-						if c.Name() == obs.SpanRotation {
-							read += c.Duration()
+					if rep.Mode == "reprove" {
+						reproves++
+					}
+					for _, pv := range root.Children() {
+						if e, _ := pv.StrAttr("embedding"); pv.Name() == obs.SpanProve && e != "kept" {
+							lr++
+						}
+						for _, c := range pv.Children() {
+							if c.Name() == obs.SpanRotation {
+								read += c.Duration()
+							}
 						}
 					}
 				}
-			}
-			b.StopTimer()
-			g := s.Network().Graph()
-			check := time.Duration(math.MaxInt64)
-			for range 3 {
-				start := time.Now()
-				if ok, _, err := planarity.Check(g); !ok || err != nil {
-					b.Fatalf("planarity.Check: %v, %v", ok, err)
+				b.StopTimer()
+				b.ReportMetric(float64(reproves)/float64(b.N), "reprove/op")
+				if row.opts == nil {
+					return
 				}
-				check = min(check, time.Since(start))
-			}
-			b.ReportMetric(float64(lr)/float64(b.N), "lr/op")
-			b.ReportMetric(float64(read.Microseconds())/1e3/float64(b.N), "rotation_ms")
-			b.ReportMetric(float64(check.Microseconds())/1e3, "lrcheck_ms")
-		})
+				g := s.Network().Graph()
+				check := time.Duration(math.MaxInt64)
+				for range 3 {
+					start := time.Now()
+					if ok, _, err := planarity.Check(g); !ok || err != nil {
+						b.Fatalf("planarity.Check: %v, %v", ok, err)
+					}
+					check = min(check, time.Since(start))
+				}
+				b.ReportMetric(float64(lr)/float64(b.N), "lr/op")
+				b.ReportMetric(float64(read.Microseconds())/1e3/float64(b.N), "rotation_ms")
+				b.ReportMetric(float64(check.Microseconds())/1e3, "lrcheck_ms")
+			})
+		}
 		b.Run(fmt.Sprintf("n=%d/full", n), func(b *testing.B) {
 			net := net()
 			b.ResetTimer()

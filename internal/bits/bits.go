@@ -268,6 +268,44 @@ func FromWriter(w *Writer) Certificate {
 	return Certificate{Data: w.Bytes(), Bits: w.Len()}
 }
 
+// encodeChunk caps the size of the byte slabs an Encoder carves
+// certificate Data from.
+const encodeChunk = 64 << 10
+
+// Encoder encodes a run of certificates through one reused Writer and
+// copies each into a byte slab that is never grown: a certificate that
+// does not fit the slab's tail opens the next one, sized for the
+// certificates still to come at the current one's size plus a quarter,
+// at most encodeChunk. So Data slices cost one allocation per slab,
+// small runs hold no mostly empty slab, and no superseded backing array
+// stays reachable.
+type Encoder struct {
+	w    Writer
+	slab []byte
+	left int // certificates still to encode, this one included
+}
+
+// NewEncoder returns an Encoder for a run of count certificates.
+func NewEncoder(count int) *Encoder { return &Encoder{left: count} }
+
+// Encode lets write fill the reused Writer with one certificate and
+// returns it, its Data carved out of the current slab.
+func (enc *Encoder) Encode(write func(*Writer) error) (Certificate, error) {
+	enc.w.Reset()
+	if err := write(&enc.w); err != nil {
+		return Certificate{}, err
+	}
+	raw := enc.w.Raw()
+	if len(raw) > cap(enc.slab)-len(enc.slab) {
+		size := min(encodeChunk, enc.left*len(raw)*5/4)
+		enc.slab = make([]byte, 0, max(size, len(raw)))
+	}
+	enc.left--
+	lo := len(enc.slab)
+	enc.slab = append(enc.slab, raw...)
+	return Certificate{Data: enc.slab[lo:len(enc.slab):len(enc.slab)], Bits: enc.w.Len()}, nil
+}
+
 // Reader returns a reader over the certificate.
 func (c Certificate) Reader() *Reader { return NewReader(c.Data, c.Bits) }
 

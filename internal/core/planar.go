@@ -61,9 +61,9 @@ func (i Interval32) Wide() Interval { return Interval{A: int(i.A), B: int(i.B)} 
 // 2n <= maxRank only.
 const maxRank = math.MaxInt32
 
-// ranks returns the number of rank slots the certificate uses: four
+// Ranks returns the number of rank slots the certificate uses: four
 // for a tree edge, two for a cotree edge.
-func (e *EdgeCert) ranks() int {
+func (e *EdgeCert) Ranks() int {
 	if e.IsTree {
 		return 4
 	}
@@ -92,7 +92,7 @@ func (e *EdgeCert) encode(w *bits.Writer, rankWidth int) error {
 	if err := w.WriteVar(uint64(e.V)); err != nil {
 		return err
 	}
-	k := e.ranks()
+	k := e.Ranks()
 	for _, r := range e.Rank[:k] {
 		if err := w.WriteUint(uint64(r), rankWidth); err != nil {
 			return err
@@ -128,7 +128,7 @@ func decodeEdgeCertInto(r *bits.Reader, rankWidth int, e *EdgeCert) error {
 		return err
 	}
 	e.U, e.V = graph.ID(u), graph.ID(v)
-	k := e.ranks()
+	k := e.Ranks()
 	var hi uint64 // the largest rank or interval end read
 	for i := range e.Rank[:k] {
 		x, err := r.ReadUint(rankWidth)
@@ -303,9 +303,9 @@ func proveFromTransform(g *graph.Graph, tr *Transform, sp *obs.Span) ([]PlanarCe
 	c = sp.Child(obs.SpanEncode)
 	defer c.End()
 	certs := make([]bits.Certificate, len(slab))
-	enc := certEncoder{left: len(slab)}
+	enc := bits.NewEncoder(len(slab))
 	for i := range slab {
-		if certs[i], err = enc.encode(&slab[i]); err != nil {
+		if certs[i], err = enc.Encode(slab[i].Encode); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -426,45 +426,12 @@ func buildPlanarCertSlab(g *graph.Graph, tr *Transform) ([]PlanarCert, []int32, 
 	return certs, holderIdx, nil
 }
 
-// encodeChunk caps the size of the byte slabs certEncoder carves
-// certificate Data from.
-const encodeChunk = 64 << 10
-
-// certEncoder encodes certificates through one reused Writer and copies
-// each into a byte slab that is never grown: a certificate that does not
-// fit the slab's tail opens the next one, sized for the certificates
-// still to come at the current one's size plus a quarter, at most
-// encodeChunk. So Data slices cost one allocation per slab, small
-// networks hold no mostly empty slab, and no superseded backing array
-// stays reachable.
-type certEncoder struct {
-	w    bits.Writer
-	slab []byte
-	left int // certificates still to encode, this one included
-}
-
-func (enc *certEncoder) encode(c *PlanarCert) (bits.Certificate, error) {
-	enc.w.Reset()
-	if err := c.Encode(&enc.w); err != nil {
-		return bits.Certificate{}, err
-	}
-	raw := enc.w.Raw()
-	if len(raw) > cap(enc.slab)-len(enc.slab) {
-		size := min(encodeChunk, enc.left*len(raw)*5/4)
-		enc.slab = make([]byte, 0, max(size, len(raw)))
-	}
-	enc.left--
-	lo := len(enc.slab)
-	enc.slab = append(enc.slab, raw...)
-	return bits.Certificate{Data: enc.slab[lo:len(enc.slab):len(enc.slab)], Bits: enc.w.Len()}, nil
-}
-
 // EncodePlanarCerts serialises structured planarity certificates.
 func EncodePlanarCerts(objs map[graph.ID]*PlanarCert) (map[graph.ID]bits.Certificate, error) {
 	out := make(map[graph.ID]bits.Certificate, len(objs))
-	enc := certEncoder{left: len(objs)}
+	enc := bits.NewEncoder(len(objs))
 	for id, c := range objs {
-		cert, err := enc.encode(c)
+		cert, err := enc.Encode(c.Encode)
 		if err != nil {
 			return nil, err
 		}

@@ -17,9 +17,13 @@
 //     (a cotree edge takes the dead edge's place, see splice), for the
 //     planarity scheme; spanning-tree surgery (subtree re-rooting with
 //     distance/size patching) for the spanning-tree and non-planarity
-//     schemes — bounded by a configurable scope threshold;
+//     schemes — bounded by a configurable scope threshold; and, for
+//     every scheme, a new node whose one edge goes to an existing node,
+//     hung in place as a leaf (see attachLeaves), which no threshold
+//     charges;
 //  3. re-verifies only the *frontier* — the dirty region plus its 1-hop
-//     closure — through dist.RunPLSSubset;
+//     closure — through dist.RunPLSSubset; a batch that attached leaves
+//     changed n in every certificate, so its sweep is full;
 //  4. falls back to a full re-prove (optionally flipping between the
 //     planarity and Kuratowski-witness schemes when planarity itself
 //     flips) whenever repair is impossible, out of scope, or rejected
@@ -41,7 +45,9 @@
 // of each edge it adds between two existing nodes at a face the chord's
 // ends share (the one a repair would pick, but without the repair
 // threshold), and hangs each new node whose only edge goes to an
-// existing node at that node. The prover then runs its usual steps on
+// existing node at that node (a repair does the same without the
+// prover, unless repair is off or the batch falls back for another
+// reason). The prover then runs its usual steps on
 // it: the Euler audit, the transform with its path-outerplanarity
 // check, the certificates, and the sweep after them. The LR test runs
 // instead when an edge between two existing nodes has no face in the
@@ -68,11 +74,15 @@
 // local checkability of certificates that makes incremental
 // maintenance sound regardless of how clever (or wrong) the repair
 // heuristic is: a bad repair is caught on the frontier and demoted to a
-// full re-prove.
+// full re-prove. A repair that attached leaves changed every
+// certificate, so its frontier is the whole network: it runs the full
+// sweep, and a rejection puts the slice accepted before the batch back.
 //
 // A re-prove uses the same argument. When the session holds an accepted
 // assignment, the new certificates are for the same scheme and the
-// batch adds no node (a new node changes n in every certificate), D is
+// batch adds no node (a new node changes n in every certificate, so a
+// re-prove of a batch that attaches leaves, or adds other nodes, has
+// nothing to diff against), D is
 // the set of nodes whose new certificates differ byte for byte from the
 // accepted ones, and the re-prove verifies D ∪ N(D) plus the endpoints
 // of the batch's edges, whatever its size: a frontier over every node

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -47,7 +48,9 @@ const (
 // added or removed is charged the ranks its face walk visits plus the
 // certificates the patch can dirty (see planarState.faceUnder), however
 // wide the chord; a tree-edge splice, the ranks it renumbers; tree
-// surgery, the nodes it touches.
+// surgery, the nodes it touches. A leaf attach is not charged: it
+// re-encodes all n certificates, O(m) work that replaces a re-prove
+// costing several times as much.
 const DefaultRepairThreshold = 2048
 
 // DefaultCacheSize is the number of certified topologies remembered.
@@ -110,24 +113,38 @@ type Report struct {
 // and return freshly encoded certificates for the nodes they changed.
 type repairState interface {
 	// repair absorbs the net batch. It returns the indices of the
-	// changed nodes and, in the same order, their re-encoded
+	// changed nodes, ascending, and, in the same order, their re-encoded
 	// certificates; ok=false means the batch is out of repair scope and
-	// reason says why.
+	// reason says why. A batch that attaches leaves changes n, which
+	// every certificate carries, so changed is then every node.
 	repair(nb *netBatch, budget int) (changed []int, certs []bits.Certificate, ok bool, reason string)
 }
 
-// reencode encodes the certificate of every dirty node and returns the
-// nodes and, in the same order, their certificates, as repair does.
-func reencode(dirty map[int]bool, encode func(v int, w *bits.Writer) error) ([]int, []bits.Certificate, bool, string) {
-	changed := make([]int, 0, len(dirty))
-	certs := make([]bits.Certificate, 0, len(dirty))
-	for v := range dirty {
-		var w bits.Writer
-		if err := encode(v, &w); err != nil {
+// changedNodes lists, ascending, the nodes a repair of n nodes
+// re-encodes: every node when the batch grew n, else the dirty ones.
+func changedNodes(n int, grown bool, dirty map[int]bool) []int {
+	if grown {
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		return all
+	}
+	return slices.Sorted(maps.Keys(dirty))
+}
+
+// reencode encodes the certificate of each node of changed, in order,
+// through one reused Writer into shared byte slabs (see bits.Encoder),
+// and returns the nodes and, in the same order, their certificates, as
+// repair does.
+func reencode(changed []int, encode func(v int, w *bits.Writer) error) ([]int, []bits.Certificate, bool, string) {
+	certs := make([]bits.Certificate, len(changed))
+	enc := bits.NewEncoder(len(changed))
+	for i, v := range changed {
+		var err error
+		if certs[i], err = enc.Encode(func(w *bits.Writer) error { return encode(v, w) }); err != nil {
 			return nil, nil, false, "re-encode: " + err.Error()
 		}
-		changed = append(changed, v)
-		certs = append(certs, bits.FromWriter(&w))
 	}
 	return changed, certs, true, ""
 }
@@ -398,6 +415,7 @@ type netBatch struct {
 	addedNodes   []graph.ID
 	addedEdges   [][2]graph.ID // by identifier, in batch order
 	removedEdges [][2]graph.ID
+	leaves       []leaf // the added nodes as leaves, set by a repair attempt (see leavesOf)
 }
 
 func (nb *netBatch) empty() bool {
@@ -589,9 +607,13 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 	case !s.certified:
 		rep.RepairFallback = "no certified base state"
 		return false
-	case len(nb.addedNodes) > 0:
-		rep.RepairFallback = "node additions change n in every certificate"
-		return false
+	}
+	if len(nb.addedNodes) > 0 {
+		var reason string
+		if nb.leaves, reason = s.leavesOf(nb); reason != "" {
+			rep.RepairFallback = reason
+			return false
+		}
 	}
 	rsp := s.span.Child("repair")
 	changed, newCerts, ok, reason := s.repair(nb, rsp)
@@ -603,29 +625,46 @@ func (s *Session) tryRepair(nb *netBatch, rep *Report) bool {
 		return false
 	}
 	rsp.End()
-	s.ensureOwnedCerts()
-	// Swap the new certificates in; newCerts keeps the ones they replace.
-	for i, v := range changed {
-		newCerts[i], s.certs[v] = s.certs[v], newCerts[i]
+	eng := dist.NewEngine(s.g, s.flushOpts()...)
+	grown := len(nb.leaves) > 0
+	old, oldOwn := s.certs, s.certsOwn
+	var out *dist.Outcome
+	if grown {
+		// Every certificate changed, so the sweep is full.
+		s.certs, s.certsOwn = newCerts, true
+		out = eng.RunPLSAll(s.certs, s.active.Verify)
+	} else {
+		s.ensureOwnedCerts()
+		// Swap the new certificates in; newCerts keeps the ones they
+		// replace.
+		for i, v := range changed {
+			newCerts[i], s.certs[v] = s.certs[v], newCerts[i]
+		}
+		out = eng.RunPLSSubset(s.certs, s.active.Verify, s.frontierOf(changed, s.touchedIdxs(nb)))
 	}
-	frontier := s.frontierOf(changed, s.touchedIdxs(nb))
-	out := dist.NewEngine(s.g, s.flushOpts()...).RunPLSSubset(s.certs, s.active.Verify, frontier)
 	rep.Dirty = len(changed)
 	rep.Verified = out.N
 	rep.Outcome = out
+	rep.FullVerify = grown
 	if !out.AllAccept() {
 		// The repair produced a locally rejected assignment; demote to a
-		// re-prove. Putting the replaced certificates back keeps s.certs
-		// the assignment accepted before the batch, which the re-prove's
-		// frontier sweep diffs against. The state was patched to the
-		// rejected assignment, so the re-prove decodes it afresh.
-		for i, v := range changed {
-			s.certs[v] = newCerts[i]
+		// re-prove. Putting the replaced certificates back, or the old
+		// slice when the batch grew n, keeps s.certs the assignment
+		// accepted before the batch, which the re-prove's frontier sweep
+		// diffs against and its kept embedding is read from. The state
+		// was patched to the rejected assignment, so the re-prove decodes
+		// it afresh.
+		if grown {
+			s.certs, s.certsOwn = old, oldOwn
+		} else {
+			for i, v := range changed {
+				s.certs[v] = newCerts[i]
+			}
 		}
 		s.state = nil
 		rep.RepairFallback = fmt.Sprintf("frontier rejected at node %d", out.Rejecting[0])
 		rep.Outcome = nil
-		rep.Dirty, rep.Verified = 0, 0
+		rep.Dirty, rep.Verified, rep.FullVerify = 0, 0, false
 		return false
 	}
 	rep.Mode = ModeRepair
@@ -695,7 +734,9 @@ func (s *Session) tryCache(nb *netBatch, rep *Report) bool {
 // decides global acceptance exactly (see Frontier soundness in the
 // package documentation), whatever its size. Otherwise the sweep is
 // full: a new node changes n in every certificate, and a flip or a
-// session with no accepted assignment has nothing to diff against.
+// session with no accepted assignment has nothing to diff against. (A
+// batch whose new nodes are all leaves re-proves only when repair is off
+// or falls back.)
 func (s *Session) reprove(rep *Report, nb *netBatch) {
 	var base []bits.Certificate // s.active's accepted assignment before nb
 	var touched []int

@@ -515,8 +515,10 @@ func TestNodeAdditions(t *testing.T) {
 // K_{2,4} between two degree-2 nodes that are not consecutive around a
 // hub, runs the LR test. The prove span's changed attribute is the
 // report's Dirty; the leaf attach, which adds a node, changes every
-// certificate and runs the full sweep. Repair is off, so that the
-// tree-edge removal re-proves instead of splicing.
+// certificate and runs the full sweep. Repair is off, so that the leaf
+// attach and the tree-edge removal re-prove instead of growing the
+// state in place and splicing; a last leaf attach with repair on must
+// be a repair span.
 func TestReproveTraceSteps(t *testing.T) {
 	cfg := planarCfg()
 	cfg.RepairThreshold = -1
@@ -609,6 +611,32 @@ func TestReproveTraceSteps(t *testing.T) {
 		}
 		checkParity(t, s)
 	}
+
+	// With repair on, a leaf attach is a repair, not a re-prove: its span
+	// records every certificate as changed, and the sweep is full.
+	on, err := NewSession(gen.StackedTriangulation(60, rand.New(rand.NewSource(2))), planarCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := obs.New(obs.Config{}).Start("s", obs.SpanBatch)
+	on.TraceNext(root)
+	rep, err := on.Apply([]Update{{Op: AddNode, A: 1000}, {Op: AddEdge, A: 1000, B: 0}})
+	root.End()
+	n := on.g.N()
+	if err != nil || rep.Mode != ModeRepair || !rep.FullVerify || rep.Dirty != n || rep.Verified != n {
+		t.Fatalf("leaf attach with repair on: %+v, %v", rep, err)
+	}
+	var names []string
+	for _, c := range root.Children() {
+		names = append(names, c.Name())
+		if changed, _ := c.IntAttr("changed"); c.Name() == "repair" && changed != int64(n) {
+			t.Fatalf("leaf attach with repair on: repair span changed=%d, want n=%d", changed, n)
+		}
+	}
+	if !slices.Contains(names, "repair") || slices.Contains(names, obs.SpanProve) {
+		t.Fatalf("leaf attach with repair on: batch children %v, want a repair span and no prove span", names)
+	}
+	checkParity(t, on)
 }
 
 // noFaceEdge returns an edge that K_{2,q} (q >= 4) stays planar with but

@@ -52,11 +52,13 @@ import (
 // Removing a spanning-tree edge splices the Euler tour (see splice): a
 // cotree edge reconnects the cut-off subtree, whose segment of ranks
 // moves next to the new parent, and only the ranks in between are
-// renumbered. Node additions change n in every certificate and are out
-// of repair scope. Their re-prove still starts from the embedding the
-// state encodes (see rotation and keptRotation), with new leaves hung
-// at their neighbors and new edges between existing nodes inserted as
-// chords, and runs the LR test only when such an edge has no face.
+// renumbered. A new leaf joins the tour at its anchor's last corner
+// (see attachLeaves); it changes n, so every certificate is re-encoded.
+// Other node additions are out of repair scope. Their re-prove still
+// starts from the embedding the state encodes (see rotation and
+// keptRotation), with new leaves hung at their neighbors and new edges
+// between existing nodes inserted as chords, and runs the LR test only
+// when such an edge has no face.
 type planarState struct {
 	g      *graph.Graph
 	n2     int
@@ -209,7 +211,9 @@ func (p *planarState) repair(nb *netBatch, budget int) ([]int, []bits.Certificat
 			return nil, nil, false, reason
 		}
 	}
-	return reencode(dirty, func(v int, w *bits.Writer) error { return p.objs[v].Encode(w) })
+	p.attachLeaves(nb.leaves)
+	changed := changedNodes(len(p.objs), len(nb.leaves) > 0, dirty)
+	return reencode(changed, func(v int, w *bits.Writer) error { return p.objs[v].Encode(w) })
 }
 
 func (p *planarState) idxPair(pr [2]graph.ID) (graph.Edge, bool) {
@@ -273,8 +277,11 @@ func (p *planarState) detachChord(e graph.Edge, chord core.Interval, budget *int
 
 func (p *planarState) addChord(pr [2]graph.ID, budget *int, dirty map[int]bool) (bool, string) {
 	e, ok := p.idxPair(pr)
-	if !ok {
+	switch {
+	case !ok:
 		return false, "unknown endpoint"
+	case e.V >= len(p.parent): // a leaf's edge, which attachLeaves hangs
+		return true, ""
 	}
 	ru, rv, ok := p.chordFace(e)
 	if !ok {

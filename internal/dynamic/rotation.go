@@ -136,8 +136,9 @@ func (p *planarState) rotation() *embedding.Rotation {
 // edges plus the attached ones, and the result is still a function of
 // the certificates, the batch and the re-add hints (see remember),
 // which a repair records before each removal. (A repair whose frontier
-// rejected drops the state.) The inserted chords stay in the state,
-// which the re-prove replaces.
+// rejected drops the state, and a state that already holds the batch's
+// leaves is decoded afresh from the certificates.) The inserted chords
+// stay in the state, which the re-prove replaces.
 func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 	if _, planar := s.active.(core.PlanarScheme); nb == nil || !planar || !s.certified {
 		return nil
@@ -159,7 +160,7 @@ func (s *Session) keptRotation(nb *netBatch, pv *obs.Span) *embedding.Rotation {
 		}
 	}
 	p, ok := s.state.(*planarState)
-	if !ok {
+	if !ok || len(p.parent) != old { // none, or one that attached the leaves
 		c := pv.Child(obs.SpanRepairState)
 		var err error
 		p, err = s.decodePlanarState()

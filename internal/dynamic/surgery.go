@@ -34,12 +34,13 @@ type treeRepair struct {
 // newTreeRepair reads the tree off the certificates' Parent, Dist and
 // Size — no BFS, so a tree that surgery reshaped comes back as it is —
 // and, under the non-planarity scheme, the witness off the roles, in
-// one pass over the certificate objects, given by node index. The
-// state takes objs over.
+// one pass over the certificate objects, given by node index. They may
+// cover only the first nodes of g: a repair that attaches leaves reads
+// the state of the graph before the batch. The state takes objs over.
 func newTreeRepair[C pls.TreeCert | core.NonPlanarCert](g *graph.Graph, objs []C) (*treeRepair, error) {
-	n := g.N()
-	if len(objs) != n {
-		return nil, fmt.Errorf("%d certificates for %d nodes", len(objs), n)
+	n := len(objs)
+	if n == 0 || n > g.N() {
+		return nil, fmt.Errorf("%d certificates for %d nodes", n, g.N())
 	}
 	t := &treeRepair{g: g, parent: make([]int, n), tree: make([]*pls.TreeCert, n), objs: make([]interface{ Encode(*bits.Writer) error }, n)}
 	for v := range objs {
@@ -186,9 +187,12 @@ func (t *treeRepair) surgery(p, c int, budget *int, cut map[int][]int) (dirty []
 	return dirty, true, ""
 }
 
-// repair implements repairState. A failed surgery may leave earlier
-// surgeries of the batch applied; the session then replaces the state.
+// repair implements repairState. The batch's leaves are hung first, so
+// that every neighbor a surgery scans has a place in the tree. A failed
+// surgery may leave earlier surgeries of the batch applied; the session
+// then replaces the state.
 func (t *treeRepair) repair(nb *netBatch, budget int) ([]int, []bits.Certificate, bool, string) {
+	t.attachLeaves(nb.leaves)
 	cut := make(map[int][]int, 2*len(nb.removedEdges))
 	for _, pr := range nb.removedEdges { // the batch removed edges between known nodes
 		ia, _ := t.g.IndexOf(pr[0])
@@ -217,7 +221,8 @@ func (t *treeRepair) repair(nb *netBatch, budget int) ([]int, []bits.Certificate
 			dirty[z] = true
 		}
 	}
-	return reencode(dirty, func(v int, w *bits.Writer) error { return t.objs[v].Encode(w) })
+	changed := changedNodes(len(t.objs), len(nb.leaves) > 0, dirty)
+	return reencode(changed, func(v int, w *bits.Writer) error { return t.objs[v].Encode(w) })
 }
 
 var _ repairState = (*treeRepair)(nil)

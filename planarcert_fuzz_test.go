@@ -56,7 +56,7 @@ func FuzzEdgeListRoundTrip(f *testing.F) {
 // certified, a certified state verifies exactly like a fresh
 // Certify+Verify of the same graph, and the repair state rebuilt from
 // the certificates equals the live one. A third of the ops attach a new
-// leaf, so re-proves that keep the certified embedding are driven too.
+// leaf, so repairs that grow n in place are driven too.
 func FuzzSessionApply(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 2, 3, 1, 0, 3})
 	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1})
